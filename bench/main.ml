@@ -493,7 +493,6 @@ module Bjson = struct
     bcheckpoints : int;
     bramp_opt : int;
     bramp_gen : int;
-    bsteal : string; (* "on" | "off" *)
     broute : string; (* "hash" | "zipf:S" *)
     barrivals : string; (* "periodic" | "uniform" | "pareto:A" | "flash:T:M" *)
     bmigrations : int;
@@ -514,7 +513,7 @@ module Bjson = struct
       d.Podopt_obs.Hist.p99 prefix d.Podopt_obs.Hist.max
 
   let of_summary ?(bwarm = false) ?(bbatch_k = "off") ?(bckpt_every = 8)
-      ?(bsteal = "off") ?(broute = "hash") ?(barrivals = "periodic")
+      ?(broute = "hash") ?(barrivals = "periodic")
       ?(bmigrations = 0) ?(bsteals = 0) ?(bcritical = 0) ~bsection ~bkind
       ~bmode ~bshards ~bdomains ~(profile : Bk.Loadgen.profile) ~wall_ns
       (s : Bk.Loadgen.summary) =
@@ -552,7 +551,6 @@ module Bjson = struct
       bcheckpoints = s.Bk.Loadgen.checkpoints;
       bramp_opt = s.Bk.Loadgen.ramp_optimized;
       bramp_gen = s.Bk.Loadgen.ramp_generic;
-      bsteal;
       broute;
       barrivals;
       bmigrations;
@@ -565,7 +563,7 @@ module Bjson = struct
   let write path =
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v8\",\n";
+    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v9\",\n";
     Printf.bprintf b "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
     Buffer.add_string b "  \"entries\": [\n";
     let n = List.length !entries in
@@ -583,7 +581,7 @@ module Bjson = struct
            \"first_epoch_generic\": %d, \"checkpoint_every\": %d, \
            \"kills\": %d, \"recoveries\": %d, \"redelivered\": %d, \
            \"checkpoints\": %d, \"ramp_optimized\": %d, \
-           \"ramp_generic\": %d, \"steal\": %S, \"route\": %S, \
+           \"ramp_generic\": %d, \"route\": %S, \
            \"arrivals\": %S, \"migrations\": %d, \"steals\": %d, \
            \"critical_busy\": %d, \"elapsed\": %d, %s, %s, %s}%s\n"
           e.bsection e.bkind e.bmode e.bshards e.bdomains e.bsessions e.bops
@@ -592,7 +590,7 @@ module Bjson = struct
           e.brequeued e.bquarantined
           e.btrips e.bdropped e.bdecode e.bwarm e.bfirst_opt e.bfirst_gen
           e.bckpt_every e.bkills e.brecoveries e.bredelivered e.bcheckpoints
-          e.bramp_opt e.bramp_gen e.bsteal e.broute e.barrivals e.bmigrations
+          e.bramp_opt e.bramp_gen e.broute e.barrivals e.bmigrations
           e.bsteals e.bcritical e.belapsed
           (dist_json "qwait" e.blatency.Bk.Loadgen.queue_wait)
           (dist_json "svc_opt" e.blatency.Bk.Loadgen.service_opt)
@@ -1294,12 +1292,14 @@ let broker_steal ?(quick = false) () =
   let shards = 8 in
   (* One measured run.  Returns the serve document (the byte-compared
      observable), the summary, and the scheduler's deterministic
-     telemetry: the migration count and the planned critical-path busy
-     (per epoch, each shard's busy is charged to its deterministic
-     owner; the running max over workers is the best makespan the
-     ownership plan allows — steal-race free, so comparable across
-     schedulers and reproducible on any host). *)
-  let run ~route ~domains ~steal =
+     telemetry: the planned critical-path busy (per epoch, each shard's
+     busy is charged to its deterministic owner; the running max over
+     workers is the best makespan the ownership plan allows — steal-race
+     free, so reproducible on any host) and the shards the planner has
+     moved off the initial [i mod domains] ownership (warm-up migrations
+     included: the smoothed plan converges during warm-up and then
+     holds). *)
+  let run ~route ~domains =
     let cfg =
       {
         Bk.Broker.default_config with
@@ -1310,7 +1310,6 @@ let broker_steal ?(quick = false) () =
         queue_limit = 256;
         seed = 11L;
         domains;
-        steal;
         route;
       }
     in
@@ -1330,93 +1329,73 @@ let broker_steal ?(quick = false) () =
         let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
         if s.Bk.Loadgen.truncated then broker_truncated := true;
         let json = Bk.Report.json ~metrics:false b s in
-        let migrations = Bk.Broker.migration_count b in
         let critical = Bk.Broker.critical_busy b in
-        (* shards whose owner the planner has moved off the static
-           [i mod domains] pinning (warm-up migrations included: the
-           smoothed plan converges during warm-up and then holds) *)
-        let moved =
-          let owners = Bk.Broker.owners b in
-          let n = ref 0 in
-          Array.iteri (fun i o -> if o <> i mod domains then incr n) owners;
-          !n
-        in
+        let moved = ref 0 in
+        Array.iteri
+          (fun i o -> if o <> i mod domains then incr moved)
+          (Bk.Broker.owners b);
         Bjson.record
           (Bjson.of_summary ~bsection:"broker-steal" ~bkind:"seccomm"
-             ~bmode:(if steal then "steal" else "static")
-             ~bsteal:(if steal then "on" else "off")
+             ~bmode:"steal"
              ~broute:(Bk.Shard_map.route_to_string route)
-             ~bmigrations:migrations ~bsteals:(Bk.Broker.steals b)
-             ~bcritical:critical ~bshards:shards ~bdomains:domains ~profile
-             ~wall_ns s);
-        (s, json, moved, critical))
+             ~bmigrations:(Bk.Broker.migration_count b)
+             ~bsteals:(Bk.Broker.steals b) ~bcritical:critical ~bshards:shards
+             ~bdomains:domains ~profile ~wall_ns s);
+        (s, json, !moved, critical))
   in
   let routes =
     if quick then [ Bk.Shard_map.Zipf 1.4 ]
     else [ Bk.Shard_map.Hash; Bk.Shard_map.Zipf 0.9; Bk.Shard_map.Zipf 1.4 ]
   in
-  let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  Fmt.pr "%9s %7s | %11s %11s %6s | %5s | %9s@." "route" "domains"
-    "static c/op" "steal c/op" "(%)" "moved" "identical";
+  let domain_counts = if quick then [ 2 ] else [ 2; 4 ] in
+  Fmt.pr "%9s %7s | %10s | %5s | %9s@." "route" "domains" "crit c/op" "moved"
+    "identical";
   List.iter
     (fun route ->
       let rname = Bk.Shard_map.route_to_string route in
-      (* the reference document: sequential drain, static pinning *)
-      let s0, json0, _, _ = run ~route ~domains:1 ~steal:false in
+      let row domains (s : Bk.Loadgen.summary) moved crit identical =
+        Fmt.pr "%9s %7d | %10.1f | %5d | %9s@." rname domains
+          (if s.Bk.Loadgen.dispatched = 0 then 0.0
+           else float_of_int crit /. float_of_int s.Bk.Loadgen.dispatched)
+          moved
+          (if identical then "yes" else "NO — BUG")
+      in
+      (* the reference document: one domain *)
+      let s0, json0, moved0, crit0 = run ~route ~domains:1 in
+      row 1 s0 moved0 crit0 true;
       List.iter
         (fun domains ->
-          let s_off, json_off, _, crit_off = run ~route ~domains ~steal:false in
-          let s_on, json_on, moved, crit_on = run ~route ~domains ~steal:true in
-          let identical =
-            String.equal json_on json0 && String.equal json_off json0
-            && s_on = s0 && s_off = s0
-          in
-          let per_op c (s : Bk.Loadgen.summary) =
-            if s.Bk.Loadgen.dispatched = 0 then 0.0
-            else float_of_int c /. float_of_int s.Bk.Loadgen.dispatched
-          in
-          Fmt.pr "%9s %7d | %11.1f %11.1f %6.1f | %5d | %9s@." rname domains
-            (per_op crit_off s_off) (per_op crit_on s_on)
-            (pct (per_op crit_on s_on) (per_op crit_off s_off))
-            moved
-            (if identical then "yes" else "NO — BUG");
+          let s, json, moved, crit = run ~route ~domains in
+          let identical = String.equal json json0 && s = s0 in
+          row domains s moved crit identical;
           if not identical then begin
             broker_steal_failed := true;
             Fmt.epr
               "broker-steal: route %s domains %d — observables diverged \
-               across steal on/off or domain counts@."
+               across domain counts@."
               rname domains
           end;
-          let skewed = match route with Bk.Shard_map.Zipf _ -> true | _ -> false in
-          if skewed && domains >= 2 then begin
-            if moved = 0 then begin
-              broker_steal_failed := true;
-              Fmt.epr
-                "broker-steal: route %s domains %d — the planner never moved \
-                 a shard off static pinning under Zipf skew; the scheduler \
-                 is not being exercised@."
-                rname domains
-            end;
-            if crit_on >= crit_off then begin
-              broker_steal_failed := true;
-              Fmt.epr
-                "broker-steal: route %s domains %d — stealing critical busy \
-                 %d not strictly below static %d on a skewed workload@."
-                rname domains crit_on crit_off
-            end
-          end)
+          match route with
+          | Bk.Shard_map.Zipf _ when moved = 0 ->
+            broker_steal_failed := true;
+            Fmt.epr
+              "broker-steal: route %s domains %d — the planner never moved \
+               a shard under Zipf skew; the scheduler is not being \
+               exercised@."
+              rname domains
+          | _ -> ())
         domain_counts)
     routes;
   Fmt.pr
-    "@.(critical/op is the planned critical path per dispatched op: each@. \
+    "@.(crit c/op is the planned critical path per dispatched op: each@. \
      epoch charges a shard's busy delta to its deterministic owner and@. \
      takes the max over workers — the makespan the ownership plan allows,@. \
      independent of steal races and host core count.  The moved column@. \
-     counts shards the planner has migrated off static [i mod domains]@. \
-     pinning — the smoothed plan converges during warm-up and holds.@. \
-     Under Zipf skew the migrating scheduler must beat static pinning@. \
-     strictly at >= 2 domains while the serve document stays@. \
-     byte-identical; under uniform hash routing there is nothing to@. \
+     counts shards the planner has migrated off the initial [i mod@. \
+     domains] ownership — the smoothed plan converges during warm-up and@. \
+     holds.  Under Zipf skew the planner must move shards at >= 2@. \
+     domains while the serve document stays byte-identical to the@. \
+     1-domain run; under uniform hash routing there is nothing to@. \
      rebalance and only identity is checked)@."
 
 (* --- broker workload zoo: open-loop arrivals across workloads ----------- *)
@@ -1668,8 +1647,8 @@ let () =
   end;
   if !broker_steal_failed then begin
     Fmt.epr
-      "bench: the work-stealing scheduler diverged from static pinning or \
-       failed to beat it on a skewed workload — results invalid@.";
+      "bench: the work-stealing scheduler diverged across domain counts or \
+       never migrated a shard on a skewed workload — results invalid@.";
     exit 1
   end;
   if !broker_zoo_failed then begin

@@ -152,7 +152,7 @@ let load_profile = function
      | exception Sys_error msg -> Error msg)
 
 let serve kind sessions shards batch queue_limit ops interval latency jitter
-    policy seed generic warmup domains steal route faults batching
+    policy seed generic warmup domains route faults batching
     checkpoint_every arrivals max_ticks metrics json show_dead redrain_dead
     profile_in profile_out =
   match
@@ -189,7 +189,6 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
       optimize = not generic;
       seed = Int64.of_int seed;
       domains;
-      steal;
       route;
       faults;
       profile_in;
@@ -301,7 +300,7 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
 (* --- record / replay / diff ----------------------------------------------- *)
 
 let record_run kind sessions shards batch queue_limit ops interval latency
-    jitter policy seed generic warmup domains steal route faults batching
+    jitter policy seed generic warmup domains route faults batching
     checkpoint_every arrivals metrics profile_in out =
   match
     List.find_opt
@@ -336,7 +335,6 @@ let record_run kind sessions shards batch queue_limit ops interval latency
         optimize = not generic;
         seed = Int64.of_int seed;
         domains;
-        steal;
         route;
         faults;
         profile_in;
@@ -722,25 +720,6 @@ let batch_k_arg =
 
 let intopt name v doc = Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
 
-let steal_conv =
-  Arg.conv
-    ( (fun s ->
-        match s with
-        | "on" -> Ok true
-        | "off" -> Ok false
-        | s -> Error (`Msg (Printf.sprintf "expected on or off, got %S" s))),
-      fun ppf b -> Fmt.string ppf (if b then "on" else "off") )
-
-let steal_arg =
-  Arg.(value & opt steal_conv B.Broker.default_config.B.Broker.steal
-       & info [ "steal" ] ~docv:"on|off"
-           ~doc:"Work-stealing shard scheduler (default $(b,on)): with \
-                 --domains > 1, idle worker domains pull shard drains from a \
-                 shared run queue and the coordinator migrates hot shards \
-                 between workers at epoch boundaries. Pure scheduling — \
-                 observable output is byte-identical to $(b,off) (static \
-                 shard-to-worker pinning).")
-
 let route_conv =
   Arg.conv
     ( (fun s ->
@@ -755,7 +734,7 @@ let route_arg =
            ~doc:"Session-to-shard routing: $(b,hash) (default, uniform) or \
                  $(b,zipf:S) (Zipf-skewed with exponent S > 0; shard 0 \
                  hottest). Routing changes which shard serves each session, \
-                 so it IS part of the observable output — unlike --steal.")
+                 so it IS part of the observable output — unlike --domains.")
 
 let checkpoint_every_arg =
   intopt "checkpoint-every" B.Broker.default_config.B.Broker.checkpoint_every
@@ -799,9 +778,9 @@ let serve_cmd =
       $ generic_flag
       $ intopt "warmup" 12 "Warm-up ops per session before measurement."
       $ intopt "domains" 1
-          "Worker domains draining the shards in parallel (1 = sequential; \
-           results are identical at any domain count)."
-      $ steal_arg
+          "Domains draining the shards, this one included (1 = drain on \
+           the coordinator alone; results are identical at any domain \
+           count)."
       $ route_arg
       $ faults_arg
       $ batch_k_arg
@@ -848,9 +827,8 @@ let record_cmd =
       $ generic_flag
       $ intopt "warmup" 12 "Warm-up ops per session before measurement."
       $ intopt "domains" 1
-          "Worker domains recorded in the log (the replayed document is \
+          "Draining domains recorded in the log (the replayed document is \
            identical at any domain count)."
-      $ steal_arg
       $ route_arg
       $ faults_arg
       $ batch_k_arg
@@ -872,8 +850,8 @@ let replay_cmd =
   in
   let domains =
     Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-           ~doc:"Override the recorded worker-domain count; the regenerated \
-                 document is identical at any value.")
+           ~doc:"Override the recorded draining-domain count; the \
+                 regenerated document is identical at any value.")
   in
   let json =
     Arg.(value & flag & info [ "json" ]

@@ -20,7 +20,6 @@ type config = {
   profile_in : Store.t option;
   batching : Shard.batching;
   checkpoint_every : int;
-  steal : bool;              (* work-stealing drain + hot-shard migration *)
   route : Shard_map.route;   (* session-to-shard routing discipline *)
   arrivals : Arrivals.spec;  (* session op arrival process *)
 }
@@ -41,7 +40,6 @@ let default_config =
     profile_in = None;
     batching = Shard.Off;
     checkpoint_every = 8;
-    steal = true;
     route = Shard_map.Hash;
     arrivals = Arrivals.Periodic;
   }
@@ -52,8 +50,8 @@ type t = {
   cfg : config;
   front : Runtime.t;
   shards : Shard.t array;
-  pool : Podopt_exec.Pool.t option;  (* [None] = sequential drain *)
-  drained : int array;               (* per-shard scratch for parallel epochs *)
+  pool : Podopt_exec.Pool.t;
+  drained : int array;               (* per-shard scratch for drain epochs *)
   nacks : (string, int -> int -> unit) Hashtbl.t;
   session_shard : (string, int) Hashtbl.t;
   mutable routed : int;
@@ -64,20 +62,20 @@ type t = {
      shards (kill_permille > 0): per-shard serialized checkpoints plus
      the redo journals of everything fed to each shard since its last
      checkpoint.  All of it lives on the coordinator — kills, restores,
-     and redelivery happen between epochs, never on pool workers. *)
+     and redelivery happen between epochs, never inside a drain. *)
   supervised : bool;
   journals : Recover.journal array;
   checkpoints : string array;
   mutable epoch : int;  (* drain epochs since creation *)
   (* --- the stealing scheduler (see doc/SCHEDULER.md) ---------------
      [owner] is the shard-to-preferred-worker map the coordinator
-     migrates at epoch boundaries; everything observable stays
-     byte-identical whatever it says, because shard results never
-     depend on which domain drains them.  [owner], [load_ema] and
-     the migration plan are pure functions of recorded state, so they
-     are identical from run to run; [executed_by]/[steals] record the
-     actual (racy) claim schedule and are telemetry only — they must
-     never feed snapshots, summaries, or serve JSON. *)
+     migrates at epoch boundaries.  No claim reads it: it feeds only
+     the planned critical path ([critical]), the [migr] column and the
+     [stole] telemetry.  [owner], [load_ema] and the migration plan are
+     pure functions of recorded state, so they are identical from run
+     to run; [executed_by]/[steals] record the actual (racy) claim
+     schedule and are telemetry only — they must never feed snapshots,
+     summaries, or serve JSON. *)
   owner : int array;              (* shard -> preferred worker *)
   load_ema : int array;
       (* exponentially smoothed pre-drain ingress depth per shard,
@@ -168,13 +166,10 @@ let create (cfg : config) =
           ())
   in
   (* the pool spawns after the shards exist: shard construction installs
-     HIR primitives and parses programs on the coordinator, so workers
-     only ever see fully built shards (published by the pool's own
-     channel/barrier synchronization) *)
-  let pool =
-    if cfg.domains > 1 then Some (Podopt_exec.Pool.create ~domains:cfg.domains)
-    else None
-  in
+     HIR primitives and parses programs on the coordinator, so helper
+     domains only ever see fully built shards (published by the pool's
+     barrier) *)
+  let pool = Podopt_exec.Pool.create ~domains:cfg.domains in
   let supervised = cfg.faults.Plan.kill_permille > 0 in
   let t =
     {
@@ -355,8 +350,8 @@ let migration_plan ~domains ~depths owner =
 (* The scheduler's epoch boundary, on the coordinator: apply the
    migration plan decided from the depths observed over PREVIOUS epochs
    (the smoothed [load_ema]), then fold this epoch's pre-drain depths
-   into the ema for the next decision.  Runs only in steal mode with a
-   real pool — static pinning never migrates. *)
+   into the ema for the next decision.  At one domain the plan is
+   always empty. *)
 let rebalance t ~depths =
   if t.have_depths then
     List.iter
@@ -370,34 +365,27 @@ let rebalance t ~depths =
     depths;
   t.have_depths <- true
 
-(* One drain epoch.  Sequential: shards drain in shard-id order on the
-   caller.  Parallel with [steal = false]: shard [i] is pinned to pool
-   worker [i mod domains], each worker walks its shards in increasing
-   id.  Parallel with [steal = true]: the coordinator freezes the
-   epoch's shard list hottest-first into a {!Podopt_exec.Deque} and
-   idle workers claim shards with an atomic fetch-and-add — whole-shard
-   stealing, zero-copy, because the shard struct (state, ingress queue,
-   retry/dead tables, fault streams, adaptive profile) is the unit of
-   work and never moves in memory.  In every mode the pool's barrier
+(* One drain epoch, the same at every domain count.  The coordinator
+   freezes the epoch's shard list hottest-first and every pool lane —
+   the coordinator itself is lane 0 — claims whole shards with an atomic
+   fetch-and-add: zero-copy, because the shard struct (state, ingress
+   queue, retry/dead tables, fault streams, adaptive profile) is the
+   unit of work and never moves in memory.  The pool's barrier
    separates this drain step from the next routing step, each shard is
    claimed exactly once per epoch, and [now] is captured once on the
    coordinator — so every shard sees the exact batch boundaries and
-   dispatch order of the sequential run, and no shard is ever touched
-   by two domains at once.  Which worker drains a shard is pure
-   scheduling; per-shard results cannot depend on it.
+   dispatch order of any other run, and no shard is ever touched by two
+   domains at once.  Which lane drains a shard is pure scheduling;
+   per-shard results cannot depend on it.
 
    Under supervision the epoch boundary runs first, on the coordinator:
    kill draws, recoveries, checkpoints, and the journal's epoch marks
-   all precede the (possibly parallel) drain, which is why per-shard
-   results stay byte-identical at any domain count even while shards
-   die and resurrect.  Recovery composes with stealing for free:
-   checkpoints and journals are keyed by shard id, never by worker, so
-   a migrated shard's next kill restores and redelivers exactly as an
-   unmigrated one's would. *)
+   all precede the drain, which is why per-shard results stay
+   byte-identical at any domain count even while shards die and
+   resurrect.  Checkpoints and journals are keyed by shard id, never by
+   lane, so a migrated shard's next kill restores and redelivers exactly
+   as an unmigrated one's would. *)
 let drain t =
-  (* the epoch's front clock is captured once on the coordinator, so
-     every shard — sequential or parallel — stamps queue waits against
-     the same [now] *)
   let now = now t in
   if t.supervised then begin
     supervise t;
@@ -406,70 +394,41 @@ let drain t =
       t.journals
   end;
   let depths = Array.map (fun s -> Ingress.length s.Shard.ingress) t.shards in
-  let stealing = t.cfg.steal && t.cfg.domains > 1 in
-  if stealing then rebalance t ~depths;
+  rebalance t ~depths;
   t.sched_epoch <- t.sched_epoch + 1;
   Array.iteri (fun i s -> t.prev_busy.(i) <- Shard.busy s) t.shards;
-  let total =
-    match t.pool with
-    | None ->
-      Array.fold_left
-        (fun acc s -> acc + Shard.drain_batch s ~now ~batch:t.cfg.batch)
-        0 t.shards
-    | Some pool when not t.cfg.steal ->
-      let domains = t.cfg.domains and batch = t.cfg.batch in
-      Podopt_exec.Pool.run pool (fun w ->
-          Array.iteri
-            (fun i shard ->
-              if i mod domains = w then
-                t.drained.(i) <- Shard.drain_batch shard ~now ~batch)
-            t.shards);
-      (* merge in shard-id order on the coordinator *)
-      Array.fold_left ( + ) 0 t.drained
-    | Some pool ->
-      let batch = t.cfg.batch in
-      (* hottest shards first (LPT by this epoch's depth, shard-id tie
-         break): claim order is wall-clock scheduling only *)
-      let order = Array.init t.cfg.shards Fun.id in
-      Array.sort
-        (fun a b ->
-          match compare depths.(b) depths.(a) with
-          | 0 -> compare a b
-          | c -> c)
-        order;
-      Array.fill t.executed_by 0 t.cfg.shards (-1);
-      Podopt_exec.Pool.run_steal pool order (fun ~worker ~slot:_ i ->
-          t.executed_by.(i) <- worker;
-          t.drained.(i) <- Shard.drain_batch t.shards.(i) ~now ~batch);
-      (* off-owner claims = steals: telemetry, outside every
-         byte-compared surface *)
-      Array.iteri
-        (fun i w ->
-          if w >= 0 && w <> t.owner.(i) && depths.(i) > 0 then begin
-            t.steals <- t.steals + 1;
-            t.stolen.(i) <- t.stolen.(i) + 1
-          end)
-        t.executed_by;
-      Array.fold_left ( + ) 0 t.drained
-  in
-  (* planned critical path: charge each shard's busy delta to its
-     (deterministic) owner and accumulate the heaviest worker.  The
-     steal-off plan is the static pinning, so the same accumulator
-     compares both schedulers on equal terms. *)
+  let batch = t.cfg.batch in
+  (* hottest shards first (LPT by this epoch's depth, shard-id tie
+     break): claim order is wall-clock scheduling only *)
+  let order = Array.init t.cfg.shards Fun.id in
+  Array.sort
+    (fun a b ->
+      match compare depths.(b) depths.(a) with
+      | 0 -> compare a b
+      | c -> c)
+    order;
+  Podopt_exec.Pool.run_steal t.pool order (fun ~worker ~slot:_ i ->
+      t.executed_by.(i) <- worker;
+      t.drained.(i) <- Shard.drain_batch t.shards.(i) ~now ~batch);
+  (* off-owner claims = steals: telemetry, outside every byte-compared
+     surface.  The planned critical path charges each shard's busy
+     delta to its (deterministic) owner and accumulates the heaviest
+     worker. *)
   Array.fill t.wbusy 0 t.cfg.domains 0;
   Array.iteri
     (fun i s ->
-      let w = if stealing then t.owner.(i) else i mod t.cfg.domains in
+      let w = t.owner.(i) in
+      if t.executed_by.(i) <> w && depths.(i) > 0 then begin
+        t.steals <- t.steals + 1;
+        t.stolen.(i) <- t.stolen.(i) + 1
+      end;
       t.wbusy.(w) <- t.wbusy.(w) + (Shard.busy s - t.prev_busy.(i)))
     t.shards;
   t.critical <- t.critical + Array.fold_left max 0 t.wbusy;
-  total
+  Array.fold_left ( + ) 0 t.drained
 
-let parallel t = match t.pool with Some _ -> true | None -> false
 let domains t = t.cfg.domains
-
-let shutdown t =
-  match t.pool with Some pool -> Podopt_exec.Pool.shutdown pool | None -> ()
+let shutdown t = Podopt_exec.Pool.shutdown t.pool
 
 let advance_to t upto = if upto > now t then Vclock.set t.front.Runtime.clock upto
 
@@ -485,7 +444,6 @@ let decode_failures t = t.decode_failures
    deterministic for a given config (pure functions of recorded state);
    [steals]/[stolen] reflect the actual claim race and are telemetry
    only — keep them out of anything byte-compared. *)
-let stealing t = t.cfg.steal && t.cfg.domains > 1
 let steals t = t.steals
 let stolen t = Array.copy t.stolen
 let migrated t = Array.copy t.migrated
@@ -519,9 +477,9 @@ let profile_store t : Store.t =
 
 (* Attach (or clear) one fault-draw logger on every live injector: the
    front's (salt 0) and each shard's (salt id+1).  Per-salt streams are
-   each touched by a single domain (front on the coordinator, shards on
-   their pinned workers), so a logger that keeps per-salt state needs no
-   locking. *)
+   each touched by a single domain at a time (front on the coordinator,
+   a shard on the lane that claimed it, with the pool's barrier between
+   epochs), so a logger that keeps per-salt state needs no locking. *)
 let set_fault_logger t logger =
   (match t.front_faults with
    | Some inj -> Plan.set_logger inj logger

@@ -13,30 +13,24 @@
     advance their own clocks as they dispatch.  Everything downstream
     of the seeded links is deterministic.
 
-    With [domains > 1] the broker runs its shards on a fixed pool of
-    OCaml 5 domains ({!Podopt_exec.Pool}): every simulation epoch
-    routes packets on the coordinator, then drains the shards on the
-    pool, then joins at a barrier before the next routing step.  Two
-    drain schedulers share that skeleton (see doc/SCHEDULER.md):
+    The broker drains its shards on a pool of [domains] OCaml 5 domains
+    ({!Podopt_exec.Pool}), the coordinator among them: every simulation
+    epoch routes packets on the coordinator, then freezes the shard
+    list hottest-first into the pool's run queue, where every lane —
+    the coordinator is lane 0, [domains - 1] helper domains the rest —
+    claims whole shards with an atomic fetch-and-add, then joins at a
+    barrier before the next routing step.  At [domains = 1] the
+    coordinator drains every shard itself.  At epoch boundaries the
+    coordinator also migrates shard {e ownership} (the preferred
+    worker) from the previous epochs' observed queue depths; no claim
+    reads it — it feeds only the planned critical path and the
+    scheduler telemetry (see doc/SCHEDULER.md).
 
-    {ul
-    {- [steal = false] — static pinning: shard [i] always drains on
-       worker [i mod domains];}
-    {- [steal = true] (default) — work stealing: the coordinator
-       freezes the epoch's shard list hottest-first into a stealable
-       run-queue and idle workers claim whole shards with an atomic
-       fetch-and-add, while the coordinator migrates shard {e
-       ownership} (the preferred worker, used for the load plan) at
-       epoch boundaries from the previous epoch's observed queue
-       depths — a pure function of recorded state, so the migration
-       history is deterministic.}}
-
-    In either mode each shard is claimed exactly once per epoch and the
-    epoch barrier separates drain from the next routing step, so
-    per-shard dispatch order — and therefore every per-shard stat,
-    trace, and adaptive-optimizer decision — is byte-identical to the
-    sequential run at any domain count, steal on or off (see the
-    broker-par and steal test suites). *)
+    Each shard is claimed exactly once per epoch and the epoch barrier
+    separates drain from the next routing step, so per-shard dispatch
+    order — and therefore every per-shard stat, trace, and
+    adaptive-optimizer decision — is byte-identical at any domain
+    count (see the parallel and steal test suites). *)
 
 open Podopt_eventsys
 
@@ -53,7 +47,9 @@ type config = {
           second axis *)
   seed : int64;          (** base seed for session links *)
   tick : int;            (** virtual units per simulation step *)
-  domains : int;         (** drain lanes; 1 = sequential (no pool) *)
+  domains : int;
+      (** draining domains, the coordinator included; 1 = the
+          coordinator drains alone *)
   faults : Podopt_faults.Plan.spec;
       (** deterministic fault plan; the front injector (salt 0) applies
           drops and wire corruption before decode, each shard's injector
@@ -77,10 +73,6 @@ type config = {
           ([kill_permille > 0]); without kills the recovery machinery
           is entirely off.  A journal past its high-water mark forces
           an early checkpoint. *)
-  steal : bool;
-      (** [--steal]: work-stealing drain with deterministic hot-shard
-          migration (default) vs static [i mod domains] pinning.  Pure
-          scheduling — observables are byte-identical either way. *)
   route : Shard_map.route;
       (** [--route]: session-to-shard map — [Hash] (uniform FNV-1a,
           default) or [Zipf s] (rank-skewed; shard 0 hottest).  Changes
@@ -98,8 +90,8 @@ type config = {
 val default_config : config
 (** 2 shards, batch 16, queue limit 64, [Drop_newest], SecComm,
     optimized, compiled, seed 42, tick 50, 1 domain, no faults, no
-    stored profile, batching off, checkpoint every 8 epochs, stealing
-    on, hash routing, periodic arrivals. *)
+    stored profile, batching off, checkpoint every 8 epochs, hash
+    routing, periodic arrivals. *)
 
 type t
 
@@ -132,14 +124,12 @@ val route : t -> Podopt_net.Packet.t -> unit
 val pump : t -> until:int -> unit
 
 (** Drain one batch from every shard; returns the total ops dispatched.
-    Sequential ([domains = 1]): shards drain in shard-id order on the
-    caller.  Parallel: one epoch on the domain pool — statically pinned
-    or work-stealing per [config.steal] — joining at a barrier, with
-    totals merged in shard-id order on the coordinator.  In steal mode
-    the coordinator first applies the migration plan decided from the
-    previous epoch's recorded queue depths (deterministic), then lets
-    idle workers claim whole shards from the epoch's run-queue
-    (wall-clock scheduling only).
+    One epoch on the domain pool, the same at every domain count: the
+    coordinator applies the migration plan decided from the previous
+    epochs' recorded queue depths (deterministic), then every lane,
+    itself included, claims whole shards hottest-first from the epoch's
+    run queue (wall-clock scheduling only), joining at a barrier, with
+    totals merged in shard-id order on the coordinator.
 
     Under supervision (a fault plan with [kill_permille > 0]) the epoch
     boundary runs first, on the coordinator and in shard-id order: each
@@ -151,14 +141,10 @@ val pump : t -> until:int -> unit
     with kills disabled, at any domain count. *)
 val drain : t -> int
 
-(** Whether drains run on a domain pool ([domains > 1]). *)
-val parallel : t -> bool
-
 val domains : t -> int
 
-(** Join the worker domains ([domains > 1]; a no-op otherwise).  Call
-    when done with a parallel broker; using {!drain} afterwards raises.
-    Idempotent. *)
+(** Join the pool's helper domains.  Call when done with the broker;
+    using {!drain} afterwards raises.  Idempotent. *)
 val shutdown : t -> unit
 
 (** Advance the front clock to [upto] (never backwards). *)
@@ -183,11 +169,19 @@ val decode_failures : t -> int
     are pure functions of recorded state — identical from run to run
     for a given config.  [steals]/[stolen] record the actual claim
     race and are telemetry only: they never enter snapshots, summaries,
-    or serve JSON (which must stay byte-identical steal on/off). *)
+    or serve JSON (which must stay byte-identical at any domain
+    count).  Ownership and migration feed only [critical_busy], the
+    [migr] column and the [stole] telemetry: no claim reads them. *)
 
-(** Whether drains use the work-stealing scheduler
-    ([steal && domains > 1]). *)
-val stealing : t -> bool
+(** [migration_plan ~domains ~depths owner] is one epoch's planner
+    decision, a pure function of its arguments: while the heaviest
+    worker's summed [depths] exceed the lightest's by more than a
+    hysteresis threshold, move the heaviest shard that strictly shrinks
+    the gap.  Returns the moves as [(shard, from, to)] in decision
+    order; [[]] when [domains <= 1] or the load is balanced.  [owner]
+    is not modified. *)
+val migration_plan :
+  domains:int -> depths:int array -> int array -> (int * int * int) list
 
 (** Off-owner shard claims since the last reset (schedule-dependent). *)
 val steals : t -> int
@@ -199,16 +193,16 @@ val stolen : t -> int array
 val migrated : t -> int array
 
 (** The migration history since the last reset, oldest first, as
-    [(epoch, shard, from_worker, to_worker)] — the plan Log v5 records
-    and replay re-verifies. *)
+    [(epoch, shard, from_worker, to_worker)] — the plan the replay log
+    records and replay re-verifies. *)
 val migrations : t -> (int * int * int * int) list
 
 val migration_count : t -> int
 
 (** Accumulated per-epoch maximum planned worker busy — the
-    scheduler's critical path under the deterministic ownership plan
-    (static pinning when [steal = false]).  The bench's skew metric:
-    lower means the fleet serializes less behind its hottest lane. *)
+    scheduler's critical path under the deterministic ownership plan.
+    The bench's skew metric: lower means the fleet serializes less
+    behind its hottest lane. *)
 val critical_busy : t -> int
 
 (** The current shard-to-preferred-worker map. *)
@@ -264,8 +258,8 @@ val set_fault_logger :
   t -> (salt:int -> kind:string -> fired:bool -> unit) option -> unit
 
 (** Install (or remove) the per-dispatch observer on every shard (see
-    {!Shard.set_on_delivery}; with [domains > 1] it runs on worker
-    domains, so oracle runs drain sequentially). *)
+    {!Shard.set_on_delivery}; with [domains > 1] it runs on whichever
+    lane claimed the shard, so oracle runs use one domain). *)
 val set_delivery_hook :
   t ->
   (shard:int -> src:string -> seq:int -> ok:bool -> payload:bytes -> unit)

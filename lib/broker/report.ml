@@ -22,7 +22,7 @@ let pp_table ppf broker =
   let shards = Broker.shards broker in
   (* migr is deterministic (the coordinator's recorded plan); stole is
      the actual claim race — telemetry, never byte-compared (always 0
-     at domains = 1 or steal off) *)
+     at domains = 1) *)
   let migrated = Broker.migrated broker and stolen = Broker.stolen broker in
   Fmt.pf ppf
     "%5s | %8s %8s %6s %6s | %7s %10s | %9s %7s %8s %7s %6s | %6s %5s %5s %5s \
@@ -88,7 +88,7 @@ let pp_table ppf broker =
   Fmt.pf ppf "front: %d link-dropped, %d decode-failed@."
     (Broker.link_dropped broker)
     (Broker.decode_failures broker);
-  if Broker.stealing broker then
+  if Broker.domains broker > 1 then
     Fmt.pf ppf
       "scheduler: stealing (route %s), %d migrations, %d steals, critical \
        busy %d@."

@@ -105,26 +105,31 @@ let pump t ~now ~rt ~deliver_event =
   done
 
 let nack t ~seq ~now =
-  t.stats.nacks <- t.stats.nacks + 1;
-  (* A seq that already gave up is latched: late nacks for it (e.g. a
-     duplicate shed racing the abandonment) must not re-enter the
-     backoff machinery or bump gave_up again. *)
-  if not (Hashtbl.mem t.abandoned seq) then begin
-    let attempt =
-      1 + (match Hashtbl.find_opt t.attempts seq with Some a -> a | None -> 0)
-    in
-    if Policy.exhausted t.backoff ~attempt then begin
-      t.stats.gave_up <- t.stats.gave_up + 1;
-      (* drop the attempts entry (it would otherwise leak for the
-         session's lifetime) and latch the abandonment *)
-      Hashtbl.remove t.attempts seq;
-      Hashtbl.replace t.abandoned seq ()
-    end
-    else begin
-      Hashtbl.replace t.attempts seq attempt;
-      let due = now + Policy.delay t.backoff ~attempt in
-      Equeue.push t.retryq ~due seq;
-      match t.waker with Some wake -> wake due | None -> ()
+  (* A corrupted header can carry a seq this session never sent: drop
+     it before it touches a stat — the outcome a corrupted src naming no
+     session already gets — or its retry would index past [ops]. *)
+  if seq >= 0 && seq < Array.length t.ops then begin
+    t.stats.nacks <- t.stats.nacks + 1;
+    (* A seq that already gave up is latched: late nacks for it (e.g. a
+       duplicate shed racing the abandonment) must not re-enter the
+       backoff machinery or bump gave_up again. *)
+    if not (Hashtbl.mem t.abandoned seq) then begin
+      let attempt =
+        1 + (match Hashtbl.find_opt t.attempts seq with Some a -> a | None -> 0)
+      in
+      if Policy.exhausted t.backoff ~attempt then begin
+        t.stats.gave_up <- t.stats.gave_up + 1;
+        (* drop the attempts entry (it would otherwise leak for the
+           session's lifetime) and latch the abandonment *)
+        Hashtbl.remove t.attempts seq;
+        Hashtbl.replace t.abandoned seq ()
+      end
+      else begin
+        Hashtbl.replace t.attempts seq attempt;
+        let due = now + Policy.delay t.backoff ~attempt in
+        Equeue.push t.retryq ~due seq;
+        match t.waker with Some wake -> wake due | None -> ()
+      end
     end
   end
 

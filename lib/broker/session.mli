@@ -63,7 +63,8 @@ val horizon : t -> int
     the link towards [rt] (the broker's front runtime). *)
 val pump : t -> now:int -> rt:Runtime.t -> deliver_event:string -> unit
 
-(** The broker shed this session's op [seq] at time [now]. *)
+(** The broker shed this session's op [seq] at time [now].  A [seq]
+    outside [\[0, ops)] (a corrupted header) is ignored. *)
 val nack : t -> seq:int -> now:int -> unit
 
 val stats : t -> stats

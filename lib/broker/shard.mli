@@ -254,8 +254,8 @@ val set_tamper : t -> (Packet.t -> bytes) option -> unit
     attempt with the shard id, the op's source session and seq, whether
     the attempt succeeded, and the dispatched (possibly tampered)
     payload.  Called in dispatch order; spends no virtual time.  With
-    [domains > 1] the hook runs on the shard's worker domain — the
-    differential oracle therefore drains sequentially. *)
+    [domains > 1] the hook runs on whichever domain claimed the shard
+    — the differential oracle therefore drains on one domain. *)
 val set_on_delivery :
   t ->
   (shard:int -> src:string -> seq:int -> ok:bool -> payload:bytes -> unit)

@@ -89,8 +89,7 @@ module Faults = Podopt_faults.Plan
 (* The persistent profile store (cross-run merging + warm start) *)
 module Profile_store = Podopt_store.Store
 
-(* Multicore execution (the domain pool the parallel broker drains on) *)
-module Exec_chan = Podopt_exec.Chan
+(* Multicore execution (the domain pool the broker drains on) *)
 module Exec_barrier = Podopt_exec.Barrier
 module Exec_pool = Podopt_exec.Pool
 

@@ -90,11 +90,10 @@ module Profile_store = Podopt_store.Store
 
 (** {1 Multicore execution}
 
-    The domain-pool layer ([lib/exec]) the parallel broker drains on:
-    a bounded MPSC handoff channel, a reusable round barrier, and a
-    fixed pool of worker domains driven in epochs. *)
+    The domain-pool layer ([lib/exec]) the broker drains on: a
+    reusable round barrier and a fixed pool of domains, the caller
+    among them, driven in epochs. *)
 
-module Exec_chan = Podopt_exec.Chan
 module Exec_barrier = Podopt_exec.Barrier
 module Exec_pool = Podopt_exec.Pool
 

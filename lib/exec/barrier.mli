@@ -3,9 +3,9 @@
     [parties] participants call {!await}; every call blocks until all
     parties of the current round have arrived, then the round advances
     and everyone is released together.  The barrier is cyclic: the same
-    [t] synchronizes every epoch of the broker's simulation loop (route
-    on the coordinator / drain on the workers alternate strictly, which
-    is what keeps shard state single-writer at every instant). *)
+    [t] brackets every epoch of the broker's simulation loop (route on
+    the coordinator / drain on every lane alternate strictly, which is
+    what keeps shard state single-writer at every instant). *)
 
 type t
 

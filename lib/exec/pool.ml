@@ -1,21 +1,22 @@
-(* One chan per worker (capacity 1: the epoch cadence admits a single
-   in-flight task) and one barrier shared by workers + caller.  The
-   caller never runs tasks itself: with the coordinator parked on the
-   barrier, the OS can give every core to the workers, and the
-   coordinator's own state is quiescent during the parallel phase.
+(* The caller is lane 0 and [domains - 1] helper domains are lanes
+   1 .. domains-1; one barrier shared by every lane brackets each epoch.
+   The caller publishes the epoch body in [body], all lanes meet at the
+   barrier (epoch start), run the body, and meet again (epoch end).  The
+   barrier's mutex is also what publishes the caller's writes to the
+   helpers and the helpers' writes back to the caller (happens-before).
 
-   Two epoch shapes share that skeleton: [run] broadcasts one closure
-   to every worker (the historical static-partition mode), and
-   [run_steal] broadcasts a closure that pulls items from a shared
-   {!Deque} until it is dry — idle workers keep claiming slots, so a
-   worker stuck on a heavy item no longer serializes the epoch. *)
+   The body claims slots of the epoch's frozen item array with one
+   fetch-and-add each — the whole steal protocol: every slot is claimed
+   by exactly one lane, and an idle lane "steals" simply by claiming the
+   next slot first, so a lane stuck on a heavy item no longer
+   serializes the epoch. *)
 
 type t = {
-  chans : (int -> unit) Chan.t array;
   barrier : Barrier.t;
+  mutable body : int -> unit;  (* this epoch's work, run by every lane *)
   failure : exn option Atomic.t;
-  suppressed : int Atomic.t;  (* worker failures beyond the latched one *)
-  mutable workers : unit Domain.t array;
+  suppressed : int Atomic.t;  (* item failures beyond the latched one *)
+  mutable helpers : unit Domain.t array;
   mutable alive : bool;
 }
 
@@ -33,15 +34,16 @@ let latch t exn =
   if not (Atomic.compare_and_set t.failure None (Some exn)) then
     Atomic.incr t.suppressed
 
-let worker t w =
-  let chan = t.chans.(w) in
+(* A helper sleeps on the start barrier between epochs; waking there
+   with the pool shut down is its signal to exit. *)
+let helper t lane =
   let rec loop () =
-    match Chan.pop chan with
-    | None -> ()  (* closed and drained: shut down *)
-    | Some f ->
-      (try f w with exn -> latch t exn);
+    Barrier.await t.barrier;
+    if t.alive then begin
+      t.body lane;
       Barrier.await t.barrier;
       loop ()
+    end
   in
   loop ()
 
@@ -49,24 +51,37 @@ let create ~domains =
   if domains <= 0 then invalid_arg "Pool.create: domains <= 0";
   let t =
     {
-      chans = Array.init domains (fun _ -> Chan.create ~capacity:1);
-      barrier = Barrier.create ~parties:(domains + 1);
+      barrier = Barrier.create ~parties:domains;
+      body = ignore;
       failure = Atomic.make None;
       suppressed = Atomic.make 0;
-      workers = [||];
+      helpers = [||];
       alive = true;
     }
   in
-  t.workers <- Array.init domains (fun w -> Domain.spawn (fun () -> worker t w));
+  t.helpers <-
+    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> helper t (i + 1)));
   t
 
-let size t = Array.length t.chans
+let size t = Barrier.parties t.barrier
 
-let run t f =
-  if not t.alive then invalid_arg "Pool.run: pool is shut down";
+let run_steal t items f =
+  if not t.alive then invalid_arg "Pool.run_steal: pool is shut down";
   Atomic.set t.failure None;
   Atomic.set t.suppressed 0;
-  Array.iter (fun chan -> Chan.push chan f) t.chans;
+  let next = Atomic.make 0 and n = Array.length items in
+  let rec claim lane =
+    let slot = Atomic.fetch_and_add next 1 in
+    if slot < n then begin
+      (* catch per item, not per lane: a poisoned item must not abandon
+         the unclaimed slots behind it *)
+      (try f ~worker:lane ~slot items.(slot) with exn -> latch t exn);
+      claim lane
+    end
+  in
+  t.body <- claim;
+  Barrier.await t.barrier;
+  claim 0;
   Barrier.await t.barrier;
   match Atomic.get t.failure with
   | None -> ()
@@ -75,23 +90,9 @@ let run t f =
      | 0 -> raise exn
      | n -> raise (Epoch_failures (exn, n)))
 
-let run_steal t items f =
-  let dq = Deque.of_array items in
-  run t (fun w ->
-      let rec loop () =
-        match Deque.steal dq with
-        | None -> ()
-        | Some (slot, x) ->
-          (* catch per item, not per worker: a poisoned item must not
-             abandon the unclaimed slots behind it *)
-          (try f ~worker:w ~slot x with exn -> latch t exn);
-          loop ()
-      in
-      loop ())
-
 let shutdown t =
   if t.alive then begin
     t.alive <- false;
-    Array.iter Chan.close t.chans;
-    Array.iter Domain.join t.workers
+    Barrier.await t.barrier;
+    Array.iter Domain.join t.helpers
   end

@@ -1,63 +1,52 @@
-(** Fixed pool of worker domains driven in epochs.
+(** Fixed pool of domains driven in epochs, with the caller as one of
+    the lanes.
 
-    {!create} spawns [domains] workers, each blocked on its own
-    {!Chan}.  One epoch wakes every worker, runs its task(s), and joins
-    everyone — caller included — at a {!Barrier}; when the epoch call
-    returns, every worker has finished and gone back to sleep.
+    {!create} spawns [domains - 1] helper domains; the caller is lane
+    [0] and the helpers are lanes [1 .. domains-1].  Between epochs the
+    helpers sleep on a {!Barrier}.  One epoch ({!run_steal}) wakes every
+    helper, drains the epoch's run queue on every lane — caller
+    included — and joins everyone at the barrier again; when the call
+    returns, every lane has finished and the helpers are back asleep.
 
-    Two epoch shapes:
-    {ul
-    {- {!run} broadcasts the same closure to every worker (the
-       historical static-partition mode: the caller pins work to worker
-       indices, e.g. shard [i] on worker [i mod domains]);}
-    {- {!run_steal} shares one stealable run-queue of work items: the
-       coordinator freezes the item order, and idle workers claim slots
-       with an atomic fetch-and-add ({!Deque}), so a worker stuck on a
-       heavy item no longer serializes the epoch.  Which worker runs a
-       slot is scheduling; that each slot runs exactly once is the
-       invariant.}}
+    The run queue is the epoch's item array, frozen in an order the
+    caller alone decides.  Lanes claim slots left to right with an
+    atomic fetch-and-add, so a lane stuck on a heavy item no longer
+    serializes the epoch.  Which lane runs a slot is scheduling; that
+    each slot runs exactly once is the invariant.
 
-    Tasks run on worker domains: they must only touch state the caller
-    partitioned to that worker ({!run}) or owned by the claimed item
-    ({!run_steal}).  A task exception is caught on the worker — the
-    epoch still completes for everyone — and re-raised from the epoch
-    call on the caller.  When several tasks fail in one epoch, the
-    first latched exception is re-raised wrapped in
-    {!Epoch_failures} carrying the count of additionally suppressed
-    failures; a lone failure is re-raised unwrapped. *)
+    An item exception is caught on its lane — the epoch still completes
+    for everyone — and re-raised from the epoch call on the caller.
+    When several items fail in one epoch, the first latched exception
+    is re-raised wrapped in {!Epoch_failures} carrying the count of
+    additionally suppressed failures; a lone failure is re-raised
+    unwrapped. *)
 
 type t
 
-(** [Epoch_failures (first, suppressed)]: more than one task failed in
+(** [Epoch_failures (first, suppressed)]: more than one item failed in
     the epoch; [first] is the first latched exception and [suppressed]
     the number of further failures whose exceptions were dropped. *)
 exception Epoch_failures of exn * int
 
-(** Spawn the workers.  Raises [Invalid_argument] when [domains <= 0]. *)
+(** Spawn the [domains - 1] helper domains ([domains = 1] spawns none:
+    every epoch runs on the caller alone).  Raises [Invalid_argument]
+    when [domains <= 0]. *)
 val create : domains:int -> t
 
-(** Number of worker domains. *)
+(** Number of lanes, caller included. *)
 val size : t -> int
 
-(** [run t f] executes [f w] on worker [w] for every [w] in
-    [0 .. size-1], blocking until all are done.  Raises the latched
-    worker exception, if any (wrapped in {!Epoch_failures} when more
-    than one task failed).  A raising task still completes the epoch
-    barrier — every other worker finishes its task before the exception
-    reaches the caller — and leaves the pool fully usable for
-    subsequent epochs (the crash-recovery supervisor relies on both).
-    Raises [Invalid_argument] after {!shutdown}. *)
-val run : t -> (int -> unit) -> unit
-
 (** [run_steal t items f] runs [f ~worker ~slot items.(slot)] exactly
-    once for every slot, work-stealing style: slots are claimed left to
-    right by whichever worker is idle.  Blocks until every slot has
-    run.  Item exceptions are latched per item (a poisoned item does
-    not abandon the slots behind it) and re-raised as in {!run}.
-    Determinism contract: each item must only touch state owned by that
-    item, so results cannot depend on the claim schedule.  Raises
-    [Invalid_argument] after {!shutdown}. *)
+    once for every slot, on whichever lane ([worker], [0] = the caller)
+    claims it first.  Blocks until every slot has run.  Item exceptions
+    are latched per item (a poisoned item does not abandon the slots
+    behind it) and re-raised once the epoch is over, wrapped in
+    {!Epoch_failures} when more than one item failed; the pool stays
+    fully usable afterwards (the crash-recovery supervisor relies on
+    this).  Determinism contract: each item must only touch state owned
+    by that item, so results cannot depend on the claim schedule.
+    Raises [Invalid_argument] after {!shutdown}. *)
 val run_steal : t -> 'a array -> (worker:int -> slot:int -> 'a -> unit) -> unit
 
-(** Close every channel and join the worker domains.  Idempotent. *)
+(** Release and join the helper domains.  Idempotent. *)
 val shutdown : t -> unit

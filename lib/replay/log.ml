@@ -4,12 +4,12 @@
    record per line, whitespace-separated fields, [#] comments, a
    [Format_error] on anything malformed).
 
-   Format (version 6; version-1 .. -5 logs still load):
+   Format (version 7; any other version is refused):
 
      V <version>
      C <shards> <batch> <queue_limit> <policy> <kind> <optimize>
        <compile> <seed> <tick> <domains> <faults-spec> <batch-k>
-       <checkpoint-every> <steal> <route> <arrivals>
+       <checkpoint-every> <route> <arrivals>
      D <verbatim line>                             embedded profile store
      Y <crc32-hex>                                 digest of the D lines
      P <sessions> <ops> <interval> <spread> <latency> <jitter>
@@ -32,32 +32,17 @@
    load, the same way replayed fault draws are verified against [F]
    lines.
 
-   [batch-k] (new in version 3) is the drain loop's windowing mode —
-   [off], [auto], or a width; a C line without it (versions 1/2) loads
-   as [off], the exact behaviour those runs had.
-
-   [checkpoint-every] (new in version 4) is the crash-recovery
-   supervisor's checkpoint interval; a C line without it (versions
-   1..3) loads as the default.  Pre-4 fault specs cannot carry
-   [kill=], so the interval is inert for them — those runs replay
-   unsupervised, exactly as recorded.
-
-   [steal] and [route] (new in version 5) are the drain scheduler mode
-   and the routing discipline; a C line without them (versions 1..4)
-   loads as stealing with hash routing — hash routing is exactly what
-   those runs did, and the scheduler mode cannot change observables.
-   [M] lines (also new in 5) record the measured phase's hot-shard
-   migration plan, in decision order: the plan is a pure function of
-   recorded state, so a replay at the recorded domain count must
-   re-derive it exactly — replay verifies this.
-
-   [arrivals] (new in version 6) is the sessions' op arrival process
-   ([periodic] or an open-loop spec, see {!Podopt_broker.Arrivals});
-   a C line without it (versions 1..5) loads as [periodic] — the
-   closed-loop grid those runs used.  The per-session schedules are
-   not recorded: they are a pure function of (spec, seed, session
-   index), so replay re-derives them from the config, the same way it
-   re-derives the migration plan. *)
+   [batch-k] is the drain loop's windowing mode ([off], [auto], or a
+   width), [checkpoint-every] the crash-recovery supervisor's
+   checkpoint interval, [route] the routing discipline, and [arrivals]
+   the sessions' op arrival process ([periodic] or an open-loop spec,
+   see {!Podopt_broker.Arrivals}).  The per-session schedules are not
+   recorded: they are a pure function of (spec, seed, session index),
+   so replay re-derives them from the config.  [M] lines record the
+   measured phase's hot-shard migration plan, in decision order: the
+   plan is a pure function of recorded state too, so a replay at the
+   recorded domain count must re-derive it exactly — replay verifies
+   this. *)
 
 module Plan = Podopt_faults.Plan
 module Broker = Podopt_broker.Broker
@@ -72,7 +57,7 @@ module Crc32 = Podopt_crypto.Crc32
 exception Format_error of string
 
 let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-let version = 6
+let version = 7
 
 type sess = {
   s_phase : string;  (* "w" | "m" *)
@@ -167,7 +152,7 @@ let to_string (t : t) : string =
   let cfg = t.config and p = t.profile in
   line "# podopt replay log";
   line "V %d" version;
-  line "C %d %d %d %s %s %b %b %Ld %d %d %s %s %d %b %s %s" cfg.Broker.shards
+  line "C %d %d %d %s %s %b %b %Ld %d %d %s %s %d %s %s" cfg.Broker.shards
     cfg.Broker.batch cfg.Broker.queue_limit
     (Policy.shed_to_string cfg.Broker.policy)
     (Workload.kind_to_string cfg.Broker.kind)
@@ -175,7 +160,7 @@ let to_string (t : t) : string =
     cfg.Broker.domains
     (Plan.to_string cfg.Broker.faults)
     (Shard.batching_to_string cfg.Broker.batching)
-    cfg.Broker.checkpoint_every cfg.Broker.steal
+    cfg.Broker.checkpoint_every
     (Podopt_broker.Shard_map.route_to_string cfg.Broker.route)
     (Podopt_broker.Arrivals.to_string cfg.Broker.arrivals);
   (match cfg.Broker.profile_in with
@@ -222,68 +207,11 @@ let to_string (t : t) : string =
 (* --- decode ------------------------------------------------------------ *)
 
 let config_of_fields fields =
-  (* 11 fields: versions 1/2 (no batch-k — those runs never windowed,
-     so they load as [off]); 12 fields: version 3 (no checkpoint-every
-     — pre-4 fault specs cannot kill, so the default interval is
-     inert); 13 fields: version 4 (no steal/route — hash routing is
-     what those runs did, and the scheduler mode is unobservable);
-     15 fields: version 5 (no arrivals — those runs were closed-loop
-     periodic); 16 fields: version 6 *)
-  let fields, arrivals =
-    match fields with
-    | [ _; _; _; _; _; _; _; _; _; _; _; _; _; _; _; arrivals ] ->
-      ( List.filteri (fun i _ -> i < 15) fields,
-        match Podopt_broker.Arrivals.of_string arrivals with
-        | Ok a -> a
-        | Error e -> format_error "bad arrivals: %s" e )
-    | _ -> (fields, Podopt_broker.Arrivals.Periodic)
-  in
-  let fields, steal, route =
-    match fields with
-    | [ _; _; _; _; _; _; _; _; _; _; _; _; _; steal; route ] ->
-      ( List.filteri (fun i _ -> i < 13) fields,
-        bool_field "steal" steal,
-        match Podopt_broker.Shard_map.route_of_string route with
-        | Ok r -> r
-        | Error e -> format_error "bad route: %s" e )
-    | _ ->
-      ( fields,
-        Broker.default_config.Broker.steal,
-        Podopt_broker.Shard_map.Hash )
-  in
-  let fields, checkpoint_every =
-    match fields with
-    | [ _; _; _; _; _; _; _; _; _; _; _; _; every ] ->
-      ( List.filteri (fun i _ -> i < 12) fields,
-        int_field "checkpoint-every" every )
-    | _ -> (fields, Broker.default_config.Broker.checkpoint_every)
-  in
-  let fields, batching =
-    match fields with
-    | [ _; _; _; _; _; _; _; _; _; _; _; batching ] ->
-      (List.filteri (fun i _ -> i < 11) fields,
-       match Shard.batching_of_string batching with
-       | Ok b -> b
-       | Error e -> format_error "bad batch-k: %s" e)
-    | _ -> (fields, Shard.Off)
-  in
   match fields with
   | [ shards; batch; queue_limit; policy; kind; optimize; compile; seed; tick;
-      domains; faults ] ->
-    let policy =
-      match Policy.shed_of_string policy with
-      | Ok p -> p
-      | Error e -> format_error "bad policy: %s" e
-    in
-    let kind =
-      match Workload.kind_of_string kind with
-      | Ok k -> k
-      | Error e -> format_error "bad kind: %s" e
-    in
-    let faults =
-      match Plan.of_string faults with
-      | Ok f -> f
-      | Error e -> format_error "bad faults spec: %s" e
+      domains; faults; batching; checkpoint_every; route; arrivals ] ->
+    let parsed what of_string s =
+      match of_string s with Ok v -> v | Error e -> format_error "bad %s: %s" what e
     in
     let seed =
       match Int64.of_string_opt seed with
@@ -294,22 +222,21 @@ let config_of_fields fields =
       Broker.shards = int_field "shards" shards;
       batch = int_field "batch" batch;
       queue_limit = int_field "queue_limit" queue_limit;
-      policy;
-      kind;
+      policy = parsed "policy" Policy.shed_of_string policy;
+      kind = parsed "kind" Workload.kind_of_string kind;
       optimize = bool_field "optimize" optimize;
       compile = bool_field "compile" compile;
       seed;
       tick = int_field "tick" tick;
       domains = int_field "domains" domains;
-      faults;
+      faults = parsed "faults spec" Plan.of_string faults;
       profile_in = None;  (* filled in from the D lines, if any *)
-      batching;
-      checkpoint_every;
-      steal;
-      route;
-      arrivals;
+      batching = parsed "batch-k" Shard.batching_of_string batching;
+      checkpoint_every = int_field "checkpoint-every" checkpoint_every;
+      route = parsed "route" Podopt_broker.Shard_map.route_of_string route;
+      arrivals = parsed "arrivals" Podopt_broker.Arrivals.of_string arrivals;
     }
-  | _ -> format_error "bad C line (%d fields)" (List.length fields)
+  | _ -> format_error "bad C line (%d fields, expected 15)" (List.length fields)
 
 let of_string (s : string) : t =
   let saw_version = ref false in
@@ -331,10 +258,8 @@ let of_string (s : string) : t =
     | [] -> ()
     | [ "V"; v ] ->
       let v = int_field "version" v in
-      (* older versions are strict subsets (v1: no D/Y records, v2: no
-         batch-k field): still loadable *)
-      if v < 1 || v > version then
-        format_error "unsupported log version %d (expected 1..%d)" v version;
+      if v <> version then
+        format_error "unsupported log version %d (expected %d)" v version;
       saw_version := true
     | "C" :: rest -> config := Some (config_of_fields rest)
     | [ "P"; sessions'; ops'; interval; spread; latency; jitter; warmup; metrics' ] ->

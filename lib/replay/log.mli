@@ -55,7 +55,8 @@ type t = {
 
 val to_string : t -> string
 
-(** Raises {!Format_error} on malformed input. *)
+(** Raises {!Format_error} on malformed input or a [V] line naming a
+    version other than {!version}. *)
 val of_string : string -> t
 
 val save : string -> t -> unit

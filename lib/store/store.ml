@@ -6,7 +6,7 @@
    Podopt_replay.Log: one record per line, whitespace-separated fields,
    [#] comments, a [Format_error] on anything malformed.
 
-   Format (version 2; version-1 files still load):
+   Format (version 2; any other version is refused):
 
      V 2
      E <id> <kind> <shard> <dispatched> <trace_entries>   entry header
@@ -16,10 +16,9 @@
      H <event> <handler> <handler> ...                    binding signature
      D <depth> <count>                                    depth observation
 
-   D lines (new in version 2) record the shard's drained-batch-depth
-   model for the batch-width warm start; they appear in an entry's
-   canonical body only when non-empty, so a version-1 entry's content
-   id is unchanged by the upgrade.
+   D lines record the shard's drained-batch-depth model for the
+   batch-width warm start; an entry without depth observations has
+   none.
 
    One entry per (run, shard).  An entry's [id] is the CRC-32 of its
    canonical body (every line after the id field, in canonical order),
@@ -255,9 +254,8 @@ let of_string (s : string) : t =
     | [] -> ()
     | [ "V"; v ] ->
       let v = int_field "version" v in
-      (* version 1 is a strict subset (no D lines); still accepted *)
-      if v < 1 || v > version then
-        format_error "unsupported store version %d (expected 1..%d)" v version;
+      if v <> version then
+        format_error "unsupported store version %d (expected %d)" v version;
       saw_version := true
     | [ "E"; id; kind; shard; dispatched; trace ] ->
       if not !saw_version then format_error "E line before V line";

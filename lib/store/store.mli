@@ -13,6 +13,8 @@ open Podopt_profile
 
 exception Format_error of string
 
+(** The current (and only accepted) format version, written as the
+    [V] line. *)
 val version : int
 
 type entry = {
@@ -28,9 +30,7 @@ type entry = {
           pass compares these against the live bindings to detect
           staleness *)
   depths : (int * int) list;
-      (** drained-batch depth -> observation count (version 2; empty
-          for version-1 entries).  Serialized only when non-empty, so a
-          version-1 entry's content id is unchanged by the upgrade. *)
+      (** drained-batch depth -> observation count (may be empty) *)
 }
 
 type t = entry list
@@ -57,7 +57,7 @@ val to_string : t -> string
 
 (** Parse a store; every entry's stored id is re-derived from its
     content and must match.  Raises {!Format_error} on malformed input,
-    unsupported versions, or id/content mismatches. *)
+    a version other than {!version}, or id/content mismatches. *)
 val of_string : string -> t
 
 val save : string -> t -> unit

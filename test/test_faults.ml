@@ -471,6 +471,47 @@ let test_e2e_wire_faults_accounted () =
   Alcotest.(check int) "arrivals all accounted" s.B.Loadgen.sent
     (s.B.Loadgen.routed + s.B.Loadgen.link_dropped + s.B.Loadgen.decode_failures)
 
+let test_e2e_corrupt_seq_dropped () =
+  (* the [podopt serve --workload seccomm --faults seed=7,corrupt=50
+     --queue-limit 4 --batch 2 --sessions 64] crash: a corrupted header
+     whose seq is out of range got shed and nacked, and the retry
+     indexed past the session's ops.  The nack is dropped instead, and
+     the run completes. *)
+  let cfg =
+    {
+      B.Broker.default_config with
+      B.Broker.batch = 2;
+      queue_limit = 4;
+      faults = spec_of "seed=7,corrupt=50";
+    }
+  in
+  let broker = B.Broker.create cfg in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> B.Broker.shutdown broker)
+      (fun () ->
+        B.Loadgen.steady ~warmup_ops:12 broker
+          { B.Loadgen.default_profile with B.Loadgen.sessions = 64 })
+  in
+  Alcotest.(check bool) "headers were corrupted" true
+    (s.B.Loadgen.decode_failures > 0);
+  Alcotest.(check bool) "ops were shed" true (s.B.Loadgen.shed > 0);
+  Alcotest.(check bool) "run completed" false s.B.Loadgen.truncated;
+  (* the session-level guard: an out-of-range nack touches no stat and
+     schedules no retry *)
+  let session =
+    B.Session.create ~id:"s000"
+      ~link:(Podopt_net.Link.create ~seed:1L ())
+      ~ops:[| Bytes.empty; Bytes.empty |]
+      ~backoff:B.Policy.default_backoff ()
+  in
+  List.iter
+    (fun seq -> B.Session.nack session ~seq ~now:0)
+    [ -1; 2; 4096 ];
+  Alcotest.(check int) "no nack counted" 0 (B.Session.stats session).B.Session.nacks;
+  Alcotest.(check (option int)) "no retry scheduled" (Some 0)
+    (B.Session.next_due session)
+
 let test_e2e_faulty_parallel_deterministic () =
   let faults = spec_of "seed=7,crash=200,spike=100:4000,drop=20,corrupt=20" in
   let run ~domains =
@@ -583,6 +624,8 @@ let suite =
       test_e2e_20pct_no_abort;
     Alcotest.test_case "wire faults are counted, never swallowed" `Quick
       test_e2e_wire_faults_accounted;
+    Alcotest.test_case "corrupted out-of-range seqs are dropped, not retried"
+      `Quick test_e2e_corrupt_seq_dropped;
     Alcotest.test_case "faulty runs identical across domains" `Quick
       test_e2e_faulty_parallel_deterministic;
     Alcotest.test_case "policy validates attempts" `Quick

@@ -1,10 +1,10 @@
-(* Parallel-drain determinism: running the broker on worker domains
+(* Parallel-drain determinism: running the broker on several domains
    must be invisible in the results.  For every config we run the same
-   workload sequentially (domains = 1) and in parallel and require (a)
-   the run summary and (b) the per-shard snapshot report — every
-   counter, queue stat, and per-shard virtual clock — to be
-   byte-identical.  That is the contract the shard-to-worker pinning
-   and the route/drain epoch barrier exist to keep. *)
+   workload on one domain and on several and require (a) the run
+   summary and (b) the per-shard snapshot report — every counter, queue
+   stat, and per-shard virtual clock — to be byte-identical.  That is
+   the contract the exactly-once shard claims and the route/drain epoch
+   barrier exist to keep. *)
 
 module B = Podopt_broker
 
@@ -76,9 +76,9 @@ let test_video_generic () =
   check_matches_sequential ~msg:"video generic, 2 domains" ~domains:2 run
 
 let test_shards_exceed_domains () =
-  (* 8 shards on 3 domains: uneven pinning (workers 0,1 carry 3 shards,
-     worker 2 carries 2) — order within a worker's shard set must still
-     match the sequential scan *)
+  (* 8 shards on 3 domains: more shards than lanes, so lanes claim
+     several shards per epoch — each shard's results must still match
+     the 1-domain run *)
   let run ~domains =
     run_once ~domains ~shards:8 ~kind:B.Workload.Seccomm ~optimize:true
       (profile ~sessions:12 ~ops:6)
@@ -113,16 +113,16 @@ let test_domains_invalid () =
         (B.Broker.create { B.Broker.default_config with B.Broker.domains = 0 }))
 
 let test_parallel_flag () =
-  let mk domains =
-    B.Broker.create { B.Broker.default_config with B.Broker.domains }
-  in
-  let seq = mk 1 in
-  Alcotest.(check bool) "1 domain is sequential" false (B.Broker.parallel seq);
-  B.Broker.shutdown seq;
-  let par = mk 2 in
-  Alcotest.(check bool) "2 domains is parallel" true (B.Broker.parallel par);
-  Alcotest.(check int) "domains accessor" 2 (B.Broker.domains par);
-  B.Broker.shutdown par
+  List.iter
+    (fun domains ->
+      let b = B.Broker.create { B.Broker.default_config with B.Broker.domains } in
+      Alcotest.(check int) "domains accessor" domains (B.Broker.domains b);
+      B.Broker.shutdown b;
+      B.Broker.shutdown b (* idempotent *);
+      Alcotest.check_raises "drain after shutdown"
+        (Invalid_argument "Pool.run_steal: pool is shut down") (fun () ->
+          ignore (B.Broker.drain b)))
+    [ 1; 2 ]
 
 (* --- property: random configs ----------------------------------------- *)
 

@@ -52,7 +52,6 @@ let gen_log =
   let* shards = 1 -- 4 in
   let* optimize = bool in
   let* compile = bool in
-  let* steal = bool in
   let* route =
     oneof
       [
@@ -83,7 +82,6 @@ let gen_log =
       seed;
       policy;
       kind;
-      steal;
       route;
       faults;
     }
@@ -276,6 +274,30 @@ let test_replay_profile_tamper () =
   (* untampered text still loads *)
   ignore (RL.of_string text)
 
+let test_previous_version_refused () =
+  (* a version-6 log: V 6 and a C line that still carries the removed
+     steal field after checkpoint-every *)
+  let v6 =
+    RL.to_string (record ())
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "V"; _ ] -> "V 6"
+           | "C" :: fields ->
+             let with_steal =
+               List.mapi (fun i f -> if i = 12 then [ f; "true" ] else [ f ]) fields
+             in
+             String.concat " " ("C" :: List.concat with_steal)
+           | _ -> l)
+    |> String.concat "\n"
+  in
+  match RL.of_string v6 with
+  | _ -> Alcotest.fail "a version-6 log loaded"
+  | exception RL.Format_error msg ->
+    Alcotest.(check string) "error names the version"
+      (Printf.sprintf "unsupported log version 6 (expected %d)" RL.version)
+      msg
+
 (* --- differential oracle ------------------------------------------------ *)
 
 let test_diff_clean () =
@@ -325,6 +347,8 @@ let suite =
       test_replay_warm_run;
     Alcotest.test_case "tampered embedded profile is rejected" `Quick
       test_replay_profile_tamper;
+    Alcotest.test_case "a previous-version log is refused" `Quick
+      test_previous_version_refused;
     Alcotest.test_case "diff: clean log has no divergence" `Quick
       test_diff_clean;
     Alcotest.test_case "diff: planted bug found and shrunk" `Quick

@@ -1,19 +1,17 @@
 (* The work-stealing scheduler and its determinism contract.
 
-   Unit cases pin the route codec and the Zipf router's shape; the
-   properties are the load-bearing part: (a) the exec primitives the
-   scheduler is built from (Chan under concurrent producers, Barrier
-   round reuse) neither lose nor duplicate under real domain
-   interleavings, and (b) the whole broker's observable output — serve
-   document, per-shard snapshots, run summary — is byte-identical with
-   stealing on and off, at random Zipf skews and domain counts.  That
-   last property is the tentpole invariant: stealing is scheduling,
-   never semantics.  The replay case closes the loop by checking the
-   recorded migration plan (the log's M lines) is re-derived move for
-   move. *)
+   Unit cases pin the route codec, the Zipf router's shape, and the
+   migration planner's decisions; the properties are the load-bearing
+   part: (a) the barrier every epoch rides on neither loses nor leaks a
+   round under real domain interleavings, and (b) the whole broker's
+   observable output — serve document, per-shard snapshots, run
+   summary — is byte-identical at every domain count, at random Zipf
+   skews.  That last property is the tentpole invariant: stealing is
+   scheduling, never semantics.  The replay case closes the loop by
+   checking the recorded migration plan (the log's M lines) is
+   re-derived move for move. *)
 
 module B = Podopt_broker
-module Chan = Podopt_exec.Chan
 module Barrier = Podopt_exec.Barrier
 module RL = Podopt.Replay_log
 module Record = Podopt.Record
@@ -78,49 +76,59 @@ let test_zipf_routing_shape () =
         (c > 150 && c < 350))
     hcounts
 
-(* --- property: chan under concurrent producers ------------------------- *)
+(* --- the migration planner ---------------------------------------------- *)
 
-let prop_chan_interleaving =
-  (* N producer domains push disjoint ranges through one small chan
-     while the test domain consumes: whatever the interleaving, every
-     item arrives exactly once and each producer's items stay in
-     order.  This is the primitive the pool's epoch handoff rides on. *)
-  let gen =
-    QCheck2.Gen.(tup3 (int_range 2 4) (int_range 1 40) (int_range 1 4))
-  in
-  let print (producers, per_producer, capacity) =
-    Printf.sprintf "producers=%d per_producer=%d capacity=%d" producers
-      per_producer capacity
-  in
-  QCheck2.Test.make ~name:"chan: concurrent producers lose and duplicate nothing"
-    ~count:25 ~print gen (fun (producers, per_producer, capacity) ->
-      let c = Chan.create ~capacity in
-      let remaining = Atomic.make producers in
-      let doms =
-        List.init producers (fun p ->
-            Domain.spawn (fun () ->
-                for i = 0 to per_producer - 1 do
-                  Chan.push c ((p * per_producer) + i)
-                done;
-                (* last producer out closes the chan *)
-                if Atomic.fetch_and_add remaining (-1) = 1 then Chan.close c))
-      in
-      let seen = Array.make (producers * per_producer) 0 in
-      let last = Array.make producers (-1) in
-      let in_order = ref true in
-      let rec drain () =
-        match Chan.pop c with
-        | Some v ->
-          seen.(v) <- seen.(v) + 1;
-          let p = v / per_producer in
-          if v mod per_producer <= last.(p) then in_order := false;
-          last.(p) <- v mod per_producer;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      List.iter Domain.join doms;
-      !in_order && Array.for_all (fun n -> n = 1) seen)
+(* The heaviest worker's summed depth under an ownership map. *)
+let max_load ~domains ~depths owner =
+  let load = Array.make domains 0 in
+  Array.iteri (fun i o -> load.(o) <- load.(o) + depths.(i)) owner;
+  Array.fold_left max 0 load
+
+(* Apply a plan, checking each move leaves the shard's current owner
+   for another worker in range. *)
+let apply_plan ~domains owner moves =
+  let owner = Array.copy owner in
+  List.iter
+    (fun (i, from_w, to_w) ->
+      Alcotest.(check int) (Printf.sprintf "shard %d moves off its owner" i)
+        owner.(i) from_w;
+      Alcotest.(check bool) "destination in range" true
+        (to_w >= 0 && to_w < domains && to_w <> from_w);
+      owner.(i) <- to_w)
+    moves;
+  owner
+
+let test_migration_plan () =
+  (* Zipf(1.2)-shaped queue depths at the planner's ema scale: the plan
+     must strictly lower the heaviest worker's load below the initial
+     [i mod domains] ownership *)
+  let zipf = [| 512; 223; 137; 97; 74; 60; 50; 42 |] in
+  List.iter
+    (fun domains ->
+      let pinned = Array.init (Array.length zipf) (fun i -> i mod domains) in
+      let moves = B.Broker.migration_plan ~domains ~depths:zipf pinned in
+      let planned = apply_plan ~domains pinned moves in
+      let before = max_load ~domains ~depths:zipf pinned
+      and after = max_load ~domains ~depths:zipf planned in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains: heaviest load %d below static %d" domains
+           after before)
+        true (after < before);
+      Alcotest.(check (array int))
+        (Printf.sprintf "%d domains: input ownership untouched" domains)
+        (Array.init (Array.length zipf) (fun i -> i mod domains))
+        pinned)
+    [ 2; 4 ];
+  (* balanced load: nothing to move *)
+  let uniform = Array.make 8 96 in
+  List.iter
+    (fun domains ->
+      let owner = Array.init 8 (fun i -> i mod domains) in
+      Alcotest.(check int)
+        (Printf.sprintf "%d domains: uniform depths make no moves" domains)
+        0
+        (List.length (B.Broker.migration_plan ~domains ~depths:uniform owner)))
+    [ 1; 2; 4 ]
 
 (* --- property: barrier round reuse ------------------------------------- *)
 
@@ -148,9 +156,9 @@ let prop_barrier_rounds =
       List.iter Domain.join doms;
       Barrier.rounds b = rounds && Array.for_all (fun c -> c = rounds) counts)
 
-(* --- property: steal on/off byte-identity ------------------------------ *)
+(* --- property: byte-identity across domain counts ----------------------- *)
 
-let serve_doc ~steal ~route ~domains ~seed profile =
+let serve_doc ~route ~domains ~seed profile =
   let cfg =
     {
       B.Broker.default_config with
@@ -160,7 +168,6 @@ let serve_doc ~steal ~route ~domains ~seed profile =
       queue_limit = 256;
       seed;
       domains;
-      steal;
       route;
     }
   in
@@ -175,8 +182,8 @@ let serve_doc ~steal ~route ~domains ~seed profile =
 
 let prop_steal_identity =
   (* random Zipf skew, domain count, seed and load shape: the serve
-     document, snapshot report and summary with stealing on equal the
-     stealing-off AND the sequential run byte for byte *)
+     document, snapshot report and summary at D domains equal the
+     1-domain run byte for byte *)
   let gen =
     QCheck2.Gen.(
       tup4 (int_range 2 4) (int_range 1 99)
@@ -192,7 +199,7 @@ let prop_steal_identity =
       sessions ops
   in
   QCheck2.Test.make
-    ~name:"any zipf skew and domain count: steal on = steal off = sequential"
+    ~name:"any zipf skew and domain count: D domains = 1 domain"
     ~count:15 ~print gen (fun (domains, seed, skew, (sessions, ops)) ->
       let route =
         match skew with
@@ -208,15 +215,12 @@ let prop_steal_identity =
           spread = 31;
         }
       in
-      let run ~steal ~domains =
-        serve_doc ~steal ~route ~domains ~seed:(Int64.of_int seed) profile
+      let run ~domains =
+        serve_doc ~route ~domains ~seed:(Int64.of_int seed) profile
       in
-      let j_seq, s_seq, sum_seq = run ~steal:false ~domains:1 in
-      let j_on, s_on, sum_on = run ~steal:true ~domains in
-      let j_off, s_off, sum_off = run ~steal:false ~domains in
-      String.equal j_on j_seq && String.equal j_off j_seq
-      && String.equal s_on s_seq && String.equal s_off s_seq
-      && sum_on = sum_seq && sum_off = sum_seq)
+      let j1, s1, sum1 = run ~domains:1 in
+      let jd, sd, sumd = run ~domains in
+      String.equal jd j1 && String.equal sd s1 && sumd = sum1)
 
 (* --- replay re-derives the migration plan ------------------------------ *)
 
@@ -235,7 +239,6 @@ let test_replay_migrations () =
       queue_limit = 256;
       seed = 11L;
       domains = 2;
-      steal = true;
       route = B.Shard_map.Zipf 1.4;
     }
   in
@@ -271,7 +274,8 @@ let suite =
     Alcotest.test_case "route codec" `Quick test_route_codec;
     Alcotest.test_case "zipf router: rank-ordered heat, hash uniform" `Quick
       test_zipf_routing_shape;
-    QCheck_alcotest.to_alcotest prop_chan_interleaving;
+    Alcotest.test_case "migration plan beats static pinning under zipf" `Quick
+      test_migration_plan;
     QCheck_alcotest.to_alcotest prop_barrier_rounds;
     QCheck_alcotest.to_alcotest prop_steal_identity;
     Alcotest.test_case "replay re-derives the recorded migration plan" `Quick

@@ -137,6 +137,20 @@ let test_load_rejects_tamper () =
   (* the pristine text still loads *)
   ignore (Store.of_string text)
 
+let test_previous_version_refused () =
+  (* a version-1 store: the same entry lines (it has no depth
+     observations, the one record v1 lacked) under V 1 *)
+  let text = Store.to_string (sample_store ()) in
+  let v1 =
+    replace_first text ~sub:(Printf.sprintf "V %d\n" Store.version) ~by:"V 1\n"
+  in
+  match Store.of_string v1 with
+  | _ -> Alcotest.fail "a version-1 store loaded"
+  | exception Store.Format_error msg ->
+    Alcotest.(check string) "error names the version"
+      (Printf.sprintf "unsupported store version 1 (expected %d)" Store.version)
+      msg
+
 (* --- Adaptive policy validation ----------------------------------------- *)
 
 let validation_rt () =
@@ -259,6 +273,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_idempotent;
     QCheck_alcotest.to_alcotest prop_merge_order_independent;
     Alcotest.test_case "load rejects a tampered entry" `Quick test_load_rejects_tamper;
+    Alcotest.test_case "a previous-version store is refused" `Quick
+      test_previous_version_refused;
     Alcotest.test_case "adaptive rejects inconsistent policies" `Quick
       test_policy_validation;
     Alcotest.test_case "warm start reaches optimized in the first epoch" `Quick
