@@ -1519,7 +1519,21 @@ let bechamel () =
   let s_orig, s_opt = seccomm_pair () in
   let e_orig, e_opt = editor_pair () in
   let frame = Video.frame_payload 3 in
-  let msg = Messenger.message ~size:512 1 in
+  (* Fig. 12's push and pop at every packet size; pop replays one wire
+     the original side pushed, which both sides decrypt alike *)
+  let seccomm size =
+    let msg = Messenger.message ~size 1 in
+    let wire = Messenger.push_collect s_orig msg in
+    List.concat_map
+      (fun (side, rt) ->
+        [
+          Test.make ~name:(Printf.sprintf "seccomm/push-%d-%s" size side)
+            (Staged.stage (fun () -> Podopt_seccomm.Seccomm.push rt msg));
+          Test.make ~name:(Printf.sprintf "seccomm/pop-%d-%s" size side)
+            (Staged.stage (fun () -> Podopt_seccomm.Seccomm.pop rt wire));
+        ])
+      [ ("orig", s_orig); ("opt", s_opt) ]
+  in
   let tests =
     [
       Test.make ~name:"marshal/roundtrip-512B"
@@ -1529,24 +1543,24 @@ let bechamel () =
       Test.make ~name:"video/frame-orig"
         (Staged.stage (fun () -> Ctp.send v_orig frame));
       Test.make ~name:"video/frame-opt" (Staged.stage (fun () -> Ctp.send v_opt frame));
-      Test.make ~name:"seccomm/push-512-orig"
-        (Staged.stage (fun () -> Podopt_seccomm.Seccomm.push s_orig msg));
-      Test.make ~name:"seccomm/push-512-opt"
-        (Staged.stage (fun () -> Podopt_seccomm.Seccomm.push s_opt msg));
-      Test.make ~name:"xclient/scroll-orig"
-        (Staged.stage (fun () -> Ed.scroll_once e_orig ~y:77));
-      Test.make ~name:"xclient/scroll-opt"
-        (Staged.stage (fun () -> Ed.scroll_once e_opt ~y:77));
-      Test.make ~name:"xclient/popup-orig"
-        (Staged.stage (fun () -> Ed.popup_once e_orig ~at:(120, 130)));
-      Test.make ~name:"xclient/popup-opt"
-        (Staged.stage (fun () -> Ed.popup_once e_opt ~at:(120, 130)));
     ]
+    @ List.concat_map seccomm Messenger.paper_sizes
+    @ [
+        Test.make ~name:"xclient/scroll-orig"
+          (Staged.stage (fun () -> Ed.scroll_once e_orig ~y:77));
+        Test.make ~name:"xclient/scroll-opt"
+          (Staged.stage (fun () -> Ed.scroll_once e_opt ~y:77));
+        Test.make ~name:"xclient/popup-orig"
+          (Staged.stage (fun () -> Ed.popup_once e_orig ~at:(120, 130)));
+        Test.make ~name:"xclient/popup-opt"
+          (Staged.stage (fun () -> Ed.popup_once e_opt ~at:(120, 130)));
+      ]
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
+  let ns = Hashtbl.create 32 in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
@@ -1554,13 +1568,33 @@ let bechamel () =
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Fmt.pr "%28s : %12.1f ns/run@." name est
+          | Some [ est ] ->
+            Hashtbl.replace ns name est;
+            Fmt.pr "%28s : %12.1f ns/run@." name est
           | Some _ | None -> Fmt.pr "%28s : (no estimate)@." name)
         analyzed)
     tests;
   (* keep queues from growing unboundedly if tests are re-run *)
   Runtime.run v_orig;
-  Runtime.run v_opt
+  Runtime.run v_opt;
+  section "Figure 12 in wall time: SecComm push/pop by packet size (ns/run)";
+  Fmt.pr "%6s | %10s %10s %6s | %10s %10s %6s@." "Size" "Push orig" "Push opt" "(%)"
+    "Pop orig" "Pop opt" "(%)";
+  let get op size side =
+    let name = Printf.sprintf "seccomm/%s-%d-%s" op size side in
+    Option.value ~default:nan (Hashtbl.find_opt ns name)
+  in
+  List.iter
+    (fun size ->
+      let po = get "push" size "orig" and pp = get "push" size "opt" in
+      let qo = get "pop" size "orig" and qp = get "pop" size "opt" in
+      Fmt.pr "%6d | %10.0f %10.0f %6.1f | %10.0f %10.0f %6.1f@." size po pp (pct pp po) qo qp
+        (pct qp qo))
+    Messenger.paper_sizes;
+  Fmt.pr
+    "@.(optimized as %% of original; paper push %%: 88.0 / 91.6 / 89.8 / 89.0 / 86.7 / 96.5,@. \
+     pop %%: 95.2 / 97.4 / 94.4 / 95.1 / 93.8 / 87.9.  Wall time, so it varies run to run;@. \
+     `fig12` is the deterministic cost-model table)@."
 
 (* --- dispatcher ----------------------------------------------------------- *)
 

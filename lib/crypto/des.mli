@@ -1,8 +1,13 @@
-(** DES block cipher (FIPS 46-3), implemented from the standard tables.
+(** DES block cipher (FIPS 46-3), table-driven on native ints.
 
     Used by SecComm's DESPrivacy micro-protocol; the Fig. 12 experiment
-    is dominated by this code.  Reproduction artifact only — DES is long
-    broken; do not use for real security. *)
+    is dominated by this code.  Half-blocks are native ints and every
+    permutation is a table lookup built at module initialisation from
+    the standard's tables.  A key schedule is one 32-entry int array;
+    SecComm's primitives rebuild it for every message, as the 2002
+    SecComm did.  Encryption allocates only its output buffer.
+    Reproduction artifact only — DES is long broken; do not use for real
+    security. *)
 
 (** Expanded key schedule (16 round keys). *)
 type key

@@ -9,10 +9,12 @@ let installed = ref false
 let install () =
   if not !installed then begin
     installed := true;
-    (* Work model: fixed + per-byte units.  DES pays a key schedule per
-       call (the implementation recomputes it, as the 2002 SecComm did per
-       message) plus ~12 units/byte of 16-round Feistel work; HMAC-MD5
-       pays two extra compression blocks; XOR and CRC are ~1 unit/byte. *)
+    (* Work model: fixed + per-byte units, independent of how fast the
+       implementation behind a primitive is.  DES pays 8000 units for the
+       key schedule it recomputes per call (as the 2002 SecComm did per
+       message) plus 40 units/byte of 16-round Feistel work; HMAC-MD5
+       pays two extra compression blocks; XOR and CRC are 1-2
+       units/byte. *)
     let bytes_work ~fixed ~per_byte = function
       | [ _; Value.Bytes data ] | [ Value.Bytes data ] ->
         fixed + (per_byte * Bytes.length data)

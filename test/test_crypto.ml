@@ -21,6 +21,93 @@ let test_des_weak_key_ones () =
   let ct = Des.encrypt_block_raw ~key 0xFFFFFFFFFFFFFFFFL in
   Alcotest.(check string) "all-ones" "7359b2163e4edc58" (Printf.sprintf "%016Lx" ct)
 
+(* Known answers: the first rows of NIST SP 800-17's variable-plaintext
+   and variable-key tables, and a key that sends 8787878787878787 to 0. *)
+let test_des_known_answers () =
+  List.iter
+    (fun (key, pt, ct) ->
+      let hex = Printf.sprintf "%016Lx" in
+      Alcotest.(check string) (hex key ^ " encrypt") (hex ct) (hex (Des.encrypt_block_raw ~key pt));
+      Alcotest.(check string) (hex key ^ " decrypt") (hex pt) (hex (Des.decrypt_block_raw ~key ct)))
+    [
+      (0x0101010101010101L, 0x8000000000000000L, 0x95f8a5e5dd31d900L);
+      (0x8001010101010101L, 0L, 0x95a8d72813daa94dL);
+      (0x0e329232ea6d0d73L, 0x8787878787878787L, 0L);
+    ]
+
+(* --- Des against the reference implementation (test/des_ref.ml) -------- *)
+
+let gen_key = QCheck2.Gen.bytes_size (QCheck2.Gen.return 8)
+
+let prop_des_matches_reference_modes =
+  QCheck2.Test.make ~name:"DES ECB/CBC match the reference" ~count:200
+    ~print:(fun (k, m, iv) ->
+      Printf.sprintf "key=%S msg=%d bytes iv=%Lx" (Bytes.to_string k) (Bytes.length m) iv)
+    QCheck2.Gen.(triple gen_key (bytes_size (int_range 0 600)) int64)
+    (fun (key, msg, iv) ->
+      let ks = Des.key_of_bytes key and rs = Des_ref.key_of_bytes key in
+      let ecb = Des.encrypt_ecb ks msg and cbc = Des.encrypt_cbc ks ~iv msg in
+      Bytes.equal ecb (Des_ref.encrypt_ecb rs msg)
+      && Bytes.equal cbc (Des_ref.encrypt_cbc rs ~iv msg)
+      && Bytes.equal (Des.decrypt_ecb ks ecb) msg
+      && Bytes.equal (Des.decrypt_cbc ks ~iv cbc) msg)
+
+let prop_des_matches_reference_blocks =
+  QCheck2.Test.make ~name:"DES raw blocks match the reference" ~count:500
+    ~print:(fun (k, b) -> Printf.sprintf "key=%Lx block=%Lx" k b)
+    QCheck2.Gen.(pair int64 int64)
+    (fun (key, block) ->
+      Des.encrypt_block_raw ~key block = Des_ref.encrypt_block_raw ~key block
+      && Des.decrypt_block_raw ~key block = Des_ref.decrypt_block_raw ~key block)
+
+(* Random block-aligned garbage almost always fails the padding check;
+   the same garbage ending in an encrypted padding block always passes
+   it.  Either way both implementations must agree. *)
+let prop_des_matches_reference_padding =
+  QCheck2.Test.make ~name:"DES Bad_padding matches the reference" ~count:200
+    ~print:(fun (k, g) ->
+      Printf.sprintf "key=%S garbage=%S" (Bytes.to_string k) (Bytes.to_string g))
+    QCheck2.Gen.(pair gen_key (int_range 1 75 >>= fun n -> bytes_size (return (8 * n))))
+    (fun (key, garbage) ->
+      let ks = Des.key_of_bytes key and rs = Des_ref.key_of_bytes key in
+      let valid_tail = Bytes.copy garbage in
+      Bytes.blit (Des_ref.encrypt_ecb rs Bytes.empty) 0 valid_tail (Bytes.length garbage - 8) 8;
+      let outcome decrypt =
+        match decrypt () with
+        | plain -> Some plain
+        | exception (Des.Bad_padding | Des_ref.Bad_padding) -> None
+      in
+      List.for_all
+        (fun ct ->
+          outcome (fun () -> Des.decrypt_ecb ks ct) = outcome (fun () -> Des_ref.decrypt_ecb rs ct))
+        [ garbage; valid_tail ])
+
+(* Minor-heap words allocated by [f ()]. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let test_des_no_allocation_per_block () =
+  let key = Bytes.of_string "8bytekey" in
+  let ks = Des.key_of_bytes key in
+  List.iter
+    (fun n ->
+      let msg = Bytes.make n 'm' in
+      let out = Des.encrypt_ecb ks msg in
+      (* header plus data words, the trailing padding byte included; a
+         2 KB output goes straight to the major heap, and the bound still
+         leaves less than one allocation per block *)
+      let out_words = 2 + (Bytes.length out / 8) in
+      let w = minor_words (fun () -> Des.encrypt_ecb ks msg) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d B encrypt: %.0f words <= %d + 8" n w out_words)
+        true
+        (w <= float_of_int (out_words + 8)))
+    [ 8; 2048 ];
+  let w = minor_words (fun () -> Des.key_of_bytes key) in
+  Alcotest.(check bool) (Printf.sprintf "key schedule: %.0f words <= 130" w) true (w <= 130.)
+
 let test_des_ecb_roundtrip () =
   let ks = Des.key_of_bytes (Bytes.of_string "8bytekey") in
   List.iter
@@ -66,15 +153,23 @@ let test_md5_rfc1321_vectors () =
     ]
 
 let test_md5_block_boundaries () =
-  (* lengths around the 64-byte block and 56-byte padding boundary *)
+  (* [String.make n 'x'] at lengths around the 56-byte padding boundary
+     and the 64-byte block, against md5sum *)
   List.iter
-    (fun n ->
-      let s = String.make n 'x' in
-      let d1 = Md5.hex_of_string s in
-      let d2 = Md5.hex_of_string s in
-      Alcotest.(check string) (Printf.sprintf "len %d deterministic" n) d1 d2;
-      Alcotest.(check int) "32 hex chars" 32 (String.length d1))
-    [ 54; 55; 56; 57; 63; 64; 65; 127; 128 ]
+    (fun (n, expected) ->
+      Alcotest.(check string) (Printf.sprintf "len %d" n) expected
+        (Md5.hex_of_string (String.make n 'x')))
+    [
+      (54, "61ea0974c662328da964d977a8253873");
+      (55, "04364420e25c512fd958a70738aa8f72");
+      (56, "668a72d5ba17f08e62dabcafad6db14b");
+      (57, "693037871c4a9d3d8685018905cb530a");
+      (63, "7dc2ca208106a2f703567bdff99d8981");
+      (64, "c1bb4f81d892b2d57947682aeb252456");
+      (65, "1bc932052302d074bdec39795fe00cf6");
+      (127, "a0b28c1da68705c2ff883fe279b72753");
+      (128, "d69cb61a6ee87200676eb0d4b90edbcb");
+    ]
 
 let test_hmac_md5_rfc2202 () =
   (* RFC 2202 test case 2 *)
@@ -83,7 +178,21 @@ let test_hmac_md5_rfc2202 () =
   (* RFC 2202 test case 1 *)
   let key = Bytes.make 16 '\x0b' in
   let mac = Hmac_md5.compute ~key (Bytes.of_string "Hi There") in
-  Alcotest.(check string) "rfc2202 tc1" "9294727a3638bb1c13f48ef8158bfc9d" (Md5.to_hex mac)
+  Alcotest.(check string) "rfc2202 tc1" "9294727a3638bb1c13f48ef8158bfc9d" (Md5.to_hex mac);
+  (* RFC 2202 test cases 6 and 7: the only ones whose 80-byte key is
+     longer than a block, so it is hashed first *)
+  let key = Bytes.make 80 '\xaa' in
+  List.iter
+    (fun (name, data, expected) ->
+      Alcotest.(check string) name expected
+        (Md5.to_hex (Hmac_md5.compute ~key (Bytes.of_string data))))
+    [
+      ("rfc2202 tc6", "Test Using Larger Than Block-Size Key - Hash Key First",
+       "6b1ab7fe4bd7bf8f0b62e6ce61b9d0cd");
+      ("rfc2202 tc7",
+       "Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data",
+       "6f630fad67cda0ee1fb1f562db3aa53e");
+    ]
 
 let test_hmac_verify () =
   let key = Bytes.of_string "secret" in
@@ -142,4 +251,12 @@ let suite =
     Alcotest.test_case "XOR involution" `Quick test_xor_involution;
     Alcotest.test_case "CRC32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "HIR prims" `Quick test_prims_available;
+    Alcotest.test_case "DES known-answer vectors" `Quick test_des_known_answers;
+    Alcotest.test_case "DES no allocation per block" `Quick test_des_no_allocation_per_block;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_des_matches_reference_modes;
+        prop_des_matches_reference_blocks;
+        prop_des_matches_reference_padding;
+      ]
