@@ -473,8 +473,6 @@ module Bjson = struct
     bdispatched : int;
     bshed : int;
     boptimized : int;
-    bbatched : int;
-    bbatch_k : string; (* "off" | width | "auto" *)
     bgeneric : int;
     bfallbacks : int;
     bfailures : int;
@@ -512,7 +510,7 @@ module Bjson = struct
       d.Podopt_obs.Hist.p50 prefix d.Podopt_obs.Hist.p90 prefix
       d.Podopt_obs.Hist.p99 prefix d.Podopt_obs.Hist.max
 
-  let of_summary ?(bwarm = false) ?(bbatch_k = "off") ?(bckpt_every = 8)
+  let of_summary ?(bwarm = false) ?(bckpt_every = 8)
       ?(broute = "hash") ?(barrivals = "periodic")
       ?(bmigrations = 0) ?(bsteals = 0) ?(bcritical = 0) ~bsection ~bkind
       ~bmode ~bshards ~bdomains ~(profile : Bk.Loadgen.profile) ~wall_ns
@@ -531,8 +529,6 @@ module Bjson = struct
       bdispatched = s.Bk.Loadgen.dispatched;
       bshed = s.Bk.Loadgen.shed;
       boptimized = s.Bk.Loadgen.optimized;
-      bbatched = s.Bk.Loadgen.batched;
-      bbatch_k;
       bgeneric = s.Bk.Loadgen.generic;
       bfallbacks = s.Bk.Loadgen.fallbacks;
       bfailures = s.Bk.Loadgen.failures;
@@ -563,7 +559,7 @@ module Bjson = struct
   let write path =
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v9\",\n";
+    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v10\",\n";
     Printf.bprintf b "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
     Buffer.add_string b "  \"entries\": [\n";
     let n = List.length !entries in
@@ -573,8 +569,7 @@ module Bjson = struct
           "    {\"section\": %S, \"kind\": %S, \"mode\": %S, \"shards\": %d, \
            \"domains\": %d, \"sessions\": %d, \"ops\": %d, \"wall_ns\": %Ld, \
            \"busy\": %d, \"makespan\": %d, \"dispatched\": %d, \"shed\": %d, \
-           \"optimized\": %d, \"batched\": %d, \"batch_k\": %S, \
-           \"generic\": %d, \"fallbacks\": %d, \
+           \"optimized\": %d, \"generic\": %d, \"fallbacks\": %d, \
            \"failures\": %d, \"requeued\": %d, \"quarantined\": %d, \
            \"breaker_trips\": %d, \"link_dropped\": %d, \"decode_failures\": %d, \
            \"warm\": %b, \"first_epoch_optimized\": %d, \
@@ -586,7 +581,7 @@ module Bjson = struct
            \"critical_busy\": %d, \"elapsed\": %d, %s, %s, %s}%s\n"
           e.bsection e.bkind e.bmode e.bshards e.bdomains e.bsessions e.bops
           e.bwall_ns e.bbusy e.bmakespan e.bdispatched e.bshed e.boptimized
-          e.bbatched e.bbatch_k e.bgeneric e.bfallbacks e.bfailures
+          e.bgeneric e.bfallbacks e.bfailures
           e.brequeued e.bquarantined
           e.btrips e.bdropped e.bdecode e.bwarm e.bfirst_opt e.bfirst_gen
           e.bckpt_every e.bkills e.brecoveries e.bredelivered e.bcheckpoints
@@ -662,13 +657,9 @@ let run_broker ~bsection ~kind ~shards ~domains ~optimize ~profile ~warmup_ops
       Bjson.record
         (Bjson.of_summary ~bsection
            ~bwarm:(cfg.Bk.Broker.optimize && cfg.Bk.Broker.profile_in <> None)
-           ~bbatch_k:(Bk.Shard.batching_to_string cfg.Bk.Broker.batching)
            ~bckpt_every:cfg.Bk.Broker.checkpoint_every
            ~bkind:(Bk.Workload.kind_to_string kind)
-           ~bmode:
-             (if cfg.Bk.Broker.batching <> Bk.Shard.Off then "batched"
-              else if optimize then "optimized"
-              else "generic")
+           ~bmode:(if optimize then "optimized" else "generic")
            ~bshards:shards ~bdomains:domains ~profile ~wall_ns s);
       (s, wall_ns))
 
@@ -917,86 +908,6 @@ let broker_latency ?(quick = false) () =
      depend only on arrivals and drain cadence, hence barely move)@."
     (ratio od.Podopt_obs.Hist.p50 gd.Podopt_obs.Hist.p50)
     (ratio od.Podopt_obs.Hist.p99 gd.Podopt_obs.Hist.p99)
-
-(* --- Broker: cross-event amortization windows ---------------------------- *)
-
-(* Batched and unbatched drains must produce identical virtual summaries
-   at any domain count; a divergence (or a k >= 4 window costing more
-   per op than the unbatched optimized path) fails the whole bench. *)
-let broker_batch_failed = ref false
-
-let broker_batch ?(quick = false) () =
-  section
-    "Broker: drain windows, per-op busy vs window width k (SecComm, skewed \
-     queue depths)";
-  (* short inter-arrival with a small co-prime spread: ingress queues go
-     deep and unevenly, so drained batches span the width range and Auto
-     has a real distribution to learn from *)
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 24);
-      ops = (if quick then 8 else 25);
-      interval = 40;
-      spread = 7;
-    }
-  in
-  let shards = 2 in
-  let run ?(domains = 1) ~optimize ~batching () =
-    fst
-      (run_broker ~bsection:"broker-batch" ~kind:Bk.Workload.Seccomm ~shards
-         ~domains ~optimize ~profile ~warmup_ops:12
-         ~tweak:(fun c -> { c with Bk.Broker.batching })
-         ())
-  in
-  let per_op (s : Bk.Loadgen.summary) =
-    float_of_int s.Bk.Loadgen.busy /. float_of_int (max 1 s.Bk.Loadgen.dispatched)
-  in
-  Fmt.pr "%9s | %10s %8s | %12s %7s | %26s@." "mode" "dispatched" "batched"
-    "busy" "per-op" "batch-depth p50/p99/max";
-  let row name (s : Bk.Loadgen.summary) =
-    let d = s.Bk.Loadgen.latency.Bk.Loadgen.batch_depth in
-    Fmt.pr "%9s | %10d %8d | %12d %7.1f | %8d %8d %8d@." name
-      s.Bk.Loadgen.dispatched s.Bk.Loadgen.batched s.Bk.Loadgen.busy (per_op s)
-      d.Podopt_obs.Hist.p50 d.Podopt_obs.Hist.p99 d.Podopt_obs.Hist.max
-  in
-  let g = run ~optimize:false ~batching:Bk.Shard.Off () in
-  let o = run ~optimize:true ~batching:Bk.Shard.Off () in
-  row "generic" g;
-  row "opt" o;
-  List.iter
-    (fun batching ->
-      let name = "k=" ^ Bk.Shard.batching_to_string batching in
-      let s = run ~optimize:true ~batching () in
-      row name s;
-      (match batching with
-      | Bk.Shard.Fixed k when k >= 4 ->
-        if per_op s >= per_op o then begin
-          broker_batch_failed := true;
-          Fmt.epr
-            "broker-batch: k=%d per-op busy %.1f not below unbatched \
-             optimized %.1f (NO — BUG)@."
-            k (per_op s) (per_op o)
-        end
-      | _ -> ());
-      (* the windows only re-shape charges — the virtual summary must
-         stay bit-identical when the drain goes parallel *)
-      let s2 = run ~domains:2 ~optimize:true ~batching () in
-      if s <> s2 then begin
-        broker_batch_failed := true;
-        Fmt.epr "broker-batch: %s diverged across domain counts (NO — BUG)@."
-          name
-      end)
-    [ Bk.Shard.Fixed 1; Bk.Shard.Fixed 2; Bk.Shard.Fixed 4; Bk.Shard.Fixed 8;
-      Bk.Shard.Auto ];
-  Fmt.pr
-    "@.(each window verifies the binding-version guard once, then charges@. \
-     only the per-op batch step and skips the shared-state lock for the@. \
-     rest of the run, so per-op busy falls as k grows and the lock/guard@. \
-     cost amortizes away; k=auto picks each shard's width from its own@. \
-     observed queue-depth distribution.  Deliveries, accounting and the@. \
-     JSON document are byte-identical at every k and domain count — the@. \
-     windows re-shape virtual charges, never execution order)@."
 
 (* --- Broker: warm start from a profile store ----------------------------- *)
 
@@ -1613,7 +1524,6 @@ let all_tables () =
   configs ();
   broker ();
   broker_latency ();
-  broker_batch ();
   broker_warm ();
   broker_faults ();
   broker_recovery ();
@@ -1649,7 +1559,6 @@ let () =
         | "configs" -> configs ()
         | "broker" -> broker ~quick ()
         | "broker-latency" -> broker_latency ~quick ()
-        | "broker-batch" -> broker_batch ~quick ()
         | "broker-warm" -> broker_warm ~quick ()
         | "broker-par" -> broker_par ~quick ()
         | "broker-faults" -> broker_faults ~quick ()
@@ -1665,12 +1574,6 @@ let () =
   if json then Bjson.write "BENCH_broker.json";
   if !broker_truncated then begin
     Fmt.epr "bench: at least one broker run was truncated — results invalid@.";
-    exit 1
-  end;
-  if !broker_batch_failed then begin
-    Fmt.epr
-      "bench: the batched drain diverged or lost to the unbatched optimized \
-       path — results invalid@.";
     exit 1
   end;
   if !broker_recovery_failed then begin

@@ -3,8 +3,8 @@
     amplified to every member).  The whole fan-out runs as a
     synchronous event chain (ChatMsg -> ChatFanout -> ChatDeliver x N),
     so one op's handler work scales with the fan-out width — the
-    amplification pattern the broker's batching and shedding machinery
-    is meant to absorb. *)
+    amplification pattern the broker's ingress bounds and shedding
+    machinery is meant to absorb. *)
 
 open Podopt_eventsys
 

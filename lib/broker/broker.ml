@@ -18,7 +18,6 @@ type config = {
   domains : int;
   faults : Plan.spec;
   profile_in : Store.t option;
-  batching : Shard.batching;
   checkpoint_every : int;
   route : Shard_map.route;   (* session-to-shard routing discipline *)
   arrivals : Arrivals.spec;  (* session op arrival process *)
@@ -38,7 +37,6 @@ let default_config =
     domains = 1;
     faults = Plan.none;
     profile_in = None;
-    batching = Shard.Off;
     checkpoint_every = 8;
     route = Shard_map.Hash;
     arrivals = Arrivals.Periodic;
@@ -137,9 +135,6 @@ let create (cfg : config) =
   if cfg.domains <= 0 then invalid_arg "Broker.create: domains <= 0";
   if cfg.checkpoint_every <= 0 then
     invalid_arg "Broker.create: checkpoint_every <= 0";
-  (match cfg.batching with
-   | Shard.Fixed k when k < 1 -> invalid_arg "Broker.create: batch width < 1"
-   | _ -> ());
   (* the front door is a landing pad for link deliveries, not a measured
      runtime: routing must not consume simulation time, or the clock
      would leap past pending sessions and turn steady traffic into
@@ -151,19 +146,18 @@ let create (cfg : config) =
      runtime.  Aggregation and installation happen here on the
      coordinator — before the pool spawns — so a warm-started run stays
      byte-identical at any domain count. *)
-  let warm, depths =
+  let warm =
     match cfg.profile_in with
     | Some store when cfg.optimize ->
       let agg = Store.aggregate ~kind:(Workload.kind_to_string cfg.kind) store in
-      (Some (agg.Store.agg_graph, agg.Store.agg_signatures), agg.Store.agg_depths)
-    | _ -> (None, [])
+      Some (agg.Store.agg_graph, agg.Store.agg_signatures)
+    | _ -> None
   in
   let shards =
     Array.init cfg.shards (fun id ->
-        Shard.create ~faults:cfg.faults ~compile:cfg.compile ?warm
-          ~batching:cfg.batching ~depths ~id ~kind:cfg.kind
-          ~optimize:cfg.optimize ~queue_limit:cfg.queue_limit ~policy:cfg.policy
-          ())
+        Shard.create ~faults:cfg.faults ~compile:cfg.compile ?warm ~id
+          ~kind:cfg.kind ~optimize:cfg.optimize ~queue_limit:cfg.queue_limit
+          ~policy:cfg.policy ())
   in
   (* the pool spawns after the shards exist: shard construction installs
      HIR primitives and parses programs on the coordinator, so helper

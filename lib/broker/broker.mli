@@ -60,13 +60,6 @@ type config = {
           super-handlers install before the first packet arrives; stale
           entries degrade to generic dispatch (see
           {!Shard.create}) *)
-  batching : Shard.batching;
-      (** drain-loop amortization windows ([--batch-k]): [Off]
-          (default) dispatches exactly as before; [Fixed k] / [Auto]
-          window same-path runs, installing super-handlers as batch
-          entries.  Observables are byte-identical in every mode —
-          only virtual costs change.  With a [profile_in], stored
-          depth observations seed [Auto]'s width model. *)
   checkpoint_every : int;
       (** epochs between shard checkpoints ([--checkpoint-every],
           default 8) when the fault plan can kill shards
@@ -90,8 +83,8 @@ type config = {
 val default_config : config
 (** 2 shards, batch 16, queue limit 64, [Drop_newest], SecComm,
     optimized, compiled, seed 42, tick 50, 1 domain, no faults, no
-    stored profile, batching off, checkpoint every 8 epochs, hash
-    routing, periodic arrivals. *)
+    stored profile, checkpoint every 8 epochs, hash routing, periodic
+    arrivals. *)
 
 type t
 

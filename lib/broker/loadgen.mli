@@ -20,12 +20,11 @@ val default_profile : profile
 (** Latency percentile summaries from the merged per-shard histograms:
     queue wait in front-clock units (arrival to drain, fresh arrivals
     only), service time in shard-clock units per op, split by dispatch
-    path (batched / optimized / generic), plus the drained-batch depth
+    path (optimized / generic), plus the drained-batch depth
     distribution.  All-zero when nothing was recorded. *)
 type latency = {
   queue_wait : Podopt_obs.Hist.dist;
   service_opt : Podopt_obs.Hist.dist;
-  service_bat : Podopt_obs.Hist.dist;
   service_gen : Podopt_obs.Hist.dist;
   batch_depth : Podopt_obs.Hist.dist;
 }
@@ -44,7 +43,6 @@ type summary = {
   dispatched : int;
   batches : int;
   optimized : int;
-  batched : int;  (** dispatches served inside an amortization window *)
   generic : int;
   fallbacks : int;
   failures : int;       (** handler failures isolated across shards *)
@@ -81,9 +79,11 @@ type summary = {
           run *)
 }
 
-(** Fraction of dispatches that took a super-handler path (optimized or
-    batched), in percent (0 when there were none — an idle run is not
-    "fully optimized"). *)
+(** Fraction of dispatches that took a super-handler path, in percent
+    (0 when there were none — an idle run is not "fully optimized"). *)
+val opt_share : optimized:int -> generic:int -> float
+
+(** {!opt_share} of a run's totals. *)
 val opt_pct : summary -> float
 
 (** Build the sessions for a profile and register their nack callbacks

@@ -5,18 +5,10 @@ module Hist = Podopt_obs.Hist
 module Exact = Podopt_obs.Exact
 module Metrics = Podopt_obs.Metrics
 
-(* Fast-path share: optimized + batched dispatches over all dispatches
-   (batched ops run the same super-handlers, only cheaper). *)
-let pct opt batched generic =
-  let fast = opt + batched in
-  let total = fast + generic in
-  (* 0, not 100: an idle shard has optimized nothing *)
-  if total = 0 then 0.0 else 100.0 *. float_of_int fast /. float_of_int total
-
 (* "-" for a zero-dispatch row, so idle never reads as a percentage. *)
-let pct_cell opt batched generic =
-  if opt + batched + generic = 0 then "-"
-  else Fmt.str "%.1f" (pct opt batched generic)
+let pct_cell optimized generic =
+  if optimized + generic = 0 then "-"
+  else Fmt.str "%.1f" (Loadgen.opt_share ~optimized ~generic)
 
 let pp_table ppf broker =
   let shards = Broker.shards broker in
@@ -25,20 +17,20 @@ let pp_table ppf broker =
      at domains = 1) *)
   let migrated = Broker.migrated broker and stolen = Broker.stolen broker in
   Fmt.pf ppf
-    "%5s | %8s %8s %6s %6s | %7s %10s | %9s %7s %8s %7s %6s | %6s %5s %5s %5s \
+    "%5s | %8s %8s %6s %6s | %7s %10s | %9s %8s %7s %6s | %6s %5s %5s %5s \
      | %4s %4s %7s | %4s %5s | %10s@."
     "shard" "sessions" "ingress" "shed" "displ" "batches" "dispatched"
-    "optimized" "batched" "generic" "fallbk" "opt%" "failed" "quar" "ovfl"
+    "optimized" "generic" "fallbk" "opt%" "failed" "quar" "ovfl"
     "trips" "kill" "rcov" "redeliv" "migr" "stole" "busy";
   let row label ~sessions ~ingress ~shed ~displaced ~batches ~dispatched
-      ~optimized ~batched ~generic ~fallbacks ~failures ~quarantined ~overflow
+      ~optimized ~generic ~fallbacks ~failures ~quarantined ~overflow
       ~trips ~kills ~recoveries ~redelivered ~migr ~stole ~busy =
     Fmt.pf ppf
-      "%5s | %8d %8d %6d %6d | %7d %10d | %9d %7d %8d %7d %6s | %6d %5d %5d \
+      "%5s | %8d %8d %6d %6d | %7d %10d | %9d %8d %7d %6s | %6d %5d %5d \
        %5d | %4d %4d %7d | %4d %5d | %10d@."
       label sessions ingress shed displaced batches dispatched optimized
-      batched generic fallbacks
-      (pct_cell optimized batched generic)
+      generic fallbacks
+      (pct_cell optimized generic)
       failures quarantined overflow trips kills recoveries redelivered migr
       stole busy
   in
@@ -51,7 +43,6 @@ let pp_table ppf broker =
         ~batches:s.Shard.stats.Shard.batches
         ~dispatched:s.Shard.stats.Shard.dispatched
         ~optimized:(Shard.optimized_dispatches s)
-        ~batched:(Shard.batched_dispatches s)
         ~generic:(Shard.generic_dispatches s) ~fallbacks:(Shard.fallbacks s)
         ~failures:(Shard.handler_failures s)
         ~quarantined:s.Shard.stats.Shard.quarantined
@@ -72,7 +63,6 @@ let pp_table ppf broker =
     ~batches:(sum (fun s -> s.Shard.stats.Shard.batches))
     ~dispatched:(sum (fun s -> s.Shard.stats.Shard.dispatched))
     ~optimized:(sum Shard.optimized_dispatches)
-    ~batched:(sum Shard.batched_dispatches)
     ~generic:(sum Shard.generic_dispatches)
     ~fallbacks:(sum Shard.fallbacks)
     ~failures:(sum Shard.handler_failures)
@@ -124,24 +114,23 @@ let dist_cell_e h =
    by dispatch path, batch-depth in drained ops per non-empty drain. *)
 let pp_metrics ppf broker =
   Fmt.pf ppf "latency percentiles (p50/p90/p99/max, virtual units):@.";
-  Fmt.pf ppf "%5s | %25s | %25s | %25s | %25s | %25s@." "shard" "queue-wait"
-    "service-opt" "service-bat" "service-gen" "batch-depth";
-  let row label ~qwait ~svc_opt ~svc_bat ~svc_gen ~depth =
-    Fmt.pf ppf "%5s | %25s | %25s | %25s | %25s | %25s@." label
-      (dist_cell qwait) (dist_cell_e svc_opt) (dist_cell_e svc_bat)
-      (dist_cell_e svc_gen) (dist_cell_e depth)
+  Fmt.pf ppf "%5s | %25s | %25s | %25s | %25s@." "shard" "queue-wait"
+    "service-opt" "service-gen" "batch-depth";
+  let row label ~qwait ~svc_opt ~svc_gen ~depth =
+    Fmt.pf ppf "%5s | %25s | %25s | %25s | %25s@." label
+      (dist_cell qwait) (dist_cell_e svc_opt) (dist_cell_e svc_gen)
+      (dist_cell_e depth)
   in
   Array.iter
     (fun (s : Shard.t) ->
       row (string_of_int s.Shard.id) ~qwait:(Shard.queue_wait s)
-        ~svc_opt:(Shard.service_opt s) ~svc_bat:(Shard.service_bat s)
-        ~svc_gen:(Shard.service_gen s) ~depth:(Shard.batch_depth s))
+        ~svc_opt:(Shard.service_opt s) ~svc_gen:(Shard.service_gen s)
+        ~depth:(Shard.batch_depth s))
     (Broker.shards broker);
   let merged = merged_metrics broker in
   row "total"
     ~qwait:(Metrics.histogram merged "queue_wait")
     ~svc_opt:(Metrics.exact merged "service.optimized")
-    ~svc_bat:(Metrics.exact merged "service.batched")
     ~svc_gen:(Metrics.exact merged "service.generic")
     ~depth:(Metrics.exact merged "batch.depth");
   Fmt.pf ppf "@.dispatch time by event (all shards):@.";
@@ -174,23 +163,21 @@ let json ?(metrics = false) broker (s : Loadgen.summary) =
   let dist name h = dist_of name (Hist.count h) (Hist.dist h) in
   let dist_e name h = dist_of name (Exact.count h) (Exact.dist h) in
   let hists m =
-    Printf.sprintf "%s, %s, %s, %s, %s"
+    Printf.sprintf "%s, %s, %s, %s"
       (dist "queue_wait" (Metrics.histogram m "queue_wait"))
       (dist_e "service_opt" (Metrics.exact m "service.optimized"))
-      (dist_e "service_bat" (Metrics.exact m "service.batched"))
       (dist_e "service_gen" (Metrics.exact m "service.generic"))
       (dist_e "batch_depth" (Metrics.exact m "batch.depth"))
   in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"podopt/serve/v8\",\n";
+  Buffer.add_string b "  \"schema\": \"podopt/serve/v9\",\n";
   Printf.bprintf b
     "  \"workload\": %S, \"arrivals\": %S, \"shards\": %d, \"batch\": %d, \
-     \"batch_k\": %S, \"queue_limit\": %d, \"policy\": %S, \"optimize\": %b, \
+     \"queue_limit\": %d, \"policy\": %S, \"optimize\": %b, \
      \"seed\": %Ld, \"tick\": %d,\n"
     (Workload.kind_to_string cfg.Broker.kind)
     (Arrivals.to_string cfg.Broker.arrivals)
     cfg.Broker.shards cfg.Broker.batch
-    (Shard.batching_to_string cfg.Broker.batching)
     cfg.Broker.queue_limit
     (Policy.shed_to_string cfg.Broker.policy)
     cfg.Broker.optimize cfg.Broker.seed cfg.Broker.tick;
@@ -210,7 +197,7 @@ let json ?(metrics = false) broker (s : Loadgen.summary) =
   Printf.bprintf b
     "  \"summary\": {\"sent\": %d, \"retries\": %d, \"nacks\": %d, \
      \"gave_up\": %d, \"routed\": %d, \"shed\": %d, \"dispatched\": %d, \
-     \"batches\": %d, \"optimized\": %d, \"batched\": %d, \"generic\": %d, \
+     \"batches\": %d, \"optimized\": %d, \"generic\": %d, \
      \"fallbacks\": %d, \"failures\": %d, \"requeued\": %d, \
      \"quarantined\": %d, \"breaker_trips\": %d, \"link_dropped\": %d, \
      \"decode_failures\": %d, \"first_epoch_optimized\": %d, \
@@ -218,7 +205,7 @@ let json ?(metrics = false) broker (s : Loadgen.summary) =
      \"elapsed\": %d, \"truncated\": %b, \"opt_pct\": %.1f,\n"
     s.Loadgen.sent s.Loadgen.retries s.Loadgen.nacks s.Loadgen.gave_up
     s.Loadgen.routed s.Loadgen.shed s.Loadgen.dispatched s.Loadgen.batches
-    s.Loadgen.optimized s.Loadgen.batched s.Loadgen.generic
+    s.Loadgen.optimized s.Loadgen.generic
     s.Loadgen.fallbacks s.Loadgen.failures s.Loadgen.requeued
     s.Loadgen.quarantined s.Loadgen.breaker_trips s.Loadgen.link_dropped
     s.Loadgen.decode_failures s.Loadgen.first_epoch_optimized
@@ -233,15 +220,14 @@ let json ?(metrics = false) broker (s : Loadgen.summary) =
       let ist = Ingress.stats sh.Shard.ingress in
       Printf.bprintf b
         "    {\"id\": %d, \"sessions\": %d, \"offered\": %d, \"shed\": %d, \
-         \"dispatched\": %d, \"optimized\": %d, \"batched\": %d, \
-         \"generic\": %d, \"failures\": %d, \"requeued\": %d, \
-         \"requeue_overflow\": %d, \"quarantined\": %d, \
-         \"breaker_trips\": %d, \"kills\": %d, \"recoveries\": %d, \
-         \"redelivered\": %d, \"checkpoints\": %d, \"busy\": %d, %s}%s\n"
+         \"dispatched\": %d, \"optimized\": %d, \"generic\": %d, \
+         \"failures\": %d, \"requeued\": %d, \"requeue_overflow\": %d, \
+         \"quarantined\": %d, \"breaker_trips\": %d, \"kills\": %d, \
+         \"recoveries\": %d, \"redelivered\": %d, \"checkpoints\": %d, \
+         \"busy\": %d, %s}%s\n"
         sh.Shard.id sh.Shard.sessions ist.Ingress.offered ist.Ingress.shed
         sh.Shard.stats.Shard.dispatched
         (Shard.optimized_dispatches sh)
-        (Shard.batched_dispatches sh)
         (Shard.generic_dispatches sh)
         (Shard.handler_failures sh)
         sh.Shard.stats.Shard.requeued ist.Ingress.requeue_overflow

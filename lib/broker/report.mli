@@ -17,12 +17,12 @@ val pp_snapshots : Format.formatter -> Broker.t -> unit
 val pp_summary : Format.formatter -> Loadgen.summary -> unit
 
 (** The [--metrics] section: per-shard and total p50/p90/p99/max for
-    queue wait, service time (optimized / batched / generic path) and
+    queue wait, service time (optimized / generic path) and
     drained-batch depth, then the per-event dispatch-time distributions
     merged across shards.  Empty histograms print as ["-"]. *)
 val pp_metrics : Format.formatter -> Broker.t -> unit
 
-(** The whole run as one JSON document (schema [podopt/serve/v6]):
+(** The whole run as one JSON document (schema [podopt/serve/v9]):
     config echo, summary with merged latency percentiles, and a
     per-shard array with each shard's histograms; [~metrics:true] adds
     the per-event dispatch distributions.  The domain count is

@@ -29,29 +29,6 @@
 open Podopt_eventsys
 open Podopt_net
 
-(** How {!drain_batch} windows a drained batch (see [--batch-k]):
-    [Off] dispatches exactly as before; [Fixed k] brackets maximal
-    same-path runs in amortization windows of at most [k] ops;
-    [Auto] takes the width from the adaptive controller's depth model
-    ({!Podopt_optimize.Adaptive.preferred_width}).  Windows only
-    change what the runtime charges — execution order is exactly the
-    [Off] order, so observables are byte-identical at any width. *)
-type batching = Off | Fixed of int | Auto
-
-val batching_to_string : batching -> string
-
-(** Parses ["off"], ["auto"], or a positive integer width. *)
-val batching_of_string : string -> (batching, string) result
-
-(** Split [items] into maximal runs of adjacent items with equal keys,
-    preserving order — how the drain loop groups same-path ops before
-    windowing.  Exposed for the unit tests. *)
-val segment_runs : ('a -> string) -> 'a list -> 'a list list
-
-(** Chop one run into slices of at most [width] items, preserving
-    order.  Raises [Invalid_argument] when [width < 1]. *)
-val chunk : int -> 'a list -> 'a list list
-
 type stats = {
   mutable batches : int;      (** non-empty batch drains *)
   mutable dispatched : int;   (** ops replayed successfully *)
@@ -105,7 +82,6 @@ type t = {
           packet arrived (see {!create}'s [warm]) *)
   warm_stale : int;
       (** stored-profile events the warm start rejected as stale *)
-  batching : batching;  (** drain-loop windowing mode (default [Off]) *)
   stats : stats;
   recov : recov;
   mutable sessions : int;  (** distinct sessions routed here *)
@@ -140,18 +116,12 @@ type t = {
     events whose stored signature differs from the live bindings are
     dropped as stale, and everything installed still sits behind the
     binding-version guards.  The warm start runs on the caller (the
-    coordinator), so its outcome is identical at any domain count.
-    [?batching] (default [Off]) selects the drain loop's windowing mode;
-    with it on, super-handlers install as batch entries.  [?depths]
-    seeds the adaptive controller's depth model from stored
-    observations, so [Auto] begins at the width previous runs earned.
-    Raises [Invalid_argument] on [Fixed k] with [k < 1]. *)
+    coordinator), so its outcome is identical at any domain count. *)
 val create :
   ?faults:Podopt_faults.Plan.spec -> ?max_failures:int -> ?dead_limit:int ->
   ?breaker:Podopt_optimize.Breaker.policy -> ?compile:bool ->
   ?warm:Podopt_profile.Event_graph.t * (string * string list) list ->
-  ?batching:batching -> ?depths:(int * int) list -> id:int ->
-  kind:Workload.kind -> optimize:bool -> queue_limit:int ->
+  id:int -> kind:Workload.kind -> optimize:bool -> queue_limit:int ->
   policy:Policy.shed -> unit -> t
 
 (** Replace (or with [None] / a disabled spec, remove) the shard's fault
@@ -180,12 +150,8 @@ val force_reoptimize : t -> bool
 val busy : t -> int
 
 val optimized_dispatches : t -> int
-val batched_dispatches : t -> int
 val generic_dispatches : t -> int
 val fallbacks : t -> int
-
-(** The shard's drain-loop windowing mode. *)
-val batching : t -> batching
 
 (** Warm-start outcome of {!create}'s [warm] (0 without one). *)
 val warm_installed : t -> int
@@ -218,17 +184,15 @@ val metrics : t -> Podopt_obs.Metrics.t
 val queue_wait : t -> Podopt_obs.Hist.t
 
 (** Per-op service-time distributions on the shard clock, split by
-    dispatch path (batched wins over optimized when an op took both).
+    dispatch path (an op that took any optimized dispatch counts as
+    optimized).
     Exact (full-resolution) histograms: the deterministic cost model
     lands per-op costs on a handful of exact values that log buckets
     would collapse into degenerate percentiles. *)
 val service_opt : t -> Podopt_obs.Exact.t
-
-val service_bat : t -> Podopt_obs.Exact.t
 val service_gen : t -> Podopt_obs.Exact.t
 
-(** Exact distribution of drained-batch sizes (the depth evidence the
-    [Auto] width model feeds on). *)
+(** Exact distribution of drained-batch sizes. *)
 val batch_depth : t -> Podopt_obs.Exact.t
 
 (** The dead-letter queue, oldest first (a copy; the queue is not
@@ -322,7 +286,6 @@ type snapshot = {
   snap_batches : int;
   snap_dispatched : int;
   snap_optimized : int;
-  snap_batched : int;
   snap_generic : int;
   snap_fallbacks : int;
   snap_handler_failures : int;
@@ -341,7 +304,6 @@ type snapshot = {
   snap_clock : int;
   snap_queue_wait : Podopt_obs.Hist.dist;
   snap_service_opt : Podopt_obs.Hist.dist;
-  snap_service_bat : Podopt_obs.Hist.dist;
   snap_service_gen : Podopt_obs.Hist.dist;
   snap_batch_depth : Podopt_obs.Hist.dist;
 }

@@ -77,11 +77,10 @@ let op_payload kind ~session ~seq =
     Chat_room.message ~fanout:(chat_fanout ~session ~seq) ~size:64
       ((session * 131) + seq)
 
-(* The hot-path key of one op — the drain loop segments its drained
-   batch into maximal same-path runs and windows each run.  Video,
-   SecComm and Chat serve a single op vocabulary, so the path is
-   constant per kind; the X storm is multi-op and keys on the payload's
-   opcode byte. *)
+(* The hot-path key of one op, as [serve --show-dead] labels a dead
+   letter.  Video, SecComm and Chat serve a single op vocabulary, so the
+   path is constant per kind; the X storm is multi-op and keys on the
+   payload's opcode byte. *)
 let path kind (payload : bytes) =
   match kind with
   | Video -> "video.frame"

@@ -33,10 +33,9 @@ val runtime : instance -> Runtime.t
 (** Deterministic payload for op [seq] of session number [session]. *)
 val op_payload : kind -> session:int -> seq:int -> bytes
 
-(** The hot-path key of an op: ops with equal paths may share one batch
-    window.  Constant per kind for the single-vocabulary workloads;
-    the X storm keys on the payload's opcode byte
-    (scroll/key/popup). *)
+(** The hot-path key of an op (the label [serve --show-dead] prints).
+    Constant per kind for the single-vocabulary workloads; the X storm
+    keys on the payload's opcode byte (scroll/key/popup). *)
 val path : kind -> bytes -> string
 
 (** Replay one op against a shard instance: a CTP frame send (with a

@@ -24,12 +24,6 @@ type model = {
   enqueue : int;
   interp_step : int;
   compiled_step : int;
-  lock_batch : int;
-      (** per-access cost inside a batch window — the batch handler
-          holds the state lock across a whole run of same-path ops *)
-  batch_step : int;
-      (** per-dispatch entry cost for ops after the first in a verified
-          batch window (guard + call dispatch amortized over the run) *)
 }
 
 val default : model

@@ -34,11 +34,5 @@ val handlers : t -> Event.t -> Handler.t list
 
 val version : t -> Event.t -> int
 
-(** Table-wide mutation counter: bumped by every [bind] / [unbind] /
-    [unbind_all] that changes bindings.  An unchanged generation means
-    every per-event version is unchanged — what batch windows check
-    after verifying their guards once. *)
-val generation : t -> int
-
 val is_bound : t -> Event.t -> bool
 val events_with_bindings : t -> Event.table -> Event.t list

@@ -24,14 +24,6 @@ type opt_entry = {
 
 and opt_kind =
   | Super of Compile.compiled_proc
-  | Batch of Compile.compiled_proc
-      (* a super-handler that additionally rides batch windows: inside
-         an open window the first dispatch verifies the guards and pays
-         the state lock once, then every further dispatch of a verified
-         entry pays only [batch_step] while the registry generation is
-         unchanged — the per-op constants amortize across the run of
-         same-path ops (Leinweber & Hartenstein's compile-time event
-         batching, on top of Sec. 3's merging) *)
   | Partitioned of segment list
   | Deferred of deferred_entry
       (* Sec. 5: perform no processing for this event now; when the next
@@ -61,15 +53,6 @@ and segment = {
   seg_next : Event.t option;  (* tail sync-raise target consumed by driver *)
 }
 
-(* One batch window: opened by the drain loop around a run of same-path
-   ops.  [win_gen] is the registry generation the verified set is valid
-   for; any binding mutation invalidates every verification at once. *)
-type window = {
-  mutable win_gen : int;
-  win_verified : (int, unit) Hashtbl.t;  (* event ids with checked guards *)
-  mutable win_lock_paid : bool;  (* the window's one state-lock charge *)
-}
-
 (* Pad an argument vector with Unit up to [arity]; mirrors the generic
    path's convention that missing handler parameters default to Unit. *)
 let pad_args arity args =
@@ -80,7 +63,6 @@ let pad_args arity args =
 type stats = {
   mutable generic_dispatches : int;
   mutable optimized_dispatches : int;
-  mutable batched_dispatches : int; (* rode an open batch window *)
   mutable fallbacks : int;          (* stale guard -> generic *)
   mutable segment_fallbacks : int;  (* partitioned: one segment fell back *)
   mutable spec_hits : int;
@@ -119,9 +101,6 @@ type t = {
      being captured. *)
   mutable capture : (int * int * Value.t list option ref) option;
   mutable deferred : (Event.t * Value.t list * deferred_entry) option;
-  (* the open batch window, if any; only outermost dispatches of Batch
-     entries ride it *)
-  mutable batch_window : window option;
   (* with isolation on, an exception escaping handler code is caught at
      the dispatch boundary (counted in stats.handler_failures) instead
      of unwinding the caller's loop; Prim.Halt_event stays control flow *)
@@ -153,7 +132,6 @@ let create ?(costs = Costs.default) ?(program = []) () =
       {
         generic_dispatches = 0;
         optimized_dispatches = 0;
-        batched_dispatches = 0;
         fallbacks = 0;
         segment_fallbacks = 0;
         spec_hits = 0;
@@ -165,7 +143,6 @@ let create ?(costs = Costs.default) ?(program = []) () =
       };
     capture = None;
     deferred = None;
-    batch_window = None;
     isolate_failures = false;
   }
 
@@ -280,36 +257,14 @@ and compiled_host t : Interp.host =
     work = (fun w -> charge t w);
   }
 
-(* Inside a batch window the handler holds the state lock across the
-   whole run of ops, so global accesses cost [lock_batch] (default 0)
-   instead of [lock_merged].  Everything else matches the compiled
-   host: the compiled body is the same, only the window's charging
-   differs — execution order and observables are untouched. *)
-and batch_host t : Interp.host =
-  {
-    Interp.raise_event = (fun name mode args -> raise_event t name mode args);
-    get_global =
-      (fun g ->
-        charge t t.costs.lock_batch;
-        get_global t g);
-    set_global =
-      (fun g v ->
-        charge t t.costs.lock_batch;
-        set_global t g v);
-    emit = (fun tag args -> emit t tag args);
-    tick = (fun n -> charge t (n * t.costs.compiled_step));
-    work = (fun w -> charge t w);
-  }
-
 and note_failure t = t.stats.handler_failures <- t.stats.handler_failures + 1
 
 (* Run a compiled super-handler body.  Halt_event is control flow; any
    other exception is isolated (counted, swallowed) when the runtime is
    in isolation mode, so one hostile handler cannot unwind the caller's
    drain loop. *)
-and run_compiled ?host t compiled args =
-  let host = match host with Some h -> h | None -> compiled_host t in
-  try ignore (compiled host args) with
+and run_compiled t compiled args =
+  try ignore (compiled (compiled_host t) args) with
   | Prim.Halt_event -> ()
   | e when t.isolate_failures && not (fatal_exn e) -> note_failure t
 
@@ -448,53 +403,6 @@ and dispatch t (ev : Event.t) args =
           t.stats.fallbacks <- t.stats.fallbacks + 1;
           generic_dispatch t ev args
         end
-      | Batch compiled ->
-        (match (if outermost then t.batch_window else None) with
-         | Some w ->
-           (* any binding mutation since the last check invalidates the
-              whole verified set at once *)
-           let gen = Registry.generation t.registry in
-           if gen <> w.win_gen then begin
-             Hashtbl.reset w.win_verified;
-             w.win_gen <- gen
-           end;
-           if Hashtbl.mem w.win_verified ev.Event.id then begin
-             (* verified earlier in this window: the guard check, call
-                dispatch, and state lock all amortized away *)
-             t.stats.batched_dispatches <- t.stats.batched_dispatches + 1;
-             charge t t.costs.batch_step;
-             run_compiled ~host:(batch_host t) t compiled
-               (pad_args entry.arity args)
-           end
-           else if guard_ok t entry then begin
-             t.stats.batched_dispatches <- t.stats.batched_dispatches + 1;
-             if not w.win_lock_paid then begin
-               charge t t.costs.lock;
-               w.win_lock_paid <- true
-             end;
-             charge t t.costs.direct_call;
-             Hashtbl.replace w.win_verified ev.Event.id ();
-             run_compiled ~host:(batch_host t) t compiled
-               (pad_args entry.arity args)
-           end
-           else begin
-             (* stale guard mid-window: fall back op-by-op and close the
-                window so the rest of the run stays generic *)
-             t.stats.fallbacks <- t.stats.fallbacks + 1;
-             t.batch_window <- None;
-             generic_dispatch t ev args
-           end
-         | None ->
-           (* outside a window a batch entry is an ordinary super-handler *)
-           if guard_ok t entry then begin
-             t.stats.optimized_dispatches <- t.stats.optimized_dispatches + 1;
-             charge t t.costs.direct_call;
-             run_compiled t compiled (pad_args entry.arity args)
-           end
-           else begin
-             t.stats.fallbacks <- t.stats.fallbacks + 1;
-             generic_dispatch t ev args
-           end)
       | Deferred de ->
         if outermost && guard_ok t entry then
           (* minimal processing now; the bulk runs when the next event
@@ -595,24 +503,6 @@ let step t =
 
 let pending t = Equeue.length t.queue
 
-(* --- Batch windows (used by the shard drain loop) --------------------- *)
-
-(* Open a window around a run of same-path ops.  Nesting is not
-   meaningful: opening while a window is open restarts it. *)
-let open_batch t =
-  t.batch_window <-
-    Some
-      {
-        win_gen = Registry.generation t.registry;
-        win_verified = Hashtbl.create 8;
-        win_lock_paid = false;
-      }
-
-(* Close the open window (idempotent — a mid-window guard failure
-   already closed it). *)
-let close_batch t = t.batch_window <- None
-let in_batch t = t.batch_window <> None
-
 (* --- Optimization installation (used by lib/optimize) ---------------- *)
 
 let install_super t ~event:name ~covered ~arity compiled =
@@ -625,19 +515,6 @@ let install_super t ~event:name ~covered ~arity compiled =
       covered
   in
   Hashtbl.replace t.opt_entries ev.Event.id { covered; arity; kind = Super compiled }
-
-(* Install a batch super-handler: the same compiled body as
-   [install_super], additionally eligible for batch windows. *)
-let install_batch t ~event:name ~covered ~arity compiled =
-  let ev = event t name in
-  let covered =
-    List.map
-      (fun n ->
-        let e = event t n in
-        (e, Registry.version t.registry e))
-      covered
-  in
-  Hashtbl.replace t.opt_entries ev.Event.id { covered; arity; kind = Batch compiled }
 
 let install_partitioned t ~event:name segments =
   let ev = event t name in
@@ -688,16 +565,11 @@ let make_segment t ~event:name ?next ~arity compiled =
     seg_next = Option.map (event t) next;
   }
 
-(* Uninstalling closes any open window: a reinstalled entry must never
-   inherit a verification made against the entry it replaced. *)
 let uninstall t ~event:name =
   let ev = event t name in
-  Hashtbl.remove t.opt_entries ev.Event.id;
-  t.batch_window <- None
+  Hashtbl.remove t.opt_entries ev.Event.id
 
-let uninstall_all t =
-  Hashtbl.reset t.opt_entries;
-  t.batch_window <- None
+let uninstall_all t = Hashtbl.reset t.opt_entries
 let optimized_events t = Hashtbl.fold (fun id _ acc -> id :: acc) t.opt_entries []
 
 let set_speculation t ~after ~expect =
@@ -717,10 +589,10 @@ let total_handler_time t = t.handler_time
 
 let pp_stats ppf (s : stats) =
   Fmt.pf ppf
-    "dispatches: %d optimized, %d batched, %d generic, %d fallbacks (+%d segment); \
+    "dispatches: %d optimized, %d generic, %d fallbacks (+%d segment); \
      speculation %d/%d hit/miss; deferral %d pairs, %d flushes; %d bytes marshaled; \
      %d handler failures"
-    s.optimized_dispatches s.batched_dispatches s.generic_dispatches s.fallbacks
+    s.optimized_dispatches s.generic_dispatches s.fallbacks
     s.segment_fallbacks s.spec_hits s.spec_misses s.deferred_pairs
     s.deferred_flushes s.marshal_bytes s.handler_failures
 
@@ -730,7 +602,6 @@ let reset_measurements t =
   t.handler_time <- 0;
   t.stats.generic_dispatches <- 0;
   t.stats.optimized_dispatches <- 0;
-  t.stats.batched_dispatches <- 0;
   t.stats.fallbacks <- 0;
   t.stats.segment_fallbacks <- 0;
   t.stats.spec_hits <- 0;

@@ -24,15 +24,6 @@ type opt_entry = {
 
 and opt_kind =
   | Super of Compile.compiled_proc
-  | Batch of Compile.compiled_proc
-      (** a super-handler additionally eligible for batch windows: inside
-          an open window ({!open_batch}) the first dispatch verifies the
-          guards and pays the state lock once; every further dispatch of
-          a verified entry pays only [batch_step] while the registry
-          generation is unchanged, and its global accesses cost
-          [lock_batch] — the per-op constants amortize across a run of
-          same-path ops.  Outside a window it behaves exactly like
-          [Super]. *)
   | Partitioned of segment list  (** Fig. 14: per-event guards *)
   | Deferred of deferred_entry
       (** Sec. 5: store the arguments now, run a jointly-optimized pair
@@ -60,16 +51,6 @@ and segment = {
       (** the tail sync-raise target consumed by the chain driver *)
 }
 
-(** One batch window (see {!open_batch}). *)
-type window = {
-  mutable win_gen : int;
-      (** registry generation the verified set is valid for *)
-  win_verified : (int, unit) Hashtbl.t;
-      (** event ids whose guards were checked in this window *)
-  mutable win_lock_paid : bool;
-      (** whether the window's single state-lock charge was paid *)
-}
-
 (** Pad an argument vector with [Unit] up to [arity] (the generic path's
     missing-parameter convention). *)
 val pad_args : int -> Value.t list -> Value.t list
@@ -77,9 +58,6 @@ val pad_args : int -> Value.t list -> Value.t list
 type stats = {
   mutable generic_dispatches : int;
   mutable optimized_dispatches : int;
-  mutable batched_dispatches : int;
-      (** dispatches that rode an open batch window (disjoint from
-          [optimized_dispatches]) *)
   mutable fallbacks : int;          (** stale whole-entry guard *)
   mutable segment_fallbacks : int;  (** partitioned: one segment *)
   mutable spec_hits : int;
@@ -119,9 +97,6 @@ type t = {
       (** (event id, arming depth, cell) for partitioned-chain tail
           raises; the depth guard excludes raises from nested dispatches *)
   mutable deferred : (Event.t * Value.t list * deferred_entry) option;
-  mutable batch_window : window option;
-      (** the open batch window; only outermost dispatches of [Batch]
-          entries ride it *)
   mutable isolate_failures : bool;
       (** when on (default off), an exception escaping handler code —
           interpreted, native, or compiled — is caught at the dispatch
@@ -198,10 +173,6 @@ val interp_host : t -> Interp.host
 
 val compiled_host : t -> Interp.host
 
-(** The window host: identical to {!compiled_host} except global
-    accesses cost [lock_batch] — the window holds the state lock. *)
-val batch_host : t -> Interp.host
-
 val raise_event : t -> string -> Ast.mode -> Value.t list -> unit
 val raise_sync : t -> string -> Value.t list -> unit
 val raise_async : t -> string -> Value.t list -> unit
@@ -224,31 +195,9 @@ val step : t -> bool
 
 val pending : t -> int
 
-(** {1 Batch windows}
-
-    The drain loop brackets a run of same-path ops with
-    [open_batch]/[close_batch].  Execution order and observables are
-    identical with or without a window — only the virtual-time charges
-    differ (guards, call dispatch, and the state lock amortize; global
-    accesses ride [lock_batch]).  A mid-window stale guard falls the op
-    back to generic dispatch and closes the window. *)
-
-(** Open a batch window (restarts any open one). *)
-val open_batch : t -> unit
-
-(** Close the open window; idempotent. *)
-val close_batch : t -> unit
-
-val in_batch : t -> bool
-
 (** {1 Optimization installation (used by the optimizer driver)} *)
 
 val install_super :
-  t -> event:string -> covered:string list -> arity:int -> Compile.compiled_proc ->
-  unit
-
-(** Same signature as {!install_super}, installing a {!Batch} entry. *)
-val install_batch :
   t -> event:string -> covered:string list -> arity:int -> Compile.compiled_proc ->
   unit
 

@@ -25,11 +25,6 @@ type policy = {
       (** compile installed super-handlers to closures (default); false
           interprets the transformed HIR instead — same observable
           behaviour, different virtual cost *)
-  batch : bool;
-      (** install super-handlers as {!Podopt_eventsys.Runtime.Batch}
-          entries, eligible for drain-loop amortization windows (same
-          observables, cheaper per-op constants inside a window) *)
-  max_batch : int;  (** clamp for {!preferred_width} (default 16) *)
 }
 
 val default_policy : policy
@@ -55,31 +50,6 @@ val reoptimize : t -> Driver.applied option
 val tick : t -> Driver.applied option
 
 val reoptimizations : t -> int
-
-(** {1 The depth model}
-
-    An exact depth -> count map of observed drained-batch sizes per
-    controller.  {!preferred_width} — the width the drain loop uses for
-    its windows under [--batch-k auto] — is the largest power of two at
-    most the median observed depth, clamped to [[1, max_batch]] (1
-    until any evidence arrives).  The snapshot persists through the
-    profile store, so warm-started runs begin batched at the width the
-    previous runs earned. *)
-
-(** Record one drained-batch size; non-positive sizes are ignored. *)
-val observe_depth : t -> int -> unit
-
-(** Total depth observations (including seeded ones). *)
-val depth_observations : t -> int
-
-(** Sorted [(depth, count)] pairs — what the profile store
-    serializes. *)
-val depth_snapshot : t -> (int * int) list
-
-(** Seed the model from stored [(depth, count)] pairs (warm start). *)
-val seed_depths : t -> (int * int) list -> unit
-
-val preferred_width : t -> int
 
 (** Everything observed so far as a fresh event graph: the cumulative
     profile of every analyzed-and-cleared trace window, plus the live

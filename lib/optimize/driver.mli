@@ -16,18 +16,17 @@ open Podopt_eventsys
 val default_threshold : int
 
 (** Analyze the runtime's recorded trace.  [speculate] adds prefetch
-    pairs for probable (non-chain) successors; [batch] marks the plan
-    so monolithic super-handlers install as batch entries. *)
+    pairs for probable (non-chain) successors. *)
 val analyze :
   ?threshold:int -> ?strategy:Plan.chain_strategy -> ?speculate:bool ->
-  ?batch:bool -> Runtime.t -> Plan.t
+  Runtime.t -> Plan.t
 
 (** The same analysis over an arbitrary event graph — e.g. a merged
     cross-run profile from {!Podopt_store} feeding a warm start.  The
     runtime is consulted only for current handler bindings. *)
 val plan_of_graph :
   ?threshold:int -> ?strategy:Plan.chain_strategy -> ?speculate:bool ->
-  ?batch:bool -> Runtime.t -> Podopt_profile.Event_graph.t -> Plan.t
+  Runtime.t -> Podopt_profile.Event_graph.t -> Plan.t
 
 type applied = {
   plan : Plan.t;

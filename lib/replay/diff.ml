@@ -19,12 +19,11 @@ module Packet = Podopt_net.Packet
 module Crc32 = Podopt_crypto.Crc32
 module Plan = Podopt_faults.Plan
 
-type axis = Optimizer | Codegen | Batching | Killed
+type axis = Optimizer | Codegen | Killed
 
 let axis_label = function
   | Optimizer -> "optimizer-on vs optimizer-off"
   | Codegen -> "compiled vs interpreted handlers"
-  | Batching -> "batched vs unbatched drain"
   | Killed -> "killed-and-recovered vs kill-free"
 
 (* Both sides drain sequentially: the delivery hook runs inside the
@@ -38,17 +37,6 @@ let variant_configs axis (cfg : Broker.config) =
   | Codegen ->
     ( { base with Broker.optimize = true; compile = true },
       { base with Broker.optimize = true; compile = false } )
-  | Batching ->
-    (* windowed against plain: the recorded width when the run had one,
-       else Auto (exercising the depth model) *)
-    let batching =
-      match cfg.Broker.batching with
-      | Podopt_broker.Shard.Off -> Podopt_broker.Shard.Auto
-      | b -> b
-    in
-    ( { base with Broker.optimize = true; batching },
-      { base with Broker.optimize = true; batching = Podopt_broker.Shard.Off }
-    )
   | Killed ->
     (* supervised against kill-free: the recorded kill rate when the
        run had one, else a default heavy rate so replaying a kill-free

@@ -4,11 +4,11 @@
    record per line, whitespace-separated fields, [#] comments, a
    [Format_error] on anything malformed).
 
-   Format (version 7; any other version is refused):
+   Format (version 8; any other version is refused):
 
      V <version>
      C <shards> <batch> <queue_limit> <policy> <kind> <optimize>
-       <compile> <seed> <tick> <domains> <faults-spec> <batch-k>
+       <compile> <seed> <tick> <domains> <faults-spec>
        <checkpoint-every> <route> <arrivals>
      D <verbatim line>                             embedded profile store
      Y <crc32-hex>                                 digest of the D lines
@@ -32,11 +32,10 @@
    load, the same way replayed fault draws are verified against [F]
    lines.
 
-   [batch-k] is the drain loop's windowing mode ([off], [auto], or a
-   width), [checkpoint-every] the crash-recovery supervisor's
-   checkpoint interval, [route] the routing discipline, and [arrivals]
-   the sessions' op arrival process ([periodic] or an open-loop spec,
-   see {!Podopt_broker.Arrivals}).  The per-session schedules are not
+   [checkpoint-every] is the crash-recovery supervisor's checkpoint
+   interval, [route] the routing discipline, and [arrivals] the
+   sessions' op arrival process ([periodic] or an open-loop spec, see
+   {!Podopt_broker.Arrivals}).  The per-session schedules are not
    recorded: they are a pure function of (spec, seed, session index),
    so replay re-derives them from the config.  [M] lines record the
    measured phase's hot-shard migration plan, in decision order: the
@@ -48,7 +47,6 @@ module Plan = Podopt_faults.Plan
 module Broker = Podopt_broker.Broker
 module Loadgen = Podopt_broker.Loadgen
 module Policy = Podopt_broker.Policy
-module Shard = Podopt_broker.Shard
 module Workload = Podopt_broker.Workload
 
 module Store = Podopt_store.Store
@@ -57,7 +55,7 @@ module Crc32 = Podopt_crypto.Crc32
 exception Format_error of string
 
 let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-let version = 7
+let version = 8
 
 type sess = {
   s_phase : string;  (* "w" | "m" *)
@@ -152,14 +150,13 @@ let to_string (t : t) : string =
   let cfg = t.config and p = t.profile in
   line "# podopt replay log";
   line "V %d" version;
-  line "C %d %d %d %s %s %b %b %Ld %d %d %s %s %d %s %s" cfg.Broker.shards
+  line "C %d %d %d %s %s %b %b %Ld %d %d %s %d %s %s" cfg.Broker.shards
     cfg.Broker.batch cfg.Broker.queue_limit
     (Policy.shed_to_string cfg.Broker.policy)
     (Workload.kind_to_string cfg.Broker.kind)
     cfg.Broker.optimize cfg.Broker.compile cfg.Broker.seed cfg.Broker.tick
     cfg.Broker.domains
     (Plan.to_string cfg.Broker.faults)
-    (Shard.batching_to_string cfg.Broker.batching)
     cfg.Broker.checkpoint_every
     (Podopt_broker.Shard_map.route_to_string cfg.Broker.route)
     (Podopt_broker.Arrivals.to_string cfg.Broker.arrivals);
@@ -209,7 +206,7 @@ let to_string (t : t) : string =
 let config_of_fields fields =
   match fields with
   | [ shards; batch; queue_limit; policy; kind; optimize; compile; seed; tick;
-      domains; faults; batching; checkpoint_every; route; arrivals ] ->
+      domains; faults; checkpoint_every; route; arrivals ] ->
     let parsed what of_string s =
       match of_string s with Ok v -> v | Error e -> format_error "bad %s: %s" what e
     in
@@ -231,12 +228,11 @@ let config_of_fields fields =
       domains = int_field "domains" domains;
       faults = parsed "faults spec" Plan.of_string faults;
       profile_in = None;  (* filled in from the D lines, if any *)
-      batching = parsed "batch-k" Shard.batching_of_string batching;
       checkpoint_every = int_field "checkpoint-every" checkpoint_every;
       route = parsed "route" Podopt_broker.Shard_map.route_of_string route;
       arrivals = parsed "arrivals" Podopt_broker.Arrivals.of_string arrivals;
     }
-  | _ -> format_error "bad C line (%d fields, expected 15)" (List.length fields)
+  | _ -> format_error "bad C line (%d fields, expected 14)" (List.length fields)
 
 let of_string (s : string) : t =
   let saw_version = ref false in

@@ -6,19 +6,14 @@
    Podopt_replay.Log: one record per line, whitespace-separated fields,
    [#] comments, a [Format_error] on anything malformed.
 
-   Format (version 2; any other version is refused):
+   Format (version 3; any other version is refused):
 
-     V 2
+     V 3
      E <id> <kind> <shard> <dispatched> <trace_entries>   entry header
      N <event> <occurrences> <sync> <async> <timed>       graph node
      G <src> <dst> <weight> <sync> <async> <timed>        graph edge
      C <event> <event> ...                                hot chain
      H <event> <handler> <handler> ...                    binding signature
-     D <depth> <count>                                    depth observation
-
-   D lines record the shard's drained-batch-depth model for the
-   batch-width warm start; an entry without depth observations has
-   none.
 
    One entry per (run, shard).  An entry's [id] is the CRC-32 of its
    canonical body (every line after the id field, in canonical order),
@@ -39,7 +34,7 @@ module Crc32 = Podopt_crypto.Crc32
 exception Format_error of string
 
 let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-let version = 2
+let version = 3
 
 type entry = {
   id : string;            (* crc32 (hex) of the canonical body below *)
@@ -51,8 +46,6 @@ type entry = {
   chains : string list list;            (* hot chains at capture time *)
   handlers : (string * string list) list;
       (* event -> ordered handler names at capture time *)
-  depths : (int * int) list;
-      (* drained-batch depth -> observation count (may be empty) *)
 }
 
 type t = entry list  (* sorted by (id, kind, shard); no duplicate ids *)
@@ -110,24 +103,16 @@ let body_lines (e : entry) : string list =
            if hs = [] then Printf.sprintf "H %s" event
            else Printf.sprintf "H %s %s" event (String.concat " " hs))
   in
-  let depths =
-    List.sort compare e.depths
-    |> List.map (fun (d, c) ->
-           if d <= 0 || c <= 0 then
-             format_error "bad depth observation (%d, %d)" d c;
-           Printf.sprintf "D %d %d" d c)
-  in
-  (header :: nodes) @ edges @ chains @ handlers @ depths
+  (header :: nodes) @ edges @ chains @ handlers
 
 let digest_of_lines lines =
   Printf.sprintf "%08x" (Crc32.of_string (String.concat "\n" lines))
 
 (* Build an entry, computing its content id. *)
-let make_entry ?(depths = []) ~kind ~shard ~dispatched ~trace_entries ~graph
-    ~chains ~handlers () =
+let make_entry ~kind ~shard ~dispatched ~trace_entries ~graph ~chains
+    ~handlers () =
   let e =
-    { id = ""; kind; shard; dispatched; trace_entries; graph; chains; handlers;
-      depths = List.sort compare depths }
+    { id = ""; kind; shard; dispatched; trace_entries; graph; chains; handlers }
   in
   { e with id = digest_of_lines (body_lines e) }
 
@@ -185,7 +170,6 @@ type partial = {
   mutable p_edges : (string * string * int * int * int * int) list;
   mutable p_chains : string list list;
   mutable p_handlers : (string * string list) list;
-  mutable p_depths : (int * int) list;
 }
 
 let finish (p : partial) : entry =
@@ -224,7 +208,6 @@ let finish (p : partial) : entry =
       graph;
       chains = List.rev p.p_chains;
       handlers = List.rev p.p_handlers;
-      depths = List.sort compare p.p_depths;
     }
   in
   let derived = digest_of_lines (body_lines e) in
@@ -272,7 +255,6 @@ let of_string (s : string) : t =
             p_edges = [];
             p_chains = [];
             p_handlers = [];
-            p_depths = [];
           }
     | [ "N"; name; occ; sync; async; timed ] ->
       let p = in_entry "N" in
@@ -292,9 +274,6 @@ let of_string (s : string) : t =
     | "H" :: event :: handlers ->
       let p = in_entry "H" in
       p.p_handlers <- (event, handlers) :: p.p_handlers
-    | [ "D"; d; c ] ->
-      let p = in_entry "D" in
-      p.p_depths <- (int_field "depth" d, int_field "count" c) :: p.p_depths
     | tag :: _ -> format_error "bad record tag %S in line %S" tag line
   in
   List.iter
@@ -327,8 +306,6 @@ type aggregate = {
   agg_signatures : (string * string list) list;
       (* events whose stored binding signature is consistent *)
   agg_conflicts : string list; (* events with disagreeing signatures *)
-  agg_depths : (int * int) list;
-      (* depth observations summed across matching entries *)
   agg_entries : int;           (* entries folded in *)
 }
 
@@ -359,26 +336,10 @@ let aggregate ~kind (t : t) : aggregate =
       sigs []
     |> List.sort compare
   in
-  (* depth evidence is additive: sum the observation counts per depth
-     across entries (the same fold a live depth model performs) *)
-  let depth_tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (d, c) ->
-          Hashtbl.replace depth_tbl d
-            (c + Option.value ~default:0 (Hashtbl.find_opt depth_tbl d)))
-        e.depths)
-    matching;
-  let agg_depths =
-    Hashtbl.fold (fun d c acc -> (d, c) :: acc) depth_tbl []
-    |> List.sort compare
-  in
   {
     agg_graph;
     agg_signatures = signatures;
     agg_conflicts = conflicts;
-    agg_depths;
     agg_entries = List.length matching;
   }
 
@@ -396,13 +357,7 @@ let pp_entry ppf (e : entry) =
     (fun (event, hs) ->
       Fmt.pf ppf "  handlers %s: %s@." event
         (if hs = [] then "(none)" else String.concat ", " hs))
-    (List.sort compare e.handlers);
-  if e.depths <> [] then
-    Fmt.pf ppf "  depths: %s@."
-      (String.concat ", "
-         (List.map
-            (fun (d, c) -> Printf.sprintf "%dx%d" d c)
-            (List.sort compare e.depths)))
+    (List.sort compare e.handlers)
 
 let pp ppf (t : t) =
   Fmt.pf ppf "profile store: %d entries@." (List.length t);

@@ -29,8 +29,6 @@ type entry = {
       (** event -> ordered handler names at capture time; the warm-start
           pass compares these against the live bindings to detect
           staleness *)
-  depths : (int * int) list;
-      (** drained-batch depth -> observation count (may be empty) *)
 }
 
 type t = entry list
@@ -38,11 +36,10 @@ type t = entry list
 val entries : t -> entry list
 
 (** Build an entry, deriving its content id.  Raises {!Format_error} on
-    names containing whitespace (no such names exist in this system) or
-    non-positive depth observations. *)
+    names containing whitespace (no such names exist in this system). *)
 val make_entry :
-  ?depths:(int * int) list -> kind:string -> shard:int -> dispatched:int ->
-  trace_entries:int -> graph:Event_graph.t -> chains:string list list ->
+  kind:string -> shard:int -> dispatched:int -> trace_entries:int ->
+  graph:Event_graph.t -> chains:string list list ->
   handlers:(string * string list) list -> unit -> entry
 
 (** Id-keyed set union of the given entries (sorted, duplicates
@@ -71,9 +68,6 @@ type aggregate = {
           entries *)
   agg_conflicts : string list;
       (** events with disagreeing signatures — treated as stale *)
-  agg_depths : (int * int) list;
-      (** depth observations summed across matching entries — what
-          seeds a warm-started shard's batch-width model *)
   agg_entries : int;  (** entries folded in *)
 }
 

@@ -521,6 +521,8 @@ let test_e2e_faulty_parallel_deterministic () =
   let seq = run ~domains:1 in
   Alcotest.(check bool)
     "faulty run actually faults" true (seq.summary.B.Loadgen.failures > 0);
+  Alcotest.(check bool)
+    "the breaker tripped" true (seq.summary.B.Loadgen.breaker_trips > 0);
   List.iter
     (fun domains ->
       let par = run ~domains in

@@ -207,8 +207,8 @@ let test_json_identical_across_domains () =
         B.Report.json ~metrics:true broker s)
   in
   let seq = doc ~domains:1 in
-  Alcotest.(check bool) "schema v8" true
-    (Astring_contains.contains seq "\"schema\": \"podopt/serve/v8\"");
+  Alcotest.(check bool) "schema v9" true
+    (Astring_contains.contains seq "\"schema\": \"podopt/serve/v9\"");
   Alcotest.(check bool) "latency percentiles present" true
     (Astring_contains.contains seq "\"queue_wait\"");
   Alcotest.(check string) "JSON byte-identical at --domains 4" seq

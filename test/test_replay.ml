@@ -275,28 +275,27 @@ let test_replay_profile_tamper () =
   ignore (RL.of_string text)
 
 let test_previous_version_refused () =
-  (* a version-6 log: V 6 and a C line that still carries the removed
-     steal field after checkpoint-every *)
-  let v6 =
+  (* a version-7 log: V 7 and a C line that still carries the removed
+     batch-k field after the faults spec *)
+  let v7 =
     RL.to_string (record ())
     |> String.split_on_char '\n'
     |> List.map (fun l ->
            match String.split_on_char ' ' l with
-           | [ "V"; _ ] -> "V 6"
+           | [ "V"; _ ] -> "V 7"
            | "C" :: fields ->
-             let with_steal =
-               List.mapi (fun i f -> if i = 12 then [ f; "true" ] else [ f ]) fields
+             let with_batch_k =
+               List.mapi (fun i f -> if i = 10 then [ f; "off" ] else [ f ]) fields
              in
-             String.concat " " ("C" :: List.concat with_steal)
+             String.concat " " ("C" :: List.concat with_batch_k)
            | _ -> l)
     |> String.concat "\n"
   in
-  match RL.of_string v6 with
-  | _ -> Alcotest.fail "a version-6 log loaded"
+  match RL.of_string v7 with
+  | _ -> Alcotest.fail "a version-7 log loaded"
   | exception RL.Format_error msg ->
     Alcotest.(check string) "error names the version"
-      (Printf.sprintf "unsupported log version 6 (expected %d)" RL.version)
-      msg
+      "unsupported log version 7 (expected 8)" msg
 
 (* --- differential oracle ------------------------------------------------ *)
 

@@ -51,12 +51,9 @@ let gen_entry =
   let handlers =
     List.sort_uniq (fun (a, _) (b, _) -> compare a b) handlers
   in
-  let* depths = list_size (0 -- 3) (pair (1 -- 8) (1 -- 5)) in
-  (* one count per depth, as a real depth model produces *)
-  let depths = List.sort_uniq (fun (a, _) (b, _) -> compare a b) depths in
   return
-    (Store.make_entry ~depths ~kind ~shard ~dispatched ~trace_entries ~graph
-       ~chains ~handlers ())
+    (Store.make_entry ~kind ~shard ~dispatched ~trace_entries ~graph ~chains
+       ~handlers ())
 
 let gen_store =
   let open QCheck2.Gen in
@@ -138,18 +135,18 @@ let test_load_rejects_tamper () =
   ignore (Store.of_string text)
 
 let test_previous_version_refused () =
-  (* a version-1 store: the same entry lines (it has no depth
-     observations, the one record v1 lacked) under V 1 *)
+  (* a version-2 store: V 2 and an entry that still carries a depth
+     observation, the record v3 dropped *)
   let text = Store.to_string (sample_store ()) in
-  let v1 =
-    replace_first text ~sub:(Printf.sprintf "V %d\n" Store.version) ~by:"V 1\n"
+  let v2 =
+    replace_first text ~sub:(Printf.sprintf "V %d\n" Store.version) ~by:"V 2\n"
+    ^ "D 1 80\n"
   in
-  match Store.of_string v1 with
-  | _ -> Alcotest.fail "a version-1 store loaded"
+  match Store.of_string v2 with
+  | _ -> Alcotest.fail "a version-2 store loaded"
   | exception Store.Format_error msg ->
     Alcotest.(check string) "error names the version"
-      (Printf.sprintf "unsupported store version 1 (expected %d)" Store.version)
-      msg
+      "unsupported store version 2 (expected 3)" msg
 
 (* --- Adaptive policy validation ----------------------------------------- *)
 
