@@ -57,13 +57,14 @@ type t = {
   mutable link_dropped : int;
   mutable decode_failures : int;
   (* the crash-recovery supervisor, armed when the fault plan can kill
-     shards (kill_permille > 0): per-shard serialized checkpoints plus
-     the redo journals of everything fed to each shard since its last
-     checkpoint.  All of it lives on the coordinator — kills, restores,
-     and redelivery happen between epochs, never inside a drain. *)
+     shards (kill_permille > 0): per-shard checkpoints (immutable
+     snapshots; empty when unsupervised) plus the redo journals of
+     everything fed to each shard since its last checkpoint.  All of it
+     lives on the coordinator — kills, restores, and redelivery happen
+     between epochs, never inside a drain. *)
   supervised : bool;
   journals : Recover.journal array;
-  checkpoints : string array;
+  checkpoints : Recover.snapshot array;
   mutable epoch : int;  (* drain epochs since creation *)
   (* --- the stealing scheduler (see doc/SCHEDULER.md) ---------------
      [owner] is the shard-to-preferred-worker map the coordinator
@@ -163,8 +164,15 @@ let create (cfg : config) =
      HIR primitives and parses programs on the coordinator, so helper
      domains only ever see fully built shards (published by the pool's
      barrier) *)
-  let pool = Podopt_exec.Pool.create ~domains:cfg.domains in
   let supervised = cfg.faults.Plan.kill_permille > 0 in
+  (* the epoch-0 checkpoints: a kill before the first periodic capture
+     restores the warm-started, pre-traffic shard.  Taken here on the
+     coordinator, after warm start and before the pool exists. *)
+  let checkpoints =
+    if supervised then Array.map (fun s -> Shard.capture s ~epoch:0) shards
+    else [||]
+  in
+  let pool = Podopt_exec.Pool.create ~domains:cfg.domains in
   let t =
     {
       cfg;
@@ -184,7 +192,7 @@ let create (cfg : config) =
       journals =
         Array.init cfg.shards (fun _ ->
             Recover.journal ~limit:(journal_limit cfg));
-      checkpoints = Array.make cfg.shards "";
+      checkpoints;
       epoch = 0;
       owner = Array.init cfg.shards (fun i -> i mod cfg.domains);
       load_ema = Array.make cfg.shards 0;
@@ -200,13 +208,6 @@ let create (cfg : config) =
       critical = 0;
     }
   in
-  (* the epoch-0 checkpoints: a kill before the first periodic capture
-     restores the warm-started, pre-traffic shard.  Taken here on the
-     coordinator, after warm start and before the pool could exist. *)
-  if supervised then
-    Array.iteri
-      (fun i shard -> t.checkpoints.(i) <- Shard.checkpoint shard ~epoch:0)
-      t.shards;
   Runtime.bind front ~event:deliver_event
     (Handler.native "broker_route" (fun _host args ->
          match args with
@@ -279,7 +280,7 @@ let supervise t =
        | Some _ | None -> ());
       if t.epoch mod t.cfg.checkpoint_every = 0 || Recover.full t.journals.(i)
       then begin
-        t.checkpoints.(i) <- Shard.checkpoint shard ~epoch:t.epoch;
+        t.checkpoints.(i) <- Shard.capture shard ~epoch:t.epoch;
         Recover.clear t.journals.(i)
       end)
     t.shards
@@ -513,6 +514,6 @@ let reset_measurements t =
   if t.supervised then
     Array.iteri
       (fun i shard ->
-        t.checkpoints.(i) <- Shard.checkpoint shard ~epoch:t.epoch;
+        t.checkpoints.(i) <- Shard.capture shard ~epoch:t.epoch;
         Recover.clear t.journals.(i))
       t.shards

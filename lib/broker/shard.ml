@@ -4,10 +4,6 @@ module Plan = Podopt_faults.Plan
 module Packet = Podopt_net.Packet
 module Hist = Podopt_obs.Hist
 module Metrics = Podopt_obs.Metrics
-module Event_graph = Podopt_profile.Event_graph
-module Reduce = Podopt_profile.Reduce
-module Chains = Podopt_profile.Chains
-module Store = Podopt_store.Store
 module Recover = Podopt_recover.Recover
 
 module Exact = Podopt_obs.Exact
@@ -434,41 +430,46 @@ let warm_stale t = t.warm_stale
 let first_epoch_optimized t = t.stats.first_epoch_optimized
 let first_epoch_generic t = t.stats.first_epoch_generic
 
-(* Serialize the shard's cumulative profile (the adaptive controller's
-   graph, chains at the controller's own threshold, and the live binding
+(* The inputs of the shard's cumulative profile, taken without folding
+   the live trace: a copy of the adaptive controller's cumulative graph,
+   the live trace window by reference, and the binding signature of
+   every bound event.  [None] for generic shards. *)
+let profile_inputs t =
+  Option.map
+    (fun a ->
+      let rt = t.rt in
+      let signatures =
+        Registry.events_with_bindings rt.Runtime.registry rt.Runtime.events
+        |> List.map (fun (ev : Event.t) ->
+               ( ev.Event.name,
+                 List.map
+                   (fun (h : Handler.t) -> h.Handler.name)
+                   (Registry.handlers rt.Runtime.registry ev) ))
+        |> List.sort compare
+      in
+      {
+        Recover.graph = Adaptive.cumulative_profile a;
+        window = rt.Runtime.trace.Trace.entries;
+        trace_entries = Adaptive.profile_trace_entries a;
+        dispatched = t.stats.dispatched;
+        threshold = (Adaptive.policy a).Adaptive.threshold;
+        signatures;
+      })
+    t.adaptive
+
+(* The shard's cumulative profile (the adaptive controller's graph,
+   chains at the controller's own threshold, and the live binding
    signatures) as one store entry.  [None] for generic shards and for
    optimizing shards that observed nothing. *)
 let profile_entry t =
-  match t.adaptive with
-  | None -> None
-  | Some a ->
-    let graph = Adaptive.profile_snapshot a in
-    if Event_graph.node_count graph = 0 then None
-    else begin
-      let policy = Adaptive.policy a in
-      let reduced = Reduce.reduce graph ~threshold:policy.Adaptive.threshold in
-      let chains = Chains.find reduced in
-      let handlers =
-        Event_graph.nodes graph
-        |> List.map (fun (n : Event_graph.node) -> n.Event_graph.name)
-        |> List.sort compare
-        |> List.map (fun ev ->
-               ( ev,
-                 List.map
-                   (fun (h : Handler.t) -> h.Handler.name)
-                   (Runtime.handlers t.rt ev) ))
-      in
-      Some
-        (Store.make_entry ~kind:(Workload.kind_to_string t.kind)
-           ~shard:t.id ~dispatched:t.stats.dispatched
-           ~trace_entries:(Adaptive.profile_trace_entries a)
-           ~graph ~chains ~handlers ())
-    end
+  Option.bind (profile_inputs t)
+    (Recover.profile_entry ~kind:(Workload.kind_to_string t.kind) ~shard:t.id)
+
 (* --- crash recovery ----------------------------------------------------- *)
 
-(* Every named counter a checkpoint carries.  These names are the
-   checkpoint wire vocabulary: [apply_counters] must understand exactly
-   this list, and the recover codec tests pin the round trip. *)
+(* Every named counter a checkpoint carries.  [apply_counters] must
+   understand exactly this list; the recover tests that restore a
+   capture and compare printed forms pin the round trip. *)
 let counters t : (string * int) list =
   let st = t.rt.Runtime.stats in
   let ist = Ingress.stats t.ingress in
@@ -531,15 +532,15 @@ let apply_counters t (cs : (string * int) list) =
     ~high_water:(v "ingress.high_water") ~requeued:(v "ingress.requeued")
     ~requeue_overflow:(v "ingress.requeue_overflow")
 
-(* Serialize the shard's full live state as one checkpoint.  Metrics
-   histograms are deliberately NOT captured: a recovery rebuilds the
-   post-checkpoint window of them from the journal replay, and the
-   pre-checkpoint window is an observability loss, not a correctness
-   one (histograms are diagnostics, outside the determinism
+(* Capture the shard's full live state as one immutable checkpoint.
+   Metrics histograms are deliberately NOT captured: a recovery
+   rebuilds the post-checkpoint window of them from the journal replay,
+   and the pre-checkpoint window is an observability loss, not a
+   correctness one (histograms are diagnostics, outside the determinism
    invariant).  The pending runtime queue is empty at every epoch
-   boundary (dispatch runs each op to completion), so it has no line
-   in the format. *)
-let checkpoint t ~epoch =
+   boundary (dispatch runs each op to completion), so the snapshot has
+   no field for it. *)
+let capture t ~epoch =
   let streams =
     match t.faults with
     | None -> []
@@ -557,10 +558,12 @@ let checkpoint t ~epoch =
       ~queue:(Ingress.to_list t.ingress)
       ~retries:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.retry [])
       ~dead:(List.of_seq (Queue.to_seq t.dead))
-      ~streams ~profile:(profile_entry t) ()
+      ~streams ~profile:(profile_inputs t) ()
   in
   t.recov.checkpoints <- t.recov.checkpoints + 1;
-  Recover.to_string snap
+  snap
+
+let checkpoint t ~epoch = Recover.to_string (capture t ~epoch)
 
 (* Simulated crash: throw away every piece of live shard state and
    rebuild the core exactly as [create] wired it.  The fault injector
@@ -593,10 +596,10 @@ let kill t =
   t.sessions <- 0;
   t.recov.kills <- t.recov.kills + 1
 
-(* Restore a serialized checkpoint into a freshly [kill]ed shard.  The
-   string form is deliberate: parsing here keeps the CRC verification
-   on the live recovery path, so a corrupted checkpoint refuses loudly
-   instead of resurrecting a wrong shard.  Ordering matters:
+(* Load a checkpoint into a freshly [kill]ed shard.  The shard gets
+   its own copies of the snapshot's buffers: the same snapshot is
+   restored again at the next kill unless a checkpoint replaces it.
+   Ordering matters:
 
    - counters are applied before the warm start (the adaptive
      controller baselines its fallback counter against them) and again
@@ -605,19 +608,17 @@ let kill t =
    - the virtual clock is pinned last, absorbing any install costs the
      warm start charged, so the shard resumes at exactly the
      checkpointed time. *)
-let restore t serialized =
-  let snap = Recover.of_string serialized in
+let restore t (snap : Recover.snapshot) =
   if snap.Recover.shard <> t.id then
-    raise
-      (Recover.Format_error
-         (Printf.sprintf "checkpoint of shard %d offered to shard %d"
-            snap.Recover.shard t.id));
+    invalid_arg
+      (Printf.sprintf "Shard.restore: checkpoint of shard %d offered to shard %d"
+         snap.Recover.shard t.id);
   if snap.Recover.kind <> Workload.kind_to_string t.kind then
-    raise
-      (Recover.Format_error
-         (Printf.sprintf "checkpoint kind %S offered to a %s shard"
-            snap.Recover.kind
-            (Workload.kind_to_string t.kind)));
+    invalid_arg
+      (Printf.sprintf "Shard.restore: checkpoint kind %S offered to a %s shard"
+         snap.Recover.kind
+         (Workload.kind_to_string t.kind));
+  let snap = Recover.copy snap in
   t.sessions <- snap.Recover.sessions;
   List.iter
     (fun (name, v) -> Runtime.set_global t.rt name v)
@@ -632,11 +633,12 @@ let restore t serialized =
    | Some inj -> Plan.set_stream_states inj snap.Recover.streams
    | None -> ());
   (match (t.adaptive, snap.Recover.profile) with
-   | Some a, Some e ->
-     Adaptive.absorb_graph a ~graph:e.Store.graph
-       ~trace_entries:e.Store.trace_entries;
-     ignore (Adaptive.warm_start a ~graph:e.Store.graph
-               ~signatures:e.Store.handlers)
+   | Some a, Some p -> (
+     match Recover.merged p with
+     | Some (graph, signatures) ->
+       Adaptive.absorb_graph a ~graph ~trace_entries:p.Recover.trace_entries;
+       ignore (Adaptive.warm_start a ~graph ~signatures)
+     | None -> ())
    | _ -> ());
   apply_counters t snap.Recover.counters;
   Vclock.set t.rt.Runtime.clock snap.Recover.clock;

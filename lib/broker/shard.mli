@@ -233,18 +233,28 @@ val breaker_trips : t -> int
 
     The supervised kill/restore cycle (see doc/RECOVERY.md).  All four
     entry points run on the coordinator at an epoch boundary, in this
-    order: {!checkpoint} periodically, then on a kill draw {!kill} →
+    order: {!capture} periodically, then on a kill draw {!kill} →
     {!restore} → journal replay (plain {!offer} / {!drain_batch} with
     the delivery hook off) → {!recovery_complete}. *)
 
-(** Serialize the shard's full live state — named counters, runtime
+(** Capture the shard's full live state — named counters, runtime
     globals, ingress queue and stats, retry table, dead letters,
-    crash/spike stream positions, and the cumulative adaptive profile
-    (as a store entry) — as one {!Podopt_recover.Recover} checkpoint,
-    and count it in [recov.checkpoints].  Metrics histograms are not
-    captured: a recovery rebuilds their post-checkpoint window from the
-    journal replay, and the earlier window is a diagnostics loss
-    outside the determinism invariant. *)
+    crash/spike stream positions, and the inputs of the cumulative
+    adaptive profile — as one immutable {!Podopt_recover.Recover}
+    snapshot, and count it in [recov.checkpoints].  The snapshot holds
+    its own copies of every [bytes] (global [Bytes] values, queued and
+    dead payloads) and of the controller's cumulative graph; it shares
+    only immutable data with the shard: strings, the live trace
+    window's entries.  The profile is deferred — no trace is folded,
+    no graph reduced — until {!restore} or the printed form needs it.
+    Metrics histograms are not captured: a recovery rebuilds their
+    post-checkpoint window from the journal replay, and the earlier
+    window is a diagnostics loss outside the determinism invariant. *)
+val capture : t -> epoch:int -> Podopt_recover.Recover.snapshot
+
+(** [Recover.to_string] of a {!capture}: the checkpoint in its printed
+    line format, which the wall-clock benchmark times and sizes.
+    Nothing parses it. *)
 val checkpoint : t -> epoch:int -> string
 
 (** Simulated crash: replace the runtime, ingress queue, adaptive
@@ -253,14 +263,14 @@ val checkpoint : t -> epoch:int -> string
     fault injector and the [recov] counters survive. *)
 val kill : t -> unit
 
-(** Parse, verify (CRC + version + shard/kind identity), and load a
-    serialized checkpoint into a freshly {!kill}ed shard: restores
-    counters, globals, queue, retries, dead letters, crash/spike stream
-    positions, and the adaptive profile (super-handlers are warm-started
-    from it), then pins the virtual clock to the checkpointed time.
-    Raises {!Podopt_recover.Recover.Format_error} on a corrupt or
-    mismatched checkpoint. *)
-val restore : t -> string -> unit
+(** Load a snapshot into a freshly {!kill}ed shard: restores counters,
+    globals, queue, retries, dead letters and crash/spike stream
+    positions from fresh copies (the snapshot stays intact for the next
+    kill), merges the deferred profile and warm-starts super-handlers
+    from it, then pins the virtual clock to the checkpointed time.
+    Raises [Invalid_argument] when the snapshot belongs to another
+    shard or workload kind — a broker bug. *)
+val restore : t -> Podopt_recover.Recover.snapshot -> unit
 
 (** Account [redelivered] journal ops and arm the ramp capture: the
     next non-empty batch of new traffic records its dispatch-path

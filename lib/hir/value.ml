@@ -47,9 +47,10 @@ let rec pp ppf = function
   | List vs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "; ") pp) vs
 
 and to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let digits = "0123456789abcdef" in
+  String.init (2 * String.length s) (fun i ->
+      let c = Char.code s.[i / 2] in
+      digits.[if i land 1 = 0 then c lsr 4 else c land 0xf])
 
 let to_string v = Fmt.str "%a" pp v
 

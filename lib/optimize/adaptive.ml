@@ -9,7 +9,7 @@
    merely restores the fast path automatically after reconfiguration.
 
    The controller also accumulates every analyzed trace window into a
-   persistent profile graph ([profile_snapshot]): the event-graph
+   persistent profile graph ([cumulative_profile]): the event-graph
    counters survive the trace clears that follow each re-optimization,
    so a whole run's observations can be serialized into a profile store
    and warm-start the next run ([warm_start]). *)
@@ -60,7 +60,7 @@ type t = {
   policy : policy;
   profile : Event_graph.t;
       (* cumulative graph of every trace window already analyzed and
-         cleared; [profile_snapshot] adds the live trace on top *)
+         cleared; the live trace sits on top of it *)
   mutable trace_seen : int;  (* trace entries folded into [profile] *)
   mutable fallbacks_at_last_opt : int;
   mutable reoptimizations : int;
@@ -147,12 +147,12 @@ let reoptimizations (t : t) = t.reoptimizations
 
 (* --- the persistent-profile surface ------------------------------------ *)
 
-(* Everything observed so far: the cumulative profile plus the live
-   (not-yet-cleared) trace window, as a fresh graph. *)
-let profile_snapshot (t : t) : Event_graph.t =
+(* Every analyzed-and-cleared trace window, as a fresh graph.  The live
+   window is left out: a checkpoint keeps it by reference and folds it
+   only when the profile is needed. *)
+let cumulative_profile (t : t) : Event_graph.t =
   let g = Event_graph.create () in
   Event_graph.merge_into ~into:g t.profile;
-  Event_graph.merge_into ~into:g (Event_graph.of_trace t.rt.Runtime.trace);
   g
 
 let profile_trace_entries (t : t) =

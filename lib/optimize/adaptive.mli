@@ -51,18 +51,21 @@ val tick : t -> Driver.applied option
 
 val reoptimizations : t -> int
 
-(** Everything observed so far as a fresh event graph: the cumulative
-    profile of every analyzed-and-cleared trace window, plus the live
-    trace.  (Windows dropped by {!tick}'s truncation are lost — the
-    profile is a sampling aid, not an audit log.) *)
-val profile_snapshot : t -> Podopt_profile.Event_graph.t
+(** The cumulative profile as a fresh event graph: every
+    analyzed-and-cleared trace window, without the live trace (read
+    that from the runtime's trace).  (Windows dropped by {!tick}'s
+    truncation are lost — the profile is a sampling aid, not an audit
+    log.) *)
+val cumulative_profile : t -> Podopt_profile.Event_graph.t
 
-(** Trace entries represented in {!profile_snapshot}. *)
+(** Trace entries represented in {!cumulative_profile} plus the live
+    trace. *)
 val profile_trace_entries : t -> int
 
-(** Fold a checkpointed profile graph back into the cumulative profile,
-    crediting [trace_entries] toward {!profile_trace_entries} — the
-    crash-recovery inverse of {!profile_snapshot}. *)
+(** Fold a checkpointed profile graph (the cumulative profile with the
+    live trace merged in) back into the cumulative profile, crediting
+    [trace_entries] toward {!profile_trace_entries} — the
+    crash-recovery inverse of a checkpoint capture. *)
 val absorb_graph :
   t -> graph:Podopt_profile.Event_graph.t -> trace_entries:int -> unit
 

@@ -3,15 +3,24 @@
    A [snapshot] is the full live state of one broker shard at an epoch
    boundary — virtual clock, named counters, runtime globals, the
    pending/retry/dead queues, the fault-injector stream positions, and
-   the shard's cumulative adaptive profile (which rides the existing
-   Podopt_store entry format verbatim, CRC check included).
+   the inputs of the shard's cumulative adaptive profile.  It is an
+   immutable OCaml value that shares no mutable buffer with a live
+   shard: [make] copies every [bytes] it is given (global [Value.Bytes],
+   queued and dead payloads) and [copy] copies them out again, because
+   one snapshot is restored once per kill until the next checkpoint.
 
-   Same framing conventions as Podopt_profile.Trace_io, Podopt_store
-   and Podopt_replay.Log: one record per line, whitespace-separated
-   fields, [#] comments, [Format_error] on anything malformed.
+   The profile is deferred: a snapshot keeps a copy of the adaptive
+   controller's cumulative graph, the live trace window by reference
+   (its entries are immutable), the trace and dispatch counts, and the
+   binding signature of every bound event.  Only a restore or the
+   printed form merges them ([merged]), so a checkpoint costs no trace
+   fold, no reduction and no chain search.
 
-   Format (version 1):
+   The printed form ([to_string]) is a line format whose bytes must
+   stay stable, because the wall-clock benchmark times and sizes it;
+   nothing parses it:
 
+     # podopt shard checkpoint
      V 1
      S <id> <shard> <epoch> <kind> <clock> <sessions>   header
      C <name> <value>                                   named counter
@@ -22,11 +31,7 @@
      P <kind> <state>                                   fault-stream position (int64)
      F <line>                                           embedded profile store line
 
-   Like the profile store, a snapshot is content-addressed: [id] is the
-   CRC-32 of the canonical body (every line after the id field, in
-   canonical order), re-derived on load — a flipped counter, reordered
-   queue, or truncated file fails the id check and the restore is
-   refused rather than silently resurrecting a corrupt shard.
+   [id] is the CRC-32 of the body (every line after the id field).
 
    The redo [journal] is the coordinator-side log of everything a shard
    was fed since its last checkpoint: each admitted op ([Offer]) and
@@ -41,11 +46,19 @@ module Packet = Podopt_net.Packet
 module Store = Podopt_store.Store
 module Crc32 = Podopt_crypto.Crc32
 module Value = Podopt_hir.Value
+module Trace = Podopt_eventsys.Trace
+module Event_graph = Podopt_profile.Event_graph
+module Reduce = Podopt_profile.Reduce
+module Chains = Podopt_profile.Chains
 
-exception Format_error of string
-
-let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-let version = 1
+type profile = {
+  graph : Event_graph.t;       (* copy of the cumulative graph *)
+  window : Trace.entry list;   (* live trace window, newest first, shared *)
+  trace_entries : int;         (* entries represented by graph + window *)
+  dispatched : int;            (* ops the shard had served *)
+  threshold : int;             (* the controller's chain threshold *)
+  signatures : (string * string list) list;  (* bound events, sorted *)
+}
 
 type snapshot = {
   shard : int;
@@ -59,262 +72,124 @@ type snapshot = {
   retries : ((string * int) * int) list; (* (src, seq) -> attempts, sorted *)
   dead : Packet.t list;                  (* dead-letter queue, oldest first *)
   streams : (string * int64) list;       (* fault-stream positions, sorted *)
-  profile : Store.entry option;          (* cumulative adaptive profile *)
+  profile : profile option;              (* optimizing shards only *)
 }
 
-(* --- canonical rendering ------------------------------------------------ *)
+(* --- copying ------------------------------------------------------------ *)
 
-let check_name what name =
-  if name = "" then format_error "empty %s name" what;
-  String.iter
-    (fun c ->
-      if c = ' ' || c = '\t' || c = '\n' then
-        format_error "%s name %S contains whitespace" what name)
-    name
+let rec copy_value = function
+  | Value.Bytes b -> Value.Bytes (Bytes.copy b)
+  | Value.Pair (a, b) -> Value.Pair (copy_value a, copy_value b)
+  | Value.List vs -> Value.List (List.map copy_value vs)
+  | (Value.Unit | Value.Bool _ | Value.Int _ | Value.Float _ | Value.Str _) as v -> v
 
-let hex_of_bytes (b : bytes) : string =
-  if Bytes.length b = 0 then "-"
-  else
-    String.concat ""
-      (List.init (Bytes.length b) (fun i ->
-           Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+let copy_packet (p : Packet.t) = { p with Packet.payload = Bytes.copy p.Packet.payload }
 
-let bytes_of_hex what (s : string) : bytes =
-  if s = "-" then Bytes.create 0
-  else begin
-    if String.length s mod 2 <> 0 then format_error "odd-length %s hex %S" what s;
-    let n = String.length s / 2 in
-    let b = Bytes.create n in
-    (try
-       for i = 0 to n - 1 do
-         Bytes.set b i (Char.chr (int_of_string ("0x" ^ String.sub s (i * 2) 2)))
-       done
-     with _ -> format_error "bad %s hex %S" what s);
-    b
-  end
-
-(* Build a snapshot with its sortable fields in canonical order, so
-   equal states render equal bytes (and therefore equal ids) no matter
-   what order the captor enumerated them in. *)
-let make ~shard ~epoch ~kind ~clock ~sessions ~counters ~globals ~queue ~retries
-    ~dead ~streams ~profile () =
+let copy (s : snapshot) =
   {
-    shard;
-    epoch;
-    kind;
-    clock;
-    sessions;
-    counters = List.sort compare counters;
-    globals = List.sort (fun (a, _) (b, _) -> compare a b) globals;
-    queue;
-    retries = List.sort compare retries;
-    dead;
-    streams = List.sort compare streams;
-    profile;
+    s with
+    globals = List.map (fun (name, v) -> (name, copy_value v)) s.globals;
+    queue = List.map (fun (due, p) -> (due, copy_packet p)) s.queue;
+    dead = List.map copy_packet s.dead;
   }
 
-(* The canonical body: the header minus the id field, then every record
-   line in canonical order. *)
-let body_lines (s : snapshot) : string list =
-  check_name "kind" s.kind;
-  let header =
-    Printf.sprintf "S %d %d %s %d %d" s.shard s.epoch s.kind s.clock s.sessions
-  in
-  let counters =
-    List.map
-      (fun (name, v) ->
-        check_name "counter" name;
-        Printf.sprintf "C %s %d" name v)
-      s.counters
-  in
-  let globals =
-    List.map
-      (fun (name, v) ->
-        check_name "global" name;
-        Printf.sprintf "G %s %s" name
-          (hex_of_bytes (Bytes.of_string (Value.marshal [ v ]))))
-      s.globals
-  in
-  let queue =
-    List.map
-      (fun (due, pkt) ->
-        Printf.sprintf "Q %d %s" due (hex_of_bytes (Packet.encode pkt)))
-      s.queue
-  in
-  let retries =
-    List.map
-      (fun ((src, seq), count) ->
-        check_name "session" src;
-        Printf.sprintf "R %s %d %d" src seq count)
-      s.retries
-  in
-  let dead =
-    List.map
-      (fun pkt -> Printf.sprintf "X %s" (hex_of_bytes (Packet.encode pkt)))
-      s.dead
-  in
-  let streams =
-    List.map
-      (fun (kind, state) ->
-        check_name "stream" kind;
-        Printf.sprintf "P %s %Ld" kind state)
-      s.streams
-  in
-  let profile =
-    match s.profile with
-    | None -> []
-    | Some e ->
-      String.split_on_char '\n' (Store.to_string [ e ])
-      |> List.filter (fun l -> l <> "")
-      |> List.map (fun l -> "F " ^ l)
-  in
-  (header :: counters) @ globals @ queue @ retries @ dead @ streams @ profile
+(* Sort the order-insensitive fields into canonical order, so equal
+   states print equal bytes no matter what order the captor enumerated
+   them in, and copy every buffer. *)
+let make ~shard ~epoch ~kind ~clock ~sessions ~counters ~globals ~queue ~retries
+    ~dead ~streams ~profile () =
+  copy
+    {
+      shard;
+      epoch;
+      kind;
+      clock;
+      sessions;
+      counters = List.sort compare counters;
+      globals = List.sort (fun (a, _) (b, _) -> compare a b) globals;
+      queue;
+      retries = List.sort compare retries;
+      dead;
+      streams = List.sort compare streams;
+      profile;
+    }
 
-let digest_of_lines lines =
-  Printf.sprintf "%08x" (Crc32.of_string (String.concat "\n" lines))
+(* --- the deferred profile ----------------------------------------------- *)
 
-let id (s : snapshot) : string = digest_of_lines (body_lines s)
+(* Everything the profile saw, as one fresh graph: the window folded
+   on top of the cumulative graph.  With it, each node's binding
+   signature ([[]] for an unbound event), nodes sorted.  [None] when
+   nothing was observed. *)
+let merged (p : profile) =
+  let window = Trace.create () in
+  window.Trace.entries <- p.window;
+  window.Trace.count <- List.length p.window;
+  let graph = Event_graph.create () in
+  Event_graph.merge_into ~into:graph p.graph;
+  Event_graph.merge_into ~into:graph (Event_graph.of_trace window);
+  if Event_graph.node_count graph = 0 then None
+  else
+    let signatures =
+      Event_graph.nodes graph
+      |> List.map (fun (n : Event_graph.node) -> n.Event_graph.name)
+      |> List.sort compare
+      |> List.map (fun ev ->
+             (ev, Option.value ~default:[] (List.assoc_opt ev p.signatures)))
+    in
+    Some (graph, signatures)
 
-(* --- encode ------------------------------------------------------------- *)
+let profile_entry ~kind ~shard (p : profile) =
+  Option.map
+    (fun (graph, handlers) ->
+      let chains = Chains.find (Reduce.reduce graph ~threshold:p.threshold) in
+      Store.make_entry ~kind ~shard ~dispatched:p.dispatched
+        ~trace_entries:p.trace_entries ~graph ~chains ~handlers ())
+    (merged p)
 
-let to_string (s : snapshot) : string =
+(* --- the printed form --------------------------------------------------- *)
+
+let add_hex buf s = Buffer.add_string buf (if s = "" then "-" else Value.to_hex s)
+
+let add_packet buf pkt = add_hex buf (Bytes.unsafe_to_string (Packet.encode pkt))
+
+(* The body: the header minus the id field, then every record line, one
+   '\n' between lines. *)
+let body (s : snapshot) =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "# podopt shard checkpoint\n";
-  Buffer.add_string buf (Printf.sprintf "V %d\n" version);
-  (match body_lines s with
-   | header :: rest ->
-     Buffer.add_string buf
-       (Printf.sprintf "S %s%s\n" (id s)
-          (String.sub header 1 (String.length header - 1)));
-     List.iter (fun l -> Buffer.add_string buf (l ^ "\n")) rest
-   | [] -> assert false);
+  let line fmt =
+    Buffer.add_char buf '\n';
+    Printf.bprintf buf fmt
+  in
+  Printf.bprintf buf "S %d %d %s %d %d" s.shard s.epoch s.kind s.clock s.sessions;
+  List.iter (fun (name, v) -> line "C %s %d" name v) s.counters;
+  List.iter
+    (fun (name, v) ->
+      line "G %s " name;
+      add_hex buf (Value.marshal [ v ]))
+    s.globals;
+  List.iter
+    (fun (due, pkt) ->
+      line "Q %d " due;
+      add_packet buf pkt)
+    s.queue;
+  List.iter (fun ((src, seq), count) -> line "R %s %d %d" src seq count) s.retries;
+  List.iter
+    (fun pkt ->
+      line "X ";
+      add_packet buf pkt)
+    s.dead;
+  List.iter (fun (kind, state) -> line "P %s %Ld" kind state) s.streams;
+  Option.iter
+    (fun e ->
+      String.split_on_char '\n' (Store.to_string [ e ])
+      |> List.iter (fun l -> if l <> "" then line "F %s" l))
+    (Option.bind s.profile (profile_entry ~kind:s.kind ~shard:s.shard));
   Buffer.contents buf
 
-(* --- decode ------------------------------------------------------------- *)
-
-let int_field what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> format_error "bad %s %S" what s
-
-let packet_field what s =
-  match Packet.decode (bytes_of_hex what s) with
-  | pkt -> pkt
-  | exception Packet.Decode_error -> format_error "undecodable %s" what
-
-let of_string (text : string) : snapshot =
-  let saw_version = ref false in
-  let header = ref None in
-  let counters = ref [] in
-  let globals = ref [] in
-  let queue = ref [] in
-  let retries = ref [] in
-  let dead = ref [] in
-  let streams = ref [] in
-  let profile_lines = ref [] in
-  let in_snapshot what =
-    if !header = None then format_error "%s line before S line" what
-  in
-  let dispatch line =
-    (* F lines carry an embedded store line verbatim (it contains
-       spaces); everything else is whitespace-separated fields *)
-    if String.length line >= 2 && String.sub line 0 2 = "F " then begin
-      in_snapshot "F";
-      profile_lines := String.sub line 2 (String.length line - 2) :: !profile_lines
-    end
-    else
-      let fields = String.split_on_char ' ' line |> List.filter (( <> ) "") in
-      match fields with
-      | [] -> ()
-      | [ "V"; v ] ->
-        let v = int_field "version" v in
-        if v <> version then
-          format_error "unsupported checkpoint version %d (expected %d)" v version;
-        saw_version := true
-      | [ "S"; id; shard; epoch; kind; clock; sessions ] ->
-        if not !saw_version then format_error "S line before V line";
-        if !header <> None then format_error "duplicate S line";
-        header :=
-          Some
-            ( id,
-              int_field "shard" shard,
-              int_field "epoch" epoch,
-              kind,
-              int_field "clock" clock,
-              int_field "sessions" sessions )
-      | [ "C"; name; v ] ->
-        in_snapshot "C";
-        counters := (name, int_field "counter" v) :: !counters
-      | [ "G"; name; hex ] ->
-        in_snapshot "G";
-        let v =
-          match Value.unmarshal (Bytes.to_string (bytes_of_hex "global" hex)) with
-          | [ v ] -> v
-          | _ -> format_error "global %s does not hold exactly one value" name
-          | exception Value.Unmarshal_error m ->
-            format_error "undecodable global %s: %s" name m
-        in
-        globals := (name, v) :: !globals
-      | [ "Q"; due; hex ] ->
-        in_snapshot "Q";
-        queue := (int_field "due" due, packet_field "queued op" hex) :: !queue
-      | [ "R"; src; seq; count ] ->
-        in_snapshot "R";
-        retries := ((src, int_field "seq" seq), int_field "count" count) :: !retries
-      | [ "X"; hex ] ->
-        in_snapshot "X";
-        dead := packet_field "dead op" hex :: !dead
-      | [ "P"; kind; state ] -> (
-        in_snapshot "P";
-        match Int64.of_string_opt state with
-        | Some s -> streams := (kind, s) :: !streams
-        | None -> format_error "bad stream state %S" state)
-      | tag :: _ -> format_error "bad record tag %S in line %S" tag line
-  in
-  List.iter
-    (fun raw ->
-      let line = String.trim raw in
-      if line = "" || line.[0] = '#' then () else dispatch line)
-    (String.split_on_char '\n' text);
-  if not !saw_version then format_error "missing V line";
-  match !header with
-  | None -> format_error "missing S line"
-  | Some (stored_id, shard, epoch, kind, clock, sessions) ->
-    let profile =
-      match List.rev !profile_lines with
-      | [] -> None
-      | lines -> (
-        match
-          Store.entries (Store.of_string (String.concat "\n" lines))
-        with
-        | [ e ] -> Some e
-        | es ->
-          format_error "embedded profile holds %d entries (expected 1)"
-            (List.length es)
-        | exception Store.Format_error m ->
-          format_error "embedded profile: %s" m)
-    in
-    let s =
-      {
-        shard;
-        epoch;
-        kind;
-        clock;
-        sessions;
-        counters = List.rev !counters;
-        globals = List.rev !globals;
-        queue = List.rev !queue;
-        retries = List.rev !retries;
-        dead = List.rev !dead;
-        streams = List.rev !streams;
-        profile;
-      }
-    in
-    let derived = id s in
-    if derived <> stored_id then
-      format_error "checkpoint id %s does not match its content (computed %s)"
-        stored_id derived;
-    s
+let to_string (s : snapshot) : string =
+  let body = body s in
+  Printf.sprintf "# podopt shard checkpoint\nV 1\nS %08x%s\n" (Crc32.of_string body)
+    (String.sub body 1 (String.length body - 1))
 
 (* --- the redo journal --------------------------------------------------- *)
 

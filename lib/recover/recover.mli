@@ -7,21 +7,30 @@
     shard's pre-crash state deterministically — the supervisor's whole
     recovery story (see doc/RECOVERY.md).
 
-    Serialized snapshots use the repo's line-oriented framing
-    (Trace_io / Store / Log conventions) and are content-addressed by
-    the CRC-32 of their canonical body, like profile-store entries: the
-    id is re-derived on load, so tampered or truncated checkpoints are
-    refused ({!Format_error}) instead of resurrecting a corrupt
-    shard. *)
+    A snapshot is an immutable value that never shares a mutable buffer
+    with a live shard ({!make} copies buffers in, {!copy} copies them
+    out), so the broker keeps it as is: nothing is serialized on the
+    recovery path.  {!to_string} prints it in a byte-stable line
+    format, for measuring. *)
 
 module Packet = Podopt_net.Packet
-module Store = Podopt_store.Store
 module Value = Podopt_hir.Value
 
-exception Format_error of string
-
-(** Checkpoint format version ([V] line); a mismatch is refused. *)
-val version : int
+(** The deferred adaptive profile: the inputs the shard's cumulative
+    profile is built from, kept instead of the profile itself so that a
+    capture folds no trace.  {!merged} builds it. *)
+type profile = {
+  graph : Podopt_profile.Event_graph.t;
+      (** a copy of the controller's cumulative graph *)
+  window : Podopt_eventsys.Trace.entry list;
+      (** the live trace window, newest first — shared with the live
+          trace, whose entries are immutable *)
+  trace_entries : int;  (** trace entries represented by graph + window *)
+  dispatched : int;     (** ops the shard had served *)
+  threshold : int;      (** the controller's chain threshold *)
+  signatures : (string * string list) list;
+      (** ordered handler names of every bound event, sorted by event *)
+}
 
 type snapshot = {
   shard : int;
@@ -35,27 +44,39 @@ type snapshot = {
   retries : ((string * int) * int) list; (** (src, seq) -> attempts, sorted *)
   dead : Packet.t list;                  (** dead letters, oldest first *)
   streams : (string * int64) list;       (** fault-stream positions, sorted *)
-  profile : Store.entry option;          (** cumulative adaptive profile *)
+  profile : profile option;              (** optimizing shards only *)
 }
 
 (** Build a snapshot, sorting the order-insensitive fields into
-    canonical order so equal states render equal bytes. *)
+    canonical order and copying every [bytes] in [globals], [queue]
+    and [dead]. *)
 val make :
   shard:int -> epoch:int -> kind:string -> clock:int -> sessions:int ->
   counters:(string * int) list -> globals:(string * Value.t) list ->
   queue:(int * Packet.t) list -> retries:((string * int) * int) list ->
   dead:Packet.t list -> streams:(string * int64) list ->
-  profile:Store.entry option -> unit -> snapshot
+  profile:profile option -> unit -> snapshot
 
-(** CRC-32 (hex) of the snapshot's canonical body — its content id. *)
-val id : snapshot -> string
+(** The same snapshot with fresh copies of every [bytes] it holds — what
+    a restore loads, so the live shard can mutate them. *)
+val copy : snapshot -> snapshot
 
+(** The profile as one fresh graph — the cumulative graph plus the
+    window, merged — with each node's binding signature ([[]] for an
+    unbound event), nodes sorted.  [None] when nothing was observed. *)
+val merged :
+  profile ->
+  (Podopt_profile.Event_graph.t * (string * string list) list) option
+
+(** The profile as a store entry (chains at the profile's threshold);
+    [None] when nothing was observed. *)
+val profile_entry :
+  kind:string -> shard:int -> profile -> Podopt_store.Store.entry option
+
+(** The printed form: a [V 1] line-format document whose [S] line
+    carries the CRC-32 (hex) of the body, with the profile as embedded
+    store-entry lines.  Nothing reads it back. *)
 val to_string : snapshot -> string
-
-(** Parse and verify a serialized snapshot.  Raises {!Format_error} on
-    malformed input, an unsupported version, or an id that does not
-    match the content. *)
-val of_string : string -> snapshot
 
 (** {1 The redo journal} *)
 

@@ -1,181 +1,248 @@
-(* Crash recovery: the checkpoint codec is a content-addressed fixpoint
-   (qcheck), tampered / version-skewed checkpoints are refused, the redo
-   journal's high-water mark never drops entries, and the recovery path
-   end-to-end preserves the broker's observable-identity law: a run with
-   shard kills enabled is observably byte-identical to the same run with
-   kills disabled (the Killed diff axis), and a killed serve is
+(* Crash recovery: the printed checkpoint keeps its pinned bytes, a
+   snapshot shares no mutable state with the live shard (mutating the
+   shard after a capture, or restoring one snapshot twice, changes
+   nothing), a capture's cost does not grow with the live trace, the
+   redo journal's high-water mark never drops entries, and the recovery
+   path end-to-end preserves the broker's observable-identity law: a
+   run with shard kills enabled is observably byte-identical to the same
+   run with kills disabled (the Killed diff axis), and a killed serve is
    bit-identical across domain counts. *)
 
 module B = Podopt_broker
 module Recover = Podopt_recover.Recover
-module Store = Podopt.Profile_store
 module Event_graph = Podopt.Event_graph
 module Plan = Podopt_faults.Plan
 module Packet = Podopt_net.Packet
 module Value = Podopt_hir.Value
+module Ast = Podopt_hir.Ast
+module Prim = Podopt_hir.Prim
+module Runtime = Podopt_eventsys.Runtime
+module Trace = Podopt_eventsys.Trace
+module Adaptive = Podopt_optimize.Adaptive
 module Record = Podopt.Record
 module Diff = Podopt.Replay_diff
 
-(* --- generators --------------------------------------------------------- *)
+(* --- the printed form --------------------------------------------------- *)
 
-let event_names = [ "EvA"; "EvB"; "EvC" ]
+(* A deferred profile: a cumulative graph, a live window on top of it,
+   and signatures for two of its three events plus one it never saw. *)
+let sample_profile () =
+  let trace = Trace.create () in
+  Trace.enable_events trace;
+  List.iteri
+    (fun i (event, mode, depth) ->
+      Trace.record_event trace ~event ~mode ~time:i ~depth)
+    [ ("EvA", Ast.Async, 0); ("EvB", Ast.Sync, 1); ("EvC", Ast.Sync, 1) ];
+  {
+    Recover.graph =
+      Event_graph.build
+        [ ("EvA", Ast.Async); ("EvB", Ast.Sync); ("EvA", Ast.Async); ("EvB", Ast.Sync) ];
+    window = trace.Trace.entries;
+    trace_entries = 7;
+    dispatched = 5;
+    threshold = 1;
+    signatures = [ ("EvA", [ "h1"; "h2" ]); ("EvB", [ "h3" ]); ("EvZ", [ "h9" ]) ];
+  }
 
-let gen_packet =
-  let open QCheck2.Gen in
-  let* src = oneofl [ "s000"; "s001"; "s017" ] in
-  let* seq = 0 -- 99 in
-  let* payload = map Bytes.of_string (string_size ~gen:char (0 -- 16)) in
-  return (Packet.make ~src ~dst:"shard" ~seq payload)
-
-let gen_value =
-  let open QCheck2.Gen in
-  oneof
-    [
-      return Value.Unit;
-      map (fun b -> Value.Bool b) bool;
-      map (fun n -> Value.Int n) (-1000 -- 1000);
-      map (fun s -> Value.Str s) (string_size ~gen:printable (0 -- 8));
-      map (fun s -> Value.Bytes (Bytes.of_string s)) (string_size ~gen:char (0 -- 8));
-      map2 (fun a b -> Value.Pair (Value.Int a, Value.Int b)) (0 -- 9) (0 -- 9);
-      map (fun ns -> Value.List (List.map (fun n -> Value.Int n) ns))
-        (list_size (0 -- 3) (0 -- 9));
-    ]
-
-let gen_entry =
-  let open QCheck2.Gen in
-  let gen_edge =
-    let* src = oneofl event_names in
-    let* dst = oneofl event_names in
-    return (src, dst)
-  in
-  let* edges = list_size (0 -- 8) gen_edge in
-  let* dispatched = 0 -- 200 in
-  let* trace_entries = 0 -- 500 in
-  let* handlers =
-    list_size (0 -- 2)
-      (let* ev = oneofl event_names in
-       let* hs = list_size (1 -- 2) (oneofl [ "h1"; "h2" ]) in
-       return (ev, hs))
-  in
-  let handlers = List.sort_uniq (fun (a, _) (b, _) -> compare a b) handlers in
-  return
-    (let g = Event_graph.create () in
-     List.iter
-       (fun (src, dst) -> Event_graph.add_edge g ~src ~dst Podopt_hir.Ast.Sync)
-       edges;
-     Store.make_entry ~kind:"seccomm" ~shard:0 ~dispatched ~trace_entries
-       ~graph:g ~chains:[] ~handlers ())
-
-let counter_names =
-  [ "rt.generic"; "rt.optimized"; "shard.dispatched"; "ingress.offered" ]
-
-let gen_snapshot =
-  let open QCheck2.Gen in
-  let* shard = 0 -- 7 in
-  let* epoch = 0 -- 500 in
-  let* clock = 0 -- 100_000 in
-  let* sessions = 0 -- 32 in
-  let* counters =
-    list_size (0 -- 4)
-      (let* name = oneofl counter_names in
-       let* v = 0 -- 10_000 in
-       return (name, v))
-  in
-  let counters = List.sort_uniq (fun (a, _) (b, _) -> compare a b) counters in
-  let* globals =
-    list_size (0 -- 4)
-      (let* name = oneofl [ "g_a"; "g_b"; "g_c"; "g_d" ] in
-       let* v = gen_value in
-       return (name, v))
-  in
-  let globals = List.sort_uniq (fun (a, _) (b, _) -> compare a b) globals in
-  let* queue = list_size (0 -- 5) (pair (0 -- 5000) gen_packet) in
-  let* retries =
-    list_size (0 -- 3)
-      (let* src = oneofl [ "s000"; "s001" ] in
-       let* seq = 0 -- 20 in
-       let* count = 1 -- 3 in
-       return ((src, seq), count))
-  in
-  let retries = List.sort_uniq (fun (a, _) (b, _) -> compare a b) retries in
-  let* dead = list_size (0 -- 3) gen_packet in
-  let* streams =
-    list_size (0 -- 3)
-      (let* kind = oneofl [ "crash"; "spike"; "corrupt"; "drop" ] in
-       let* state = map Int64.of_int (0 -- 1_000_000) in
-       return (kind, state))
-  in
-  let streams = List.sort_uniq (fun (a, _) (b, _) -> compare a b) streams in
-  let* profile = option gen_entry in
-  return
-    (Recover.make ~shard ~epoch ~kind:"seccomm" ~clock ~sessions ~counters
-       ~globals ~queue ~retries ~dead ~streams ~profile ())
-
-(* --- codec properties --------------------------------------------------- *)
-
-let prop_codec_fixpoint =
-  QCheck2.Test.make ~name:"checkpoint codec is a fixpoint" ~count:200
-    gen_snapshot (fun snap ->
-      let s1 = Recover.to_string snap in
-      let s2 = Recover.to_string (Recover.of_string s1) in
-      String.equal s1 s2)
-
-let prop_id_stable =
-  QCheck2.Test.make ~name:"checkpoint id survives the round trip" ~count:200
-    gen_snapshot (fun snap ->
-      String.equal (Recover.id snap)
-        (Recover.id (Recover.of_string (Recover.to_string snap))))
-
-(* --- load-time verification --------------------------------------------- *)
-
-let sample_snapshot () =
+let sample_snapshot ?profile () =
   Recover.make ~shard:1 ~epoch:42 ~kind:"seccomm" ~clock:9000 ~sessions:4
-    ~counters:[ ("rt.optimized", 17); ("shard.dispatched", 23) ]
-    ~globals:[ ("g_n", Value.Int 5) ]
+    ~counters:[ ("shard.dispatched", 23); ("rt.optimized", 17) ]
+    ~globals:
+      [ ("g_n", Value.Int 5); ("g_key", Value.Bytes (Bytes.of_string "k\x00\xff")) ]
     ~queue:[ (100, Packet.make ~src:"s000" ~dst:"shard" ~seq:3 (Bytes.of_string "op")) ]
     ~retries:[ (("s000", 3), 2) ]
-    ~dead:[]
-    ~streams:[ ("crash", 77L) ]
-    ~profile:None ()
+    ~dead:[ Packet.make ~src:"s001" ~dst:"shard" ~seq:9 Bytes.empty ]
+    ~streams:[ ("spike", 5L); ("crash", 77L) ]
+    ~profile ()
 
-let replace_first s ~sub ~by =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then Alcotest.failf "%S not found" sub
-    else if String.equal (String.sub s i m) sub then
-      String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
-    else go (i + 1)
+(* The printed form, down to the CRC-32 ids, must not drift:
+   [recover.ckpt_bytes] measures it. *)
+let sample_text =
+  {|# podopt shard checkpoint
+V 1
+S 18d1724e 1 42 seccomm 9000 4
+C rt.optimized 17
+C shard.dispatched 23
+G g_key 01000000000000000503000000000000006b00ff
+G g_n 0100000000000000020500000000000000
+Q 100 04000000000000000404000000000000007330303004050000000000000073686172640203000000000000000502000000000000006f70
+R s000 3 2
+X 0400000000000000040400000000000000733030310405000000000000007368617264020900000000000000050000000000000000
+P crash 77
+P spike 5
+|}
+
+let sample_text_with_profile =
+  {|# podopt shard checkpoint
+V 1
+S 2ade2dd2 1 42 seccomm 9000 4
+C rt.optimized 17
+C shard.dispatched 23
+G g_key 01000000000000000503000000000000006b00ff
+G g_n 0100000000000000020500000000000000
+Q 100 04000000000000000404000000000000007330303004050000000000000073686172640203000000000000000502000000000000006f70
+R s000 3 2
+X 0400000000000000040400000000000000733030310405000000000000007368617264020900000000000000050000000000000000
+P crash 77
+P spike 5
+F # podopt profile store
+F V 3
+F E 71a1c007 seccomm 1 5 7
+F N EvA 3 0 3 0
+F N EvB 3 3 0 0
+F N EvC 1 1 0 0
+F G EvA EvB 3 3 0 0
+F G EvB EvA 1 0 1 0
+F G EvB EvC 1 1 0 0
+F C EvA EvB
+F H EvA h1 h2
+F H EvB h3
+F H EvC
+|}
+
+let test_printed_form_pinned () =
+  Alcotest.(check string) "printed form" sample_text
+    (Recover.to_string (sample_snapshot ()));
+  Alcotest.(check string) "printed form with a profile" sample_text_with_profile
+    (Recover.to_string (sample_snapshot ~profile:(sample_profile ()) ()))
+
+(* --- aliasing ----------------------------------------------------------- *)
+
+let kind = B.Workload.Seccomm
+
+let shard () =
+  B.Shard.create ~id:0 ~kind ~optimize:true ~queue_limit:64
+    ~policy:B.Policy.Drop_newest ()
+
+let op ?(session = 0) seq =
+  Packet.make ~src:(Printf.sprintf "s%03d" session) ~dst:"shard" ~seq
+    (B.Workload.op_payload kind ~session ~seq)
+
+let feed s ~from ~n =
+  for seq = from to from + n - 1 do
+    ignore (B.Shard.offer s ~now:seq (op seq))
+  done
+
+let drain s = while B.Shard.drain_batch s ~now:0 ~batch:16 > 0 do () done
+
+(* A shard with super-handlers installed, a cumulative profile, a live
+   trace window, queued ops and a dead letter. *)
+let busy_shard () =
+  let s = shard () in
+  feed s ~from:0 ~n:40;
+  drain s;
+  feed s ~from:40 ~n:8;
+  drain s;
+  feed s ~from:48 ~n:4;
+  Queue.push (op ~session:7 1) s.B.Shard.dead;
+  Alcotest.(check bool) "super-handlers installed" true
+    (B.Shard.optimized_dispatches s > 0);
+  s
+
+(* Write one byte into every [Bytes] global the way HIR's [bytes_set]
+   does: in place. *)
+let scribble_globals (s : B.Shard.t) =
+  let scribbled =
+    Hashtbl.fold
+      (fun _ v n ->
+        match v with
+        | Value.Bytes _ ->
+          ignore (Prim.apply "bytes_set" [ v; Value.Int 0; Value.Int 0x58 ]);
+          n + 1
+        | _ -> n)
+      s.B.Shard.rt.Runtime.globals 0
   in
-  go 0
+  if scribbled = 0 then Alcotest.fail "no bytes global to mutate"
 
-let test_tamper_rejected () =
-  let text = Recover.to_string (sample_snapshot ()) in
-  (* flip a counter: the stored id no longer matches the content *)
-  let tampered = replace_first text ~sub:"rt.optimized 17" ~by:"rt.optimized 18" in
-  Alcotest.(check bool) "tamper changed the text" false (String.equal text tampered);
-  (match Recover.of_string tampered with
-   | _ -> Alcotest.fail "tampered checkpoint loaded"
-   | exception Recover.Format_error _ -> ());
-  (* dropping a line is refused too *)
-  let truncated = replace_first text ~sub:"P crash 77\n" ~by:"" in
-  (match Recover.of_string truncated with
-   | _ -> Alcotest.fail "truncated checkpoint loaded"
-   | exception Recover.Format_error _ -> ());
-  (* the pristine text still loads *)
-  ignore (Recover.of_string text)
+let flip (b : bytes) =
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff))
 
-let test_version_skew_rejected () =
-  let text = Recover.to_string (sample_snapshot ()) in
-  let skewed =
-    replace_first text
-      ~sub:(Printf.sprintf "V %d" Recover.version)
-      ~by:(Printf.sprintf "V %d" (Recover.version + 1))
+let test_capture_shares_nothing () =
+  let s = busy_shard () in
+  let snap = B.Shard.capture s ~epoch:1 in
+  let printed = B.Shard.checkpoint s ~epoch:1 in
+  scribble_globals s;
+  (match B.Ingress.to_list s.B.Shard.ingress with
+   | (_, p) :: _ -> flip p.Packet.payload
+   | [] -> Alcotest.fail "nothing queued");
+  flip (Queue.peek s.B.Shard.dead).Packet.payload;
+  Hashtbl.replace s.B.Shard.retry ("s009", 1) 2;
+  Queue.push (op ~session:9 1) s.B.Shard.dead;
+  (* grow the trace, then fold it into the cumulative profile *)
+  feed s ~from:52 ~n:24;
+  drain s;
+  (match s.B.Shard.adaptive with
+   | Some a ->
+     Alcotest.(check bool) "reoptimize absorbs the window" true
+       (Adaptive.reoptimize a <> None)
+   | None -> Alcotest.fail "generic shard");
+  Alcotest.(check bool) "the live shard moved on" false
+    (String.equal printed (B.Shard.checkpoint s ~epoch:1));
+  B.Shard.kill s;
+  B.Shard.restore s snap;
+  Alcotest.(check string) "restored shard prints the captured text" printed
+    (B.Shard.checkpoint s ~epoch:1)
+
+(* One snapshot serves every kill until the next checkpoint: a restored
+   shard that scribbles on its buffers must not leak into the next
+   restore. *)
+let test_restore_twice () =
+  let s = busy_shard () in
+  let snap = B.Shard.capture s ~epoch:1 in
+  let recover () =
+    B.Shard.kill s;
+    B.Shard.restore s snap;
+    let printed = B.Shard.checkpoint s ~epoch:1 in
+    (* scribble on every restored buffer, as handlers could *)
+    scribble_globals s;
+    List.iter
+      (fun (_, p) -> flip p.Packet.payload)
+      (B.Ingress.to_list s.B.Shard.ingress);
+    flip (Queue.peek s.B.Shard.dead).Packet.payload;
+    let seen = ref [] in
+    B.Shard.set_on_delivery s
+      (Some
+         (fun ~shard:_ ~src ~seq ~ok ~payload ->
+           seen := (src, seq, ok, Bytes.to_string payload) :: !seen));
+    feed s ~from:52 ~n:24;
+    drain s;
+    B.Shard.set_on_delivery s None;
+    (printed, List.rev !seen)
   in
-  match Recover.of_string skewed with
-  | _ -> Alcotest.fail "version-skewed checkpoint loaded"
-  | exception Recover.Format_error msg ->
-    Alcotest.(check bool) "error names the version" true
-      (Astring_contains.contains msg "version")
+  let printed1, seen1 = recover () in
+  let printed2, seen2 = recover () in
+  Alcotest.(check string) "equal printed forms" printed1 printed2;
+  Alcotest.(check int) "every op delivered" 28 (List.length seen1);
+  Alcotest.(check bool) "equal deliveries" true (seen1 = seen2)
+
+(* --- the deferred profile ----------------------------------------------- *)
+
+(* A capture keeps the live trace window by reference: its allocation
+   must not grow with the window (an eager fold allocates at least 3
+   words per entry). *)
+let test_capture_cost_flat () =
+  let s = busy_shard () in
+  let trace = s.B.Shard.rt.Runtime.trace in
+  Trace.clear trace;
+  let grow_to n =
+    while Trace.length trace < n do
+      Trace.record_event trace ~event:"Probe" ~mode:Ast.Async
+        ~time:(Trace.length trace) ~depth:0
+    done
+  in
+  let words () =
+    ignore (B.Shard.capture s ~epoch:1);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (B.Shard.capture s ~epoch:1));
+    Gc.minor_words () -. w0
+  in
+  grow_to 100;
+  let small = words () in
+  grow_to 10_000;
+  let large = words () in
+  if Float.abs (large -. small) > 1000. then
+    Alcotest.failf "capture allocated %.0f words at 100 trace entries, %.0f at 10,000"
+      small large
 
 (* --- the redo journal --------------------------------------------------- *)
 
@@ -268,14 +335,51 @@ let test_killed_domain_identity () =
   Alcotest.(check string) "killed serve JSON byte-identical at domains 1 vs 4"
     j1 j4
 
+
+(* The workload the cheap checkpoints speed up: a chat flash crowd with
+   handler crashes and shard kills, checkpointed every epoch and every
+   fourth. *)
+let test_chat_flash_kills ~checkpoint_every () =
+  let cfg =
+    {
+      base_cfg with
+      B.Broker.kind = B.Workload.Chat;
+      arrivals = B.Arrivals.Flash (600, 8);
+      checkpoint_every;
+      faults =
+        { Plan.none with Plan.seed = 11L; crash_permille = 5; kill_permille = 150 };
+    }
+  in
+  let profile = { profile with B.Loadgen.sessions = 24; ops = 10 } in
+  let log = Record.run ~warmup_ops:12 cfg profile in
+  (match (Diff.run Diff.Killed log).Diff.divergence with
+   | None -> ()
+   | Some (what, l, r) ->
+     Alcotest.failf "killed diverged at %s: %s vs %s" what l r);
+  let serve domains =
+    let broker = B.Broker.create { cfg with B.Broker.domains } in
+    Fun.protect
+      ~finally:(fun () -> B.Broker.shutdown broker)
+      (fun () ->
+        let s = B.Loadgen.steady ~warmup_ops:12 broker profile in
+        (B.Report.json ~metrics:false broker s, s))
+  in
+  let j1, s1 = serve 1 in
+  let j2, _ = serve 2 in
+  Alcotest.(check bool) "kills actually drawn" true (s1.B.Loadgen.kills > 0);
+  Alcotest.(check string) "killed serve JSON byte-identical at domains 1 vs 2"
+    j1 j2
+
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_codec_fixpoint;
-    QCheck_alcotest.to_alcotest prop_id_stable;
-    Alcotest.test_case "load rejects a tampered checkpoint" `Quick
-      test_tamper_rejected;
-    Alcotest.test_case "load rejects a version-skewed checkpoint" `Quick
-      test_version_skew_rejected;
+    Alcotest.test_case "printed checkpoint form is pinned" `Quick
+      test_printed_form_pinned;
+    Alcotest.test_case "capture shares nothing with the live shard" `Quick
+      test_capture_shares_nothing;
+    Alcotest.test_case "one snapshot restores twice alike" `Quick
+      test_restore_twice;
+    Alcotest.test_case "capture cost is flat in the trace length" `Quick
+      test_capture_cost_flat;
     Alcotest.test_case "journal high-water mark drops nothing" `Quick
       test_journal_high_water;
     Alcotest.test_case "killed run observably identical to kill-free" `Quick
@@ -284,4 +388,8 @@ let suite =
       test_killed_diff_from_clean_log;
     Alcotest.test_case "killed serve identical across domains" `Quick
       test_killed_domain_identity;
+    Alcotest.test_case "chat flash-crowd kills, checkpoint every epoch" `Quick
+      (test_chat_flash_kills ~checkpoint_every:1);
+    Alcotest.test_case "chat flash-crowd kills, checkpoint every 4" `Quick
+      (test_chat_flash_kills ~checkpoint_every:4);
   ]
