@@ -47,6 +47,7 @@ let deliver_event = "BrokerIngress"
 type t = {
   cfg : config;
   front : Runtime.t;
+  router : string -> int;            (* session id -> shard index *)
   shards : Shard.t array;
   pool : Podopt_exec.Pool.t;
   drained : int array;               (* per-shard scratch for drain epochs *)
@@ -103,9 +104,7 @@ let now t = Runtime.now t.front
 let register t ~id ~nack = Hashtbl.replace t.nacks id nack
 
 let route t (pkt : Packet.t) =
-  let idx =
-    Shard_map.route_shard ~route:t.cfg.route ~shards:t.cfg.shards pkt.Packet.src
-  in
+  let idx = t.router pkt.Packet.src in
   let shard = t.shards.(idx) in
   if not (Hashtbl.mem t.session_shard pkt.Packet.src) then begin
     Hashtbl.replace t.session_shard pkt.Packet.src idx;
@@ -177,6 +176,7 @@ let create (cfg : config) =
     {
       cfg;
       front;
+      router = Shard_map.router ~route:cfg.route ~shards:cfg.shards;
       shards;
       pool;
       drained = Array.make cfg.shards 0;
@@ -208,30 +208,39 @@ let create (cfg : config) =
       critical = 0;
     }
   in
+  let front_door _host args =
+    match args with
+    | [ V.Bytes b ] ->
+      (* Exactly one draw per packet from each wire-fault stream,
+         whether or not the other fault fires: a drop-rate change
+         never shifts which packets the corrupt stream picks. *)
+      let dropped, b =
+        match t.front_faults with
+        | None -> (false, b)
+        | Some inj ->
+          let dropped = Plan.drop inj in
+          let b = match Plan.corrupt inj b with Some b' -> b' | None -> b in
+          (dropped, b)
+      in
+      if dropped then t.link_dropped <- t.link_dropped + 1
+      else (
+        match Packet.decode b with
+        | pkt -> route t pkt
+        | exception Packet.Decode_error ->
+          t.decode_failures <- t.decode_failures + 1)
+    | _ -> ()
+  in
+  (* the binding stays as the guard's generic fallback; deliveries take
+     the paper's direct-call path: the same function installed as the
+     event's super-handler, so no registry lookup, no marshal round trip
+     of the wire and no indirect call.  It sees the link's own buffer,
+     which nothing else holds (corruption copies; decode copies out). *)
   Runtime.bind front ~event:deliver_event
-    (Handler.native "broker_route" (fun _host args ->
-         match args with
-         | [ V.Bytes b ] ->
-           (* Exactly one draw per packet from each wire-fault stream,
-              whether or not the other fault fires: a drop-rate change
-              never shifts which packets the corrupt stream picks. *)
-           let dropped, b =
-             match t.front_faults with
-             | None -> (false, b)
-             | Some inj ->
-               let dropped = Plan.drop inj in
-               let b =
-                 match Plan.corrupt inj b with Some b' -> b' | None -> b
-               in
-               (dropped, b)
-           in
-           if dropped then t.link_dropped <- t.link_dropped + 1
-           else (
-             match Packet.decode b with
-             | pkt -> route t pkt
-             | exception Packet.Decode_error ->
-               t.decode_failures <- t.decode_failures + 1)
-         | _ -> ()));
+    (Handler.native "broker_route" front_door);
+  Runtime.install_super front ~event:deliver_event ~covered:[ deliver_event ]
+    ~arity:1 (fun host args ->
+      front_door host args;
+      V.Unit);
   t
 
 let pump t ~until = Runtime.run ~until t.front

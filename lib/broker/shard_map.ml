@@ -6,11 +6,13 @@
 let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
+(* a [for] loop, not [String.iter]: the accumulator stays an unboxed
+   Int64 instead of one boxed per character through a closure *)
 let hash (s : string) : int64 =
   let h = ref offset_basis in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
+  done;
   !h
 
 let shard_of ~shards id =
@@ -26,42 +28,47 @@ let shard_of ~shards id =
 
 type route = Hash | Zipf of float
 
-let route_shard ~route ~shards id =
+(* The router builds everything that depends only on (route, shards)
+   once: for [Zipf s] that is the rank weights' partial sums, accumulated
+   in rank order exactly as a per-id walk would, so every float and
+   every comparison matches computing the CDF afresh for each id. *)
+let router ~route ~shards =
+  if shards <= 0 then invalid_arg "Shard_map.router: shards <= 0";
   match route with
-  | Hash -> shard_of ~shards id
+  | Hash -> shard_of ~shards
   | Zipf s ->
-    if shards <= 0 then invalid_arg "Shard_map.route_shard: shards <= 0";
-    (* FNV-1a on short similar keys concentrates its entropy in the low
-       bits, so finalize with the murmur3 fmix64 avalanche before taking
-       the top 53 bits as a uniform u in [0,1); then invert the Zipf CDF
-       by walking the (unnormalized) weights 1/(rank+1)^s *)
-    let mixed =
-      let h = hash id in
-      let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-      let h = Int64.mul h 0xff51afd7ed558ccdL in
-      let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-      let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
-      Int64.logxor h (Int64.shift_right_logical h 33)
-    in
-    let u =
-      Int64.to_float (Int64.shift_right_logical mixed 11) /. 9007199254740992.0
-    in
-    let total = ref 0.0 in
+    let cdf = Array.make shards 0.0 in
+    let acc = ref 0.0 in
     for rank = 0 to shards - 1 do
-      total := !total +. (1.0 /. Float.pow (float_of_int (rank + 1)) s)
+      acc := !acc +. (1.0 /. Float.pow (float_of_int (rank + 1)) s);
+      cdf.(rank) <- !acc
     done;
-    let target = u *. !total in
-    let acc = ref 0.0 and chosen = ref (shards - 1) in
-    (try
-       for rank = 0 to shards - 1 do
-         acc := !acc +. (1.0 /. Float.pow (float_of_int (rank + 1)) s);
-         if target < !acc then begin
-           chosen := rank;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !chosen
+    let total = !acc in
+    fun id ->
+      (* FNV-1a on short similar keys concentrates its entropy in the low
+         bits, so finalize with the murmur3 fmix64 avalanche before
+         taking the top 53 bits as a uniform u in [0,1); then invert the
+         Zipf CDF: the first rank whose partial sum exceeds u * total *)
+      let mixed =
+        let h = hash id in
+        let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+        let h = Int64.mul h 0xff51afd7ed558ccdL in
+        let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+        let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+        Int64.logxor h (Int64.shift_right_logical h 33)
+      in
+      let u =
+        Int64.to_float (Int64.shift_right_logical mixed 11)
+        /. 9007199254740992.0
+      in
+      let target = u *. total in
+      let rank = ref 0 in
+      while !rank < shards - 1 && not (target < cdf.(!rank)) do
+        incr rank
+      done;
+      !rank
+
+let route_shard ~route ~shards id = router ~route ~shards id
 
 let route_to_string = function
   | Hash -> "hash"

@@ -18,9 +18,13 @@ val shard_of : shards:int -> string -> int
     Both are stateless: one id always maps to one shard. *)
 type route = Hash | Zipf of float
 
+val router : route:route -> shards:int -> string -> int
+(** [router ~route ~shards] is the id-to-shard map of the given
+    discipline, with the Zipf CDF's partial sums computed once; raises
+    [Invalid_argument] when [shards <= 0]. *)
+
 val route_shard : route:route -> shards:int -> string -> int
-(** Shard index under the given discipline; raises [Invalid_argument]
-    when [shards <= 0]. *)
+(** [router] applied to one id. *)
 
 val route_to_string : route -> string
 (** ["hash"] or ["zipf:S"] — a single whitespace-free token, stable for

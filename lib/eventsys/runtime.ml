@@ -105,46 +105,11 @@ type t = {
      the dispatch boundary (counted in stats.handler_failures) instead
      of unwinding the caller's loop; Prim.Halt_event stays control flow *)
   mutable isolate_failures : bool;
+  (* the hosts handed to handler code, built once in [create]: every
+     handler call and compiled body reuses them *)
+  interp_host : Interp.host;
+  compiled_host : Interp.host;
 }
-
-let create ?(costs = Costs.default) ?(program = []) () =
-  {
-    clock = Vclock.create ();
-    costs;
-    events = Event.create_table ();
-    registry = Registry.create ();
-    queue = Equeue.create ();
-    globals = Hashtbl.create 32;
-    trace = Trace.create ();
-    program;
-    emit_log = [];
-    emit_log_enabled = true;
-    emit_hook = None;
-    dispatch_hook = None;
-    opt_entries = Hashtbl.create 16;
-    spec_table = Hashtbl.create 8;
-    prefetched = None;
-    depth = 0;
-    event_time = Hashtbl.create 32;
-    event_count = Hashtbl.create 32;
-    handler_time = 0;
-    stats =
-      {
-        generic_dispatches = 0;
-        optimized_dispatches = 0;
-        fallbacks = 0;
-        segment_fallbacks = 0;
-        spec_hits = 0;
-        spec_misses = 0;
-        marshal_bytes = 0;
-        deferred_pairs = 0;
-        deferred_flushes = 0;
-        handler_failures = 0;
-      };
-    capture = None;
-    deferred = None;
-    isolate_failures = false;
-  }
 
 let charge t units = Vclock.advance t.clock units
 let now t = Vclock.now t.clock
@@ -205,7 +170,6 @@ let fatal_exn = function
   | Out_of_memory | Stack_overflow | Assert_failure _ -> true
   | _ -> false
 
-(* Declared early so the interp/compiled hosts can raise events. *)
 (* An event *occurs* when its handlers run: synchronous raises are traced
    immediately; queued (async/timed) activations are traced when the
    scheduler dispatches them, so the event trace reflects occurrence
@@ -231,32 +195,6 @@ let rec raise_event t name (mode : Ast.mode) args =
         charge t t.costs.enqueue;
         Equeue.push t.queue ~due:(now t + d) { pev = ev; pargs = args; pmode = mode }))
 
-and interp_host t : Interp.host =
-  {
-    Interp.raise_event = (fun name mode args -> raise_event t name mode args);
-    get_global = (fun g -> charged_get_global t g);
-    set_global = (fun g v -> charged_set_global t g v);
-    emit = (fun tag args -> emit t tag args);
-    tick = (fun n -> charge t (n * t.costs.interp_step));
-    work = (fun w -> charge t w);
-  }
-
-and compiled_host t : Interp.host =
-  {
-    Interp.raise_event = (fun name mode args -> raise_event t name mode args);
-    get_global =
-      (fun g ->
-        charge t t.costs.lock_merged;
-        get_global t g);
-    set_global =
-      (fun g v ->
-        charge t t.costs.lock_merged;
-        set_global t g v);
-    emit = (fun tag args -> emit t tag args);
-    tick = (fun n -> charge t (n * t.costs.compiled_step));
-    work = (fun w -> charge t w);
-  }
-
 and note_failure t = t.stats.handler_failures <- t.stats.handler_failures + 1
 
 (* Run a compiled super-handler body.  Halt_event is control flow; any
@@ -264,7 +202,7 @@ and note_failure t = t.stats.handler_failures <- t.stats.handler_failures + 1
    in isolation mode, so one hostile handler cannot unwind the caller's
    drain loop. *)
 and run_compiled t compiled args =
-  try ignore (compiled (compiled_host t) args) with
+  try ignore (compiled t.compiled_host args) with
   | Prim.Halt_event -> ()
   | e when t.isolate_failures && not (fatal_exn e) -> note_failure t
 
@@ -273,8 +211,8 @@ and run_handler t (ev : Event.t) (h : Handler.t) args =
     ~time:(now t) ~depth:t.depth;
   (try
      match h.Handler.code with
-     | Handler.Native f -> f (interp_host t) args
-     | Handler.Hir proc -> ignore (Interp.run ~host:(interp_host t) t.program proc args)
+     | Handler.Native f -> f t.interp_host args
+     | Handler.Hir proc -> ignore (Interp.run ~host:t.interp_host t.program proc args)
    with
    | Prim.Halt_event as e -> raise e  (* stops this event's remaining handlers *)
    | e when t.isolate_failures && not (fatal_exn e) -> note_failure t);
@@ -437,6 +375,72 @@ and dispatch t (ev : Event.t) args =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.event_count ev.Event.id));
   (match t.dispatch_hook with Some f -> f ev.Event.name dt | None -> ());
   if outermost then t.handler_time <- t.handler_time + dt
+
+let create ?(costs = Costs.default) ?(program = []) () =
+  let rec t =
+    {
+      clock = Vclock.create ();
+      costs;
+      events = Event.create_table ();
+      registry = Registry.create ();
+      queue = Equeue.create ();
+      globals = Hashtbl.create 32;
+      trace = Trace.create ();
+      program;
+      emit_log = [];
+      emit_log_enabled = true;
+      emit_hook = None;
+      dispatch_hook = None;
+      opt_entries = Hashtbl.create 16;
+      spec_table = Hashtbl.create 8;
+      prefetched = None;
+      depth = 0;
+      event_time = Hashtbl.create 32;
+      event_count = Hashtbl.create 32;
+      handler_time = 0;
+      stats =
+        {
+          generic_dispatches = 0;
+          optimized_dispatches = 0;
+          fallbacks = 0;
+          segment_fallbacks = 0;
+          spec_hits = 0;
+          spec_misses = 0;
+          marshal_bytes = 0;
+          deferred_pairs = 0;
+          deferred_flushes = 0;
+          handler_failures = 0;
+        };
+      capture = None;
+      deferred = None;
+      isolate_failures = false;
+      interp_host =
+        {
+          Interp.raise_event = (fun name mode args -> raise_event t name mode args);
+          get_global = (fun g -> charged_get_global t g);
+          set_global = (fun g v -> charged_set_global t g v);
+          emit = (fun tag args -> emit t tag args);
+          tick = (fun n -> charge t (n * t.costs.interp_step));
+          work = (fun w -> charge t w);
+        };
+      compiled_host =
+        {
+          Interp.raise_event = (fun name mode args -> raise_event t name mode args);
+          get_global =
+            (fun g ->
+              charge t t.costs.lock_merged;
+              get_global t g);
+          set_global =
+            (fun g v ->
+              charge t t.costs.lock_merged;
+              set_global t g v);
+          emit = (fun tag args -> emit t tag args);
+          tick = (fun n -> charge t (n * t.costs.compiled_step));
+          work = (fun w -> charge t w);
+        };
+    }
+  in
+  t
 
 (* --- Public raise / scheduler ---------------------------------------- *)
 

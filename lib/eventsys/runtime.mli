@@ -107,6 +107,11 @@ type t = {
           propagate even with isolation on, since no retry can repair
           the process state behind them.  Shards run with isolation on
           so one hostile handler cannot abort a drain loop. *)
+  interp_host : Interp.host;
+      (** the host handed to native and interpreted handlers *)
+  compiled_host : Interp.host;
+      (** the host handed to compiled super-handler bodies; both hosts
+          are built once, in {!create} *)
 }
 
 val create : ?costs:Costs.model -> ?program:Ast.program -> unit -> t
@@ -166,12 +171,6 @@ val handlers : t -> string -> Handler.t list
 val binding_version : t -> string -> int
 
 (** {1 Raising and scheduling} *)
-
-(** Hosts handed to handler code (exposed for native handlers and
-    tests). *)
-val interp_host : t -> Interp.host
-
-val compiled_host : t -> Interp.host
 
 val raise_event : t -> string -> Ast.mode -> Value.t list -> unit
 val raise_sync : t -> string -> Value.t list -> unit

@@ -2,8 +2,9 @@
    1 .. domains-1; one barrier shared by every lane brackets each epoch.
    The caller publishes the epoch body in [body], all lanes meet at the
    barrier (epoch start), run the body, and meet again (epoch end).  The
-   barrier's mutex is also what publishes the caller's writes to the
-   helpers and the helpers' writes back to the caller (happens-before).
+   barrier's atomic generation is also what publishes the caller's
+   writes ([body], [alive]) to the helpers and the helpers' writes back
+   to the caller (happens-before).
 
    The body claims slots of the epoch's frozen item array with one
    fetch-and-add each — the whole steal protocol: every slot is claimed
@@ -34,7 +35,7 @@ let latch t exn =
   if not (Atomic.compare_and_set t.failure None (Some exn)) then
     Atomic.incr t.suppressed
 
-(* A helper sleeps on the start barrier between epochs; waking there
+(* A helper waits on the start barrier between epochs; passing it
    with the pool shut down is its signal to exit. *)
 let helper t lane =
   let rec loop () =

@@ -3,10 +3,11 @@
 
     {!create} spawns [domains - 1] helper domains; the caller is lane
     [0] and the helpers are lanes [1 .. domains-1].  Between epochs the
-    helpers sleep on a {!Barrier}.  One epoch ({!run_steal}) wakes every
-    helper, drains the epoch's run queue on every lane — caller
-    included — and joins everyone at the barrier again; when the call
-    returns, every lane has finished and the helpers are back asleep.
+    helpers wait on a {!Barrier} (spinning briefly, then parked).  One
+    epoch ({!run_steal}) wakes every helper, drains the epoch's run
+    queue on every lane — caller included — and joins everyone at the
+    barrier again; when the call returns, every lane has finished and
+    the helpers are back waiting.
 
     The run queue is the epoch's item array, frozen in an order the
     caller alone decides.  Lanes claim slots left to right with an

@@ -59,6 +59,89 @@ let test_peek () =
   Alcotest.(check (option (pair int string))) "peek" (Some (7, "x")) (Equeue.peek q);
   Alcotest.(check int) "peek does not pop" 1 (Equeue.length q)
 
+(* Popped and removed payloads must not stay reachable from the dead
+   heap slots: at most the one shared filler value survives. *)
+let test_vacated_slots_release () =
+  let n = 100 in
+  let q = Equeue.create () and weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = ref i in
+    Weak.set weak i (Some payload);
+    Equeue.push q ~due:(i mod 7) payload
+  done;
+  let alive () =
+    Gc.full_major ();
+    List.length (List.filter (Weak.check weak) (List.init n Fun.id))
+  in
+  for _ = 1 to n / 2 do
+    ignore (Equeue.pop q)
+  done;
+  Alcotest.(check bool) "half popped" true (alive () <= (n / 2) + 1);
+  ignore (Equeue.remove_if q (fun r -> !r mod 2 = 0));
+  Alcotest.(check bool) "removed released" true (alive () <= Equeue.length q + 1);
+  while Equeue.pop q <> None do
+    ()
+  done;
+  Alcotest.(check bool) "drained" true (alive () <= 1)
+
+(* --- model-based: the heap against a (due, seq)-sorted list ----------- *)
+
+type op = Push of int * int | Pop | Peek | Remove_if of int | To_list
+
+let pp_op = function
+  | Push (due, v) -> Printf.sprintf "push %d %d" due v
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Remove_if k -> Printf.sprintf "remove_if (mod %d)" k
+  | To_list -> "to_list"
+
+let gen_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map2 (fun due v -> Push (due, v)) (int_range 0 20) (int_range 0 99));
+        (3, pure Pop);
+        (1, pure Peek);
+        (1, map (fun k -> Remove_if k) (int_range 2 5));
+        (1, pure To_list);
+      ])
+
+let prop_model =
+  QCheck2.Test.make ~name:"equeue matches a (due, seq)-sorted list" ~count:1000
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    QCheck2.Gen.(list_size (int_range 0 300) gen_op)
+    (fun ops ->
+      let q = Equeue.create () in
+      (* the model: (due, seq, v) in pop order *)
+      let model = ref [] and next_seq = ref 0 in
+      let visible = List.map (fun (due, _, v) -> (due, v)) in
+      let head () = match visible !model with [] -> None | x :: _ -> Some x in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Push (due, v) ->
+              Equeue.push q ~due v;
+              let item = (due, !next_seq, v) in
+              incr next_seq;
+              model := List.merge compare !model [ item ];
+              true
+            | Pop ->
+              let want = head () in
+              (match !model with [] -> () | _ :: rest -> model := rest);
+              Equeue.pop q = want
+            | Peek -> Equeue.peek q = head ()
+            | Remove_if k ->
+              let before = List.length !model in
+              model := List.filter (fun (_, _, v) -> v mod k <> 0) !model;
+              Equeue.remove_if q (fun v -> v mod k = 0) = before - List.length !model
+            | To_list -> Equeue.to_list q = visible !model
+          in
+          agrees
+          && Equeue.length q = List.length !model
+          && Equeue.is_empty q = (!model = []))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_time_order;
@@ -67,4 +150,7 @@ let suite =
     Alcotest.test_case "growth" `Quick test_growth;
     Alcotest.test_case "remove_if" `Quick test_remove_if;
     Alcotest.test_case "peek" `Quick test_peek;
+    Alcotest.test_case "vacated slots release payloads" `Quick
+      test_vacated_slots_release;
+    QCheck_alcotest.to_alcotest prop_model;
   ]

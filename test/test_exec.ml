@@ -1,7 +1,8 @@
 (* lib/exec tests: the reusable round barrier and the domain pool the
-   broker drains on.  Cross-domain cases use real Domain.spawn so the
-   mutex/condvar handoff is exercised, not just the single-domain fast
-   paths.  Pool epochs only write per-slot or per-lane arrays; every
+   broker drains on.  Cross-domain cases use real Domain.spawn so both
+   handoff paths — the spin on the atomic generation and the park on
+   the condition variable — are exercised, not just the single-domain
+   fast path.  Pool epochs only write per-slot or per-lane arrays; every
    assertion runs on the caller after the epoch (Alcotest is not
    domain-safe). *)
 
@@ -28,6 +29,56 @@ let test_barrier_rounds () =
   Array.iteri
     (fun w h -> Alcotest.(check int) (Printf.sprintf "worker %d" w) rounds h)
     hits
+
+(* [rounds] back-to-back rounds at [parties], each party a real domain.
+   After its k-th [await] a party must read [rounds = k]: a skipped or
+   double-counted release would read more or less, because round k+1
+   cannot complete before this party arrives for it.  [pause ~party ~round]
+   runs before each arrival; a pause past the spin budget forces the
+   other parties onto the park path.  Domains only count mismatches;
+   the assertions run after the join. *)
+let soak ~parties ~rounds ~pause =
+  let b = Barrier.create ~parties in
+  let bad = Array.make parties 0 and last = Array.make parties 0 in
+  let workers =
+    List.init parties (fun p ->
+        Domain.spawn (fun () ->
+            for k = 1 to rounds do
+              pause ~party:p ~round:k;
+              Barrier.await b;
+              let r = Barrier.rounds b in
+              if r <> k || r <= last.(p) then bad.(p) <- bad.(p) + 1;
+              last.(p) <- r
+            done))
+  in
+  List.iter Domain.join workers;
+  Alcotest.(check int) "rounds completed" rounds (Barrier.rounds b);
+  Array.iteri
+    (fun p n ->
+      Alcotest.(check int) (Printf.sprintf "party %d: rounds read out of step" p) 0 n;
+      Alcotest.(check int) (Printf.sprintf "party %d: last round" p) rounds last.(p))
+    bad
+
+(* Busy-wait [us] microseconds of wall time on the calling domain. *)
+let stall us =
+  let until = Unix.gettimeofday () +. (float_of_int us /. 1e6) in
+  while Unix.gettimeofday () < until do
+    Domain.cpu_relax ()
+  done
+
+let test_barrier_spin_soak () =
+  List.iter
+    (fun parties -> soak ~parties ~rounds:10_000 ~pause:(fun ~party:_ ~round:_ -> ()))
+    [ 2; 3 ]
+
+let test_barrier_park_soak () =
+  (* every 50th round one party (in turn) arrives ~1 ms late, far past
+     the spin budget, so the others park and must be woken *)
+  List.iter
+    (fun parties ->
+      soak ~parties ~rounds:10_000 ~pause:(fun ~party ~round ->
+          if round mod 50 = 0 && (round / 50) mod parties = party then stall 1_000))
+    [ 2; 3 ]
 
 let test_barrier_invalid () =
   Alcotest.check_raises "parties 0"
@@ -231,6 +282,10 @@ let test_pool_partition_sum () =
 let suite =
   [
     Alcotest.test_case "barrier: cyclic rounds" `Quick test_barrier_rounds;
+    Alcotest.test_case "barrier: 10k back-to-back rounds (spin path)" `Quick
+      test_barrier_spin_soak;
+    Alcotest.test_case "barrier: 10k rounds with late peers (park path)" `Quick
+      test_barrier_park_soak;
     Alcotest.test_case "barrier: invalid" `Quick test_barrier_invalid;
     Alcotest.test_case "pool: every worker, every epoch" `Quick
       test_pool_runs_each_worker;

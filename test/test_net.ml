@@ -16,6 +16,106 @@ let test_packet_decode_garbage () =
   Alcotest.check_raises "garbage" Packet.Decode_error (fun () ->
       ignore (Packet.decode (Bytes.of_string "not a packet")))
 
+(* --- the in-place codec against its Value.marshal reference ---------- *)
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+(* what a decoder makes of a wire: the packet's fields, or a rejection *)
+let outcome decode wire =
+  match decode wire with
+  | (p : Packet.t) -> Ok (p.src, p.dst, p.seq, Bytes.to_string p.payload)
+  | exception Packet.Decode_error -> Error ()
+
+let same_outcome wire = outcome Packet.decode wire = outcome Packet_ref.decode wire
+
+let fixed = Packet.make ~src:"s7" ~dst:"broker" ~seq:(-3) (Bytes.of_string "\000hi\255")
+
+let test_packet_wire_pinned () =
+  (* the wire is an observable: corrupt= picks byte indices from it *)
+  Alcotest.(check string) "wire bytes"
+    (String.concat ""
+       [
+         "0400000000000000";  (* count: 4 fields *)
+         "04"; "0200000000000000"; "7337";  (* src "s7" *)
+         "04"; "0600000000000000"; "62726f6b6572";  (* dst "broker" *)
+         "02"; "fdffffffffffffff";  (* seq -3 *)
+         "05"; "0400000000000000"; "006869ff";  (* payload *)
+       ])
+    (hex (Packet.encode fixed));
+  Alcotest.(check string) "reference wire" (hex (Packet_ref.encode fixed))
+    (hex (Packet.encode fixed))
+
+let test_packet_no_alias () =
+  let wire = Packet.encode fixed in
+  let p = Packet.decode wire in
+  Bytes.fill wire 0 (Bytes.length wire) 'X';
+  Alcotest.(check (triple string string string)) "decoded fields own their bytes"
+    ("s7", "broker", "\000hi\255")
+    (p.Packet.src, p.Packet.dst, Bytes.to_string p.Packet.payload)
+
+let test_packet_every_byte_flip () =
+  (* every single-byte corruption of one wire, every mask: the two
+     decoders accept and reject exactly the same wires *)
+  let wire = Packet.encode fixed in
+  for i = 0 to Bytes.length wire - 1 do
+    for mask = 1 to 255 do
+      let b = Bytes.copy wire in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+      if not (same_outcome b) then
+        Alcotest.failf "byte %d mask %#x: decoders disagree on %s" i mask (hex b)
+    done
+  done
+
+let gen_packet =
+  QCheck2.Gen.(
+    map
+      (fun (src, dst, seq, payload) ->
+        Packet.make ~src ~dst ~seq (Bytes.of_string payload))
+      (quad
+         (string_size (int_range 0 12))
+         (string_size (int_range 0 12))
+         int
+         (string_size (int_range 0 300))))
+
+let print_packet (p : Packet.t) = hex (Packet.encode p)
+
+let prop_encode_matches_ref =
+  QCheck2.Test.make ~name:"packet encode writes the reference bytes" ~count:2000
+    ~print:print_packet gen_packet (fun p ->
+      Bytes.equal (Packet.encode p) (Packet_ref.encode p))
+
+(* 1-3 flipped bytes, a truncation, or appended bytes *)
+let gen_damage =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun flips -> `Flip flips)
+          (list_size (int_range 1 3) (pair nat (int_range 1 255)));
+        map (fun k -> `Truncate k) nat;
+        map (fun tail -> `Append tail) (string_size (int_range 1 16));
+      ])
+
+let damage wire = function
+  | `Flip flips ->
+    let b = Bytes.copy wire in
+    List.iter
+      (fun (i, mask) ->
+        let i = i mod Bytes.length b in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+      flips;
+    b
+  | `Truncate k -> Bytes.sub wire 0 (k mod Bytes.length wire)
+  | `Append tail -> Bytes.cat wire (Bytes.of_string tail)
+
+let prop_decode_matches_ref =
+  QCheck2.Test.make ~name:"packet decode agrees with the reference on damaged wires"
+    ~count:20_000
+    ~print:(fun (p, d) -> hex (damage (Packet.encode p) d))
+    QCheck2.Gen.(pair gen_packet gen_damage)
+    (fun (p, d) -> same_outcome (damage (Packet.encode p) d))
+
 let test_prng_deterministic () =
   let a = Prng.create ~seed:7L in
   let b = Prng.create ~seed:7L in
@@ -104,6 +204,11 @@ let suite =
   [
     Alcotest.test_case "packet roundtrip" `Quick test_packet_roundtrip;
     Alcotest.test_case "packet garbage" `Quick test_packet_decode_garbage;
+    Alcotest.test_case "packet wire pinned" `Quick test_packet_wire_pinned;
+    Alcotest.test_case "packet decode copies" `Quick test_packet_no_alias;
+    Alcotest.test_case "packet every byte flip" `Quick test_packet_every_byte_flip;
+    QCheck_alcotest.to_alcotest prop_encode_matches_ref;
+    QCheck_alcotest.to_alcotest prop_decode_matches_ref;
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng unbiased" `Quick test_prng_unbiased;
     Alcotest.test_case "latency" `Quick test_link_delivers_with_latency;

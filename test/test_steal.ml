@@ -76,6 +76,60 @@ let test_zipf_routing_shape () =
         (c > 150 && c < 350))
     hcounts
 
+(* The per-id Zipf walk [Shard_map.router] replaced: both CDF sums
+   recomputed for every id.  Kept as the router's oracle. *)
+let zipf_walk ~s ~shards id =
+  let mixed =
+    let h = B.Shard_map.hash id in
+    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+    let h = Int64.mul h 0xff51afd7ed558ccdL in
+    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+    let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+    Int64.logxor h (Int64.shift_right_logical h 33)
+  in
+  let u = Int64.to_float (Int64.shift_right_logical mixed 11) /. 9007199254740992.0 in
+  let total = ref 0.0 in
+  for rank = 0 to shards - 1 do
+    total := !total +. (1.0 /. Float.pow (float_of_int (rank + 1)) s)
+  done;
+  let target = u *. !total in
+  let acc = ref 0.0 and chosen = ref (shards - 1) in
+  (try
+     for rank = 0 to shards - 1 do
+       acc := !acc +. (1.0 /. Float.pow (float_of_int (rank + 1)) s);
+       if target < !acc then begin
+         chosen := rank;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  !chosen
+
+let test_router_matches_walk () =
+  let ids = List.init 5_000 (Printf.sprintf "s%04d") in
+  for shards = 1 to 16 do
+    List.iter
+      (fun s ->
+        let route = B.Shard_map.router ~route:(B.Shard_map.Zipf s) ~shards in
+        List.iter
+          (fun id ->
+            let want = zipf_walk ~s ~shards id in
+            if route id <> want then
+              Alcotest.failf "zipf:%g, %d shards, %S: router %d, walk %d" s
+                shards id (route id) want)
+          ids)
+      [ 0.5; 1.0; 1.2; 1.4; 2.0 ];
+    let route = B.Shard_map.router ~route:B.Shard_map.Hash ~shards in
+    List.iter
+      (fun id ->
+        Alcotest.(check int) "hash router is shard_of"
+          (B.Shard_map.shard_of ~shards id) (route id))
+      ids
+  done;
+  Alcotest.check_raises "shards = 0"
+    (Invalid_argument "Shard_map.router: shards <= 0") (fun () ->
+      ignore (B.Shard_map.router ~route:(B.Shard_map.Zipf 1.0) ~shards:0 : string -> int))
+
 (* --- the migration planner ---------------------------------------------- *)
 
 (* The heaviest worker's summed depth under an ownership map. *)
@@ -274,6 +328,8 @@ let suite =
     Alcotest.test_case "route codec" `Quick test_route_codec;
     Alcotest.test_case "zipf router: rank-ordered heat, hash uniform" `Quick
       test_zipf_routing_shape;
+    Alcotest.test_case "zipf router equals the per-id CDF walk" `Quick
+      test_router_matches_walk;
     Alcotest.test_case "migration plan beats static pinning under zipf" `Quick
       test_migration_plan;
     QCheck_alcotest.to_alcotest prop_barrier_rounds;
