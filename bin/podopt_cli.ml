@@ -523,16 +523,10 @@ let hir_cmd file proc args show_opt =
      | Some name ->
        let vargs = List.map (fun n -> Value.Int n) args in
        let emits = ref [] in
-       let globals = Hashtbl.create 16 in
        let host =
          {
-           Interp.null_host with
-           Interp.get_global =
-             (fun g ->
-               match Hashtbl.find_opt globals g with
-               | Some v -> v
-               | None -> Value.Int 0);
-           set_global = (fun g v -> Hashtbl.replace globals g v);
+           (Interp.null_host ()) with
+           Interp.globals = Interp.Globals.create ~unbound:(fun _ -> Value.Int 0) ();
            emit = (fun tag args -> emits := (tag, args) :: !emits);
          }
        in

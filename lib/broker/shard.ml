@@ -81,6 +81,23 @@ type t = {
       option;
 }
 
+(* The dispatch hook's histograms, memoized by event id.  Each one is
+   registered as "dispatch.<event>" on the event's first observation, so
+   the registry lists exactly the events seen, and later dispatches
+   neither build nor hash the name. *)
+let dispatch_observer metrics =
+  let hists = Hashtbl.create 16 in
+  fun (ev : Event.t) dt ->
+    let h =
+      match Hashtbl.find hists ev.Event.id with
+      | h -> h
+      | exception Not_found ->
+        let h = Metrics.histogram metrics ("dispatch." ^ ev.Event.name) in
+        Hashtbl.add hists ev.Event.id h;
+        h
+    in
+    Hist.observe h dt
+
 (* Build the wipeable shard core: a fresh workload runtime with its
    metrics hook, ingress queue, adaptive controller, and breaker —
    shared by [create] and by [kill]'s supervised restart, so a
@@ -95,7 +112,7 @@ let wire_core ~kind ~optimize ~compile ~queue_limit ~shed_policy
   (* per-event-kind dispatch-time distributions, nested dispatches
      included; purely observational, so the hook spends no virtual time
      and determinism is untouched *)
-  Runtime.on_dispatch rt (fun ev dt -> Metrics.observe metrics ("dispatch." ^ ev) dt);
+  Runtime.on_dispatch rt (dispatch_observer metrics);
   let adaptive =
     if optimize then
       let policy = { (Workload.adaptive_policy kind) with Adaptive.compile } in
@@ -554,7 +571,9 @@ let capture t ~epoch =
     Recover.make ~shard:t.id ~epoch ~kind:(Workload.kind_to_string t.kind)
       ~clock:(Runtime.now t.rt) ~sessions:t.sessions ~counters:(counters t)
       ~globals:
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rt.Runtime.globals [])
+        (Podopt_hir.Interp.Globals.fold
+           (fun k v acc -> (k, v) :: acc)
+           t.rt.Runtime.globals [])
       ~queue:(Ingress.to_list t.ingress)
       ~retries:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.retry [])
       ~dead:(List.of_seq (Queue.to_seq t.dead))

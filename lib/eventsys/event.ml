@@ -20,9 +20,9 @@ type table = {
 let create_table () = { next = 0; by_name = Hashtbl.create 32; by_id = Hashtbl.create 32 }
 
 let intern tbl name =
-  match Hashtbl.find_opt tbl.by_name name with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find tbl.by_name name with
+  | e -> e
+  | exception Not_found ->
     let e = { id = tbl.next; name } in
     tbl.next <- tbl.next + 1;
     Hashtbl.add tbl.by_name name e;

@@ -17,9 +17,9 @@ type t = (int, entry) Hashtbl.t
 let create () : t = Hashtbl.create 32
 
 let entry t (ev : Event.t) : entry =
-  match Hashtbl.find_opt t ev.Event.id with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t ev.Event.id with
+  | e -> e
+  | exception Not_found ->
     let e = { handlers = []; version = 0; next_order = 0 } in
     Hashtbl.add t ev.Event.id e;
     e

@@ -79,19 +79,21 @@ type t = {
   events : Event.table;
   registry : Registry.t;
   queue : pending Equeue.t;
-  globals : (string, Value.t) Hashtbl.t;
+  globals : Interp.Globals.t;
   trace : Trace.t;
   mutable program : Ast.program;
   mutable emit_log : (string * Value.t list) list;  (* reversed *)
   mutable emit_log_enabled : bool;  (* benches disable retention *)
   mutable emit_hook : (string -> Value.t list -> unit) option;
-  mutable dispatch_hook : (string -> int -> unit) option;
+  mutable dispatch_hook : (Event.t -> int -> unit) option;
   opt_entries : (int, opt_entry) Hashtbl.t;
   spec_table : (int, Event.t) Hashtbl.t;  (* A -> predicted next B *)
   mutable prefetched : (int * Handler.t list) option;
   mutable depth : int;
-  event_time : (int, int) Hashtbl.t;  (* cumulative processing cost per event *)
-  event_count : (int, int) Hashtbl.t;
+  (* cumulative processing cost and dispatch count, indexed by event id
+     and grown on demand *)
+  mutable event_time : int array;
+  mutable event_count : int array;
   mutable handler_time : int;  (* cost spent inside outermost dispatches *)
   stats : stats;
   (* (event id, arming depth, cell): a tail sync-raise of the expected
@@ -118,24 +120,13 @@ let event t name = Event.intern t.events name
 let set_program t program = t.program <- program
 let program t = t.program
 
-(* --- Globals (shared state; accesses are lock-charged, Sec. 3.2) ----- *)
+(* --- Globals (shared state; handler accesses are lock-charged by the
+   hosts, Sec. 3.2) ----------------------------------------------------- *)
 
 exception Unbound_global of string
 
-let get_global t name =
-  match Hashtbl.find_opt t.globals name with
-  | Some v -> v
-  | None -> raise (Unbound_global name)
-
-let set_global t name v = Hashtbl.replace t.globals name v
-
-let charged_get_global t name =
-  charge t t.costs.lock;
-  get_global t name
-
-let charged_set_global t name v =
-  charge t t.costs.lock;
-  set_global t name v
+let get_global t name = Interp.Globals.find t.globals name
+let set_global t name v = Interp.Globals.replace t.globals name v
 
 (* --- Observable output ------------------------------------------------ *)
 
@@ -262,9 +253,11 @@ and generic_dispatch t (ev : Event.t) args =
 
 and guard_ok t entry =
   charge t (t.costs.guard_check * List.length entry.covered);
-  List.for_all
-    (fun (ev, ver) -> Registry.version t.registry ev = ver)
-    entry.covered
+  versions_match t.registry entry.covered
+
+and versions_match reg = function
+  | [] -> true
+  | (ev, ver) :: rest -> Registry.version reg ev = ver && versions_match reg rest
 
 and run_partitioned t segments args =
   let rec go segments args =
@@ -327,9 +320,9 @@ and dispatch t (ev : Event.t) args =
   Trace.record_dispatch_begin t.trace ~event:ev.Event.name ~time:t0 ~depth:t.depth;
   t.depth <- t.depth + 1;
   let consumed = if outermost then resolve_deferred t ev args else false in
-  (match Hashtbl.find_opt t.opt_entries ev.Event.id with
+  (match Hashtbl.find t.opt_entries ev.Event.id with
    | _ when consumed -> ()
-   | Some entry ->
+   | entry ->
      (match entry.kind with
       | Super compiled ->
         if guard_ok t entry then begin
@@ -359,7 +352,7 @@ and dispatch t (ev : Event.t) args =
       | Partitioned segments ->
         t.stats.optimized_dispatches <- t.stats.optimized_dispatches + 1;
         run_partitioned t segments args)
-   | None -> generic_dispatch t ev args);
+   | exception Not_found -> if not consumed then generic_dispatch t ev args);
   t.depth <- t.depth - 1;
   Trace.record_dispatch_end t.trace ~event:ev.Event.name ~time:(now t) ~depth:t.depth;
   (* speculative preparation (Sec. 5): pull the predicted successor's
@@ -369,14 +362,25 @@ and dispatch t (ev : Event.t) args =
      t.prefetched <- Some (next.Event.id, Registry.handlers t.registry next)
    | None -> ());
   let dt = now t - t0 in
-  Hashtbl.replace t.event_time ev.Event.id
-    (dt + Option.value ~default:0 (Hashtbl.find_opt t.event_time ev.Event.id));
-  Hashtbl.replace t.event_count ev.Event.id
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.event_count ev.Event.id));
-  (match t.dispatch_hook with Some f -> f ev.Event.name dt | None -> ());
+  let id = ev.Event.id in
+  if id >= Array.length t.event_time then grow_event_stats t id;
+  t.event_time.(id) <- t.event_time.(id) + dt;
+  t.event_count.(id) <- t.event_count.(id) + 1;
+  (match t.dispatch_hook with Some f -> f ev dt | None -> ());
   if outermost then t.handler_time <- t.handler_time + dt
 
+and grow_event_stats t id =
+  let n = max (id + 1) (2 * Array.length t.event_time) in
+  let grow a =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.event_time <- grow t.event_time;
+  t.event_count <- grow t.event_count
+
 let create ?(costs = Costs.default) ?(program = []) () =
+  let globals = Interp.Globals.create ~unbound:(fun g -> raise (Unbound_global g)) () in
   let rec t =
     {
       clock = Vclock.create ();
@@ -384,7 +388,7 @@ let create ?(costs = Costs.default) ?(program = []) () =
       events = Event.create_table ();
       registry = Registry.create ();
       queue = Equeue.create ();
-      globals = Hashtbl.create 32;
+      globals;
       trace = Trace.create ();
       program;
       emit_log = [];
@@ -395,8 +399,8 @@ let create ?(costs = Costs.default) ?(program = []) () =
       spec_table = Hashtbl.create 8;
       prefetched = None;
       depth = 0;
-      event_time = Hashtbl.create 32;
-      event_count = Hashtbl.create 32;
+      event_time = Array.make 32 0;
+      event_count = Array.make 32 0;
       handler_time = 0;
       stats =
         {
@@ -417,8 +421,8 @@ let create ?(costs = Costs.default) ?(program = []) () =
       interp_host =
         {
           Interp.raise_event = (fun name mode args -> raise_event t name mode args);
-          get_global = (fun g -> charged_get_global t g);
-          set_global = (fun g v -> charged_set_global t g v);
+          globals;
+          lock = (fun () -> charge t t.costs.lock);
           emit = (fun tag args -> emit t tag args);
           tick = (fun n -> charge t (n * t.costs.interp_step));
           work = (fun w -> charge t w);
@@ -426,14 +430,8 @@ let create ?(costs = Costs.default) ?(program = []) () =
       compiled_host =
         {
           Interp.raise_event = (fun name mode args -> raise_event t name mode args);
-          get_global =
-            (fun g ->
-              charge t t.costs.lock_merged;
-              get_global t g);
-          set_global =
-            (fun g v ->
-              charge t t.costs.lock_merged;
-              set_global t g v);
+          globals;
+          lock = (fun () -> charge t t.costs.lock_merged);
           emit = (fun tag args -> emit t tag args);
           tick = (fun n -> charge t (n * t.costs.compiled_step));
           work = (fun w -> charge t w);
@@ -470,9 +468,10 @@ let flush_deferred t =
     let dt = now t - t0 in
     (* the dispatch that deferred already counted the occurrence; only
        the processing time is attributed here *)
-    Hashtbl.replace t.event_time aev.Event.id
-      (dt + Option.value ~default:0 (Hashtbl.find_opt t.event_time aev.Event.id));
-    (match t.dispatch_hook with Some f -> f aev.Event.name dt | None -> ());
+    let id = aev.Event.id in
+    if id >= Array.length t.event_time then grow_event_stats t id;
+    t.event_time.(id) <- t.event_time.(id) + dt;
+    (match t.dispatch_hook with Some f -> f aev dt | None -> ());
     if outermost then t.handler_time <- t.handler_time + dt;
     true
 
@@ -583,11 +582,9 @@ let clear_speculation t = Hashtbl.reset t.spec_table
 
 (* --- Measurements ----------------------------------------------------- *)
 
-let event_processing_time t name =
-  Option.value ~default:0 (Hashtbl.find_opt t.event_time (event t name).Event.id)
-
-let event_dispatch_count t name =
-  Option.value ~default:0 (Hashtbl.find_opt t.event_count (event t name).Event.id)
+let event_stat stats id = if id < Array.length stats then stats.(id) else 0
+let event_processing_time t name = event_stat t.event_time (event t name).Event.id
+let event_dispatch_count t name = event_stat t.event_count (event t name).Event.id
 
 let total_handler_time t = t.handler_time
 
@@ -601,8 +598,8 @@ let pp_stats ppf (s : stats) =
     s.deferred_flushes s.marshal_bytes s.handler_failures
 
 let reset_measurements t =
-  Hashtbl.reset t.event_time;
-  Hashtbl.reset t.event_count;
+  Array.fill t.event_time 0 (Array.length t.event_time) 0;
+  Array.fill t.event_count 0 (Array.length t.event_count) 0;
   t.handler_time <- 0;
   t.stats.generic_dispatches <- 0;
   t.stats.optimized_dispatches <- 0;

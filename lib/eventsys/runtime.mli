@@ -76,21 +76,25 @@ type t = {
   events : Event.table;
   registry : Registry.t;
   queue : pending Equeue.t;
-  globals : (string, Value.t) Hashtbl.t;
+  globals : Interp.Globals.t;
+      (** the one global store, shared by both hosts; a never-set read
+          raises {!Unbound_global} *)
   trace : Trace.t;
   mutable program : Ast.program;
   mutable emit_log : (string * Value.t list) list;
   mutable emit_log_enabled : bool;  (** benches disable retention *)
   mutable emit_hook : (string -> Value.t list -> unit) option;
-  mutable dispatch_hook : (string -> int -> unit) option;
-      (** called after every completed dispatch with the event name and
-          its processing cost in virtual units (see {!on_dispatch}) *)
+  mutable dispatch_hook : (Event.t -> int -> unit) option;
+      (** called after every completed dispatch with the event and its
+          processing cost in virtual units (see {!on_dispatch}) *)
   opt_entries : (int, opt_entry) Hashtbl.t;
   spec_table : (int, Event.t) Hashtbl.t;
   mutable prefetched : (int * Handler.t list) option;
   mutable depth : int;
-  event_time : (int, int) Hashtbl.t;
-  event_count : (int, int) Hashtbl.t;
+  mutable event_time : int array;
+      (** cumulative processing cost, indexed by event id (grown on
+          demand; see {!event_processing_time}) *)
+  mutable event_count : int array;  (** dispatches, indexed likewise *)
   mutable handler_time : int;
   stats : stats;
   mutable capture : (int * int * Value.t list option ref) option;
@@ -131,15 +135,12 @@ val program : t -> Ast.program
 
 exception Unbound_global of string
 
-(** Uncharged access (initialization, assertions). *)
+(** Uncharged access by name (initialization, assertions); handler
+    code reaches the same store through the hosts, which charge the
+    lock per access. *)
 val get_global : t -> string -> Value.t
 
 val set_global : t -> string -> Value.t -> unit
-
-(** Lock-charged access (the handler execution paths). *)
-val charged_get_global : t -> string -> Value.t
-
-val charged_set_global : t -> string -> Value.t -> unit
 
 (** {1 Observable output} *)
 
@@ -153,11 +154,11 @@ val on_emit : t -> (string -> Value.t list -> unit) -> unit
 
 (** [on_dispatch t f] installs [f] as the dispatch hook: after each
     dispatch completes (including nested dispatches and deferred-event
-    flushes), [f event_name cost] is called with the virtual units the
+    flushes), [f event cost] is called with the virtual units the
     dispatch consumed.  Same shape as {!on_emit}: one hook, replaced by
     the next call.  The hook itself must not raise and must not consume
     virtual time if determinism matters to the caller. *)
-val on_dispatch : t -> (string -> int -> unit) -> unit
+val on_dispatch : t -> (Event.t -> int -> unit) -> unit
 
 (** {1 Bindings} *)
 

@@ -3,21 +3,28 @@
    This is the "code generation" half of the paper's pipeline: once the
    optimizer has produced a merged, specialized super-handler body, that
    body is compiled so that running it no longer pays interpretation
-   overhead.  Variables are resolved to integer slots at compile time
-   (name lookups disappear), control flow becomes direct OCaml control
-   flow, and literals are preallocated.
+   overhead.  Locals are resolved to the slots of a register frame at
+   compile time, and each [global g] site resolves its name to a slot of
+   the host's global store once per store.  Control flow becomes direct
+   OCaml control flow, conditions evaluate to native booleans, and
+   literals are preallocated.  A call allocates its frame; beyond that,
+   only the values the body computes and the argument lists it passes
+   are allocated.
 
    The generated closure still reports one [tick] per executed node so the
    deterministic cost model can price compiled execution differently from
    interpreted execution; the wall-clock speedup comes from the removed
-   hashtable lookups, list traversals and match dispatch. *)
+   name lookups, closure and list allocations, and match dispatch. *)
 
 open Ast
+module Globals = Interp.Globals
 
+(* A register frame: one slot per local of the procedure. *)
 type frame = {
   slots : Value.t array;
-  args : Value.t array;
+  args : Value.t list;
   host : Interp.host;
+  mutable ret : Value.t;  (* set by [return] just before it unwinds *)
 }
 
 type compiled_proc = Interp.host -> Value.t list -> Value.t
@@ -28,6 +35,31 @@ type ctx = {
   prog : program;
   cache : (string, compiled_proc) Hashtbl.t;
 }
+
+(* [return] stores its value in the frame and unwinds with this constant
+   exception, so returning allocates nothing. *)
+exception Return
+
+(* The initial value of a local that is not a parameter.  Physically
+   unique and never handed out: reading it raises [Unbound_variable],
+   as the interpreter does for a name it has never bound. *)
+let unassigned = Value.Bytes (Bytes.create 0)
+
+(* The slot a [global g] site last resolved, with the store it belongs
+   to.  The pair is immutable and replaced whole, so a site run against
+   another store re-resolves and never reads a torn pair. *)
+type site = { store : Globals.t; slot : int }
+
+let no_site = { store = Globals.create ~unbound:(fun _ -> Value.Unit) (); slot = 0 }
+
+let[@inline] site_slot cache g (st : Globals.t) =
+  let s = !cache in
+  if s.store == st then s.slot
+  else begin
+    let slot = Globals.slot st g in
+    cache := { store = st; slot };
+    slot
+  end
 
 let slot_map (p : proc) : (string, int) Hashtbl.t =
   let slots = Hashtbl.create 16 in
@@ -51,20 +83,60 @@ let slot_map (p : proc) : (string, int) Hashtbl.t =
   scan_block p.body;
   slots
 
+(* Bind parameter slots from the argument list; missing arguments read
+   [()], the interpreter's padding convention. *)
+let rec bind_params slots params i args =
+  if i < Array.length params then
+    match args with
+    | v :: rest ->
+      slots.(params.(i)) <- v;
+      bind_params slots params (i + 1) rest
+    | [] ->
+      slots.(params.(i)) <- Value.Unit;
+      bind_params slots params (i + 1) []
+
+(* [arg i], counting [j] down the argument list [all]. *)
+let rec nth_arg all i j = function
+  | v :: rest -> if j = 0 then v else nth_arg all i (j - 1) rest
+  | [] -> Value.type_error "arg %d out of range (%d args)" i (List.length all)
+
+(* Evaluate argument expressions left to right into a list, one cons
+   per argument. *)
+let rec args_of = function
+  | [] -> fun _ -> []
+  | [ c ] -> fun fr -> [ c fr ]
+  | c :: rest ->
+    let crest = args_of rest in
+    fun fr ->
+      let v = c fr in
+      v :: crest fr
+
 let rec compile_expr (ctx : ctx) slots (e : expr) : frame -> Value.t =
   match e with
   | Lit v -> fun fr -> fr.host.tick 1; v
   | Var x ->
     (match Hashtbl.find_opt slots x with
-     | Some i -> fun fr -> fr.host.tick 1; fr.slots.(i)
-     | None -> fun _ -> raise (Interp.Unbound_variable x))
-  | Global g -> fun fr -> fr.host.tick 1; fr.host.get_global g
+     | Some i ->
+       fun fr ->
+         fr.host.tick 1;
+         let v = fr.slots.(i) in
+         if v == unassigned then raise (Interp.Unbound_variable x) else v
+     | None ->
+       fun fr ->
+         fr.host.tick 1;
+         raise (Interp.Unbound_variable x))
+  | Global g ->
+    let cache = ref no_site in
+    fun fr ->
+      let host = fr.host in
+      host.tick 1;
+      host.lock ();
+      let st = host.globals in
+      Globals.get st (site_slot cache g st)
   | Arg i ->
     fun fr ->
       fr.host.tick 1;
-      if i < 0 || i >= Array.length fr.args then
-        Value.type_error "arg %d out of range (%d args)" i (Array.length fr.args)
-      else fr.args.(i)
+      nth_arg fr.args i i fr.args
   | Binop (And, a, b) ->
     let ca = compile_expr ctx slots a in
     let cb = compile_expr ctx slots b in
@@ -91,21 +163,60 @@ let rec compile_expr (ctx : ctx) slots (e : expr) : frame -> Value.t =
       fr.host.tick 1;
       Interp.eval_unop op (ca fr)
   | Call (f, args) ->
-    let cargs = Array.of_list (List.map (compile_expr ctx slots) args) in
+    let cargs = args_of (List.map (compile_expr ctx slots) args) in
     (match proc_by_name ctx.prog f with
      | Some _ ->
        fun fr ->
          fr.host.tick 1;
-         let vs = Array.to_list (Array.map (fun c -> c fr) cargs) in
+         let vs = cargs fr in
          (compiled_proc ctx f) fr.host vs
      | None ->
        let prim = Prim.find f in
-       fun fr ->
-         fr.host.tick 1;
-         let vs = Array.to_list (Array.map (fun c -> c fr) cargs) in
-         let w = Prim.work_of prim vs in
-         if w > 0 then fr.host.work w;
-         prim.Prim.fn vs)
+       let n = List.length args in
+       (match prim.Prim.arity, prim.Prim.work with
+        | Some k, _ when k <> n ->
+          (* the interpreter's order: arguments, their work, then the
+             arity error *)
+          fun fr ->
+            fr.host.tick 1;
+            let w = Prim.work_of prim (cargs fr) in
+            if w > 0 then fr.host.work w;
+            Value.type_error "%s expects %d arguments, got %d" f k n
+        | _, None ->
+          let fn = prim.Prim.fn in
+          fun fr ->
+            fr.host.tick 1;
+            fn (cargs fr)
+        | _, Some _ ->
+          fun fr ->
+            fr.host.tick 1;
+            let vs = cargs fr in
+            let w = Prim.work_of prim vs in
+            if w > 0 then fr.host.work w;
+            prim.Prim.fn vs))
+
+(* A condition, evaluated to a native [bool] with the same ticks,
+   results and errors as [Value.truthy] of the expression. *)
+and compile_cond ctx slots (e : expr) : frame -> bool =
+  match e with
+  | Binop ((Lt | Le | Gt | Ge | Eq | Ne) as op, a, b) ->
+    let ca = compile_expr ctx slots a in
+    let cb = compile_expr ctx slots b in
+    fun fr ->
+      fr.host.tick 1;
+      let va = ca fr in
+      let vb = cb fr in
+      (match op, va, vb with
+       | Eq, _, _ -> Value.equal va vb
+       | Ne, _, _ -> not (Value.equal va vb)
+       | Lt, Value.Int x, Value.Int y -> x < y
+       | Le, Value.Int x, Value.Int y -> x <= y
+       | Gt, Value.Int x, Value.Int y -> x > y
+       | Ge, Value.Int x, Value.Int y -> x >= y
+       | _ -> Value.truthy (Interp.eval_binop op va vb))
+  | e ->
+    let ce = compile_expr ctx slots e in
+    fun fr -> Value.truthy (ce fr)
 
 and compile_stmt ctx slots (s : stmt) : frame -> unit =
   match s with
@@ -117,22 +228,27 @@ and compile_stmt ctx slots (s : stmt) : frame -> unit =
       fr.slots.(i) <- ce fr
   | Set_global (g, e) ->
     let ce = compile_expr ctx slots e in
+    let cache = ref no_site in
     fun fr ->
-      fr.host.tick 1;
-      fr.host.set_global g (ce fr)
+      let host = fr.host in
+      host.tick 1;
+      let v = ce fr in
+      host.lock ();
+      let st = host.globals in
+      Globals.set st (site_slot cache g st) v
   | If (c, t, e) ->
-    let cc = compile_expr ctx slots c in
+    let cc = compile_cond ctx slots c in
     let ct = compile_block ctx slots t in
     let ce = compile_block ctx slots e in
     fun fr ->
       fr.host.tick 1;
-      if Value.truthy (cc fr) then ct fr else ce fr
+      if cc fr then ct fr else ce fr
   | While (c, b) ->
-    let cc = compile_expr ctx slots c in
+    let cc = compile_cond ctx slots c in
     let cb = compile_block ctx slots b in
     fun fr ->
       fr.host.tick 1;
-      while Value.truthy (cc fr) do
+      while cc fr do
         cb fr
       done
   | Expr e ->
@@ -141,35 +257,43 @@ and compile_stmt ctx slots (s : stmt) : frame -> unit =
       fr.host.tick 1;
       ignore (ce fr)
   | Raise { event; mode; args } ->
-    let cargs = Array.of_list (List.map (compile_expr ctx slots) args) in
+    let cargs = args_of (List.map (compile_expr ctx slots) args) in
     fun fr ->
       fr.host.tick 1;
-      let vs = Array.to_list (Array.map (fun c -> c fr) cargs) in
+      let vs = cargs fr in
       fr.host.raise_event event mode vs
   | Emit (tag, args) ->
-    let cargs = Array.of_list (List.map (compile_expr ctx slots) args) in
+    let cargs = args_of (List.map (compile_expr ctx slots) args) in
     fun fr ->
       fr.host.tick 1;
-      let vs = Array.to_list (Array.map (fun c -> c fr) cargs) in
+      let vs = cargs fr in
       fr.host.emit tag vs
   | Return None ->
     fun fr ->
       fr.host.tick 1;
-      raise (Interp.Return_value Value.Unit)
+      fr.ret <- Value.Unit;
+      raise_notrace Return
   | Return (Some e) ->
     let ce = compile_expr ctx slots e in
     fun fr ->
       fr.host.tick 1;
-      raise (Interp.Return_value (ce fr))
+      fr.ret <- ce fr;
+      raise_notrace Return
 
 and compile_block ctx slots (b : block) : frame -> unit =
-  let cs = Array.of_list (List.map (compile_stmt ctx slots) b) in
-  fun fr -> Array.iter (fun c -> c fr) cs
+  match List.map (compile_stmt ctx slots) b with
+  | [ c ] -> c
+  | cs ->
+    let cs = Array.of_list cs in
+    fun fr ->
+      for i = 0 to Array.length cs - 1 do
+        cs.(i) fr
+      done
 
 and compiled_proc (ctx : ctx) (name : string) : compiled_proc =
-  match Hashtbl.find_opt ctx.cache name with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find ctx.cache name with
+  | c -> c
+  | exception Not_found ->
     (match proc_by_name ctx.prog name with
      | None -> Value.type_error "unknown procedure %s" name
      | Some p ->
@@ -179,25 +303,21 @@ and compiled_proc (ctx : ctx) (name : string) : compiled_proc =
        let slots = slot_map p in
        let nslots = Hashtbl.length slots in
        let cbody = compile_block ctx slots p.body in
-       let param_slots =
-         List.map (fun x -> Hashtbl.find slots x) p.params
-       in
+       let params = Array.of_list (List.map (Hashtbl.find slots) p.params) in
        let run host args =
-         Interp.with_call_depth @@ fun () ->
-         let fr = { slots = Array.make (max nslots 1) Value.Unit; args = Array.of_list args; host } in
-         let rec bind is vs =
-           match is, vs with
-           | [], _ -> ()
-           | i :: is', v :: vs' ->
-             fr.slots.(i) <- v;
-             bind is' vs'
-           | _ :: _, [] -> ()
-         in
-         bind param_slots args;
-         try
-           cbody fr;
+         let fr = { slots = Array.make nslots unassigned; args; host; ret = Value.Unit } in
+         bind_params fr.slots params 0 args;
+         let depth = Interp.enter_call () in
+         match cbody fr with
+         | () ->
+           decr depth;
            Value.Unit
-         with Interp.Return_value v -> v
+         | exception Return ->
+           decr depth;
+           fr.ret
+         | exception e ->
+           decr depth;
+           raise e
        in
        fwd := run;
        Hashtbl.replace ctx.cache name run;

@@ -1,12 +1,22 @@
 (** Compilation of HIR to OCaml closures — the "code generation" half of
     the paper's pipeline.
 
-    Variables are resolved to integer slots at compile time, control flow
-    becomes direct OCaml control flow, and literals are preallocated.
-    The generated closure still reports one [tick] per executed node so
-    the deterministic cost model can price compiled execution differently
-    from interpreted execution; the wall-clock speedup comes from the
-    removed hashtable lookups, list traversals and match dispatch. *)
+    Locals are resolved to the slots of a register frame at compile
+    time, and each [global g] site resolves its name to a slot of the
+    host's {!Interp.Globals} store once per store.  Control flow becomes
+    direct OCaml control flow, conditions evaluate to native booleans,
+    and literals are preallocated; a call allocates its frame, and
+    otherwise only the values the body computes and the argument lists
+    it passes.  The generated closure still reports one [tick] per
+    executed node so the deterministic cost model can price compiled
+    execution differently from interpreted execution; the wall-clock
+    speedup comes from the removed name lookups, closure and list
+    allocations, and match dispatch.
+
+    Results, emits, globals and errors agree with {!Interp}: a read of a
+    local never assigned raises {!Interp.Unbound_variable}, and a
+    primitive called with the wrong number of arguments raises the
+    interpreter's {!Value.Type_error} after evaluating its arguments. *)
 
 (** A compiled procedure: supply a host and the argument vector. *)
 type compiled_proc = Interp.host -> Value.t list -> Value.t

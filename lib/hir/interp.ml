@@ -8,22 +8,89 @@
 
 open Ast
 
+(* The global store: the shared state of one runtime's handlers.  It is
+   append-only: a name gets a slot on first use and keeps it, so
+   compiled code can resolve each [global g] site to a slot once per
+   store.  A slot never set holds [unset]; reading it asks the store's
+   [unbound] function, which raises or supplies a default. *)
+module Globals = struct
+  type t = {
+    index : (string, int) Hashtbl.t;
+    mutable names : string array;
+    mutable values : Value.t array;
+    mutable count : int;
+    unbound : string -> Value.t;
+  }
+
+  (* Physically unique: built at run time, never handed out. *)
+  let unset = Value.Bytes (Bytes.create 0)
+
+  let create ~unbound () =
+    {
+      index = Hashtbl.create 16;
+      names = Array.make 16 "";
+      values = Array.make 16 unset;
+      count = 0;
+      unbound;
+    }
+
+  let slot t name =
+    match Hashtbl.find t.index name with
+    | i -> i
+    | exception Not_found ->
+      let i = t.count in
+      if i = Array.length t.values then begin
+        let n = 2 * i in
+        let names = Array.make n "" and values = Array.make n unset in
+        Array.blit t.names 0 names 0 i;
+        Array.blit t.values 0 values 0 i;
+        t.names <- names;
+        t.values <- values
+      end;
+      t.names.(i) <- name;
+      t.count <- i + 1;
+      Hashtbl.add t.index name i;
+      i
+
+  let get t i =
+    let v = t.values.(i) in
+    if v == unset then t.unbound t.names.(i) else v
+
+  let set t i v = t.values.(i) <- v
+
+  let find t name =
+    match Hashtbl.find t.index name with
+    | i -> get t i
+    | exception Not_found -> t.unbound name
+
+  let replace t name v = set t (slot t name) v
+
+  let fold f t acc =
+    let acc = ref acc in
+    for i = 0 to t.count - 1 do
+      let v = t.values.(i) in
+      if v != unset then acc := f t.names.(i) v !acc
+    done;
+    !acc
+end
+
 (* Services the interpreter needs from its embedding (the event runtime or
    a test harness). *)
 type host = {
   raise_event : string -> mode -> Value.t list -> unit;
-  get_global : string -> Value.t;
-  set_global : string -> Value.t -> unit;
+  globals : Globals.t;
+  lock : unit -> unit;  (* per-access charge of a global read or write *)
   emit : string -> Value.t list -> unit;
   tick : int -> unit;   (* per-AST-node cost; engine-dependent *)
   work : int -> unit;   (* intrinsic primitive work; engine-independent *)
 }
 
-let null_host =
+let null_host () =
   {
     raise_event = (fun _ _ _ -> ());
-    get_global = (fun g -> Value.type_error "unbound global %s" g);
-    set_global = (fun _ _ -> ());
+    globals =
+      Globals.create ~unbound:(fun g -> Value.type_error "unbound global %s" g) ();
+    lock = ignore;
     emit = (fun _ _ -> ());
     tick = ignore;
     work = ignore;
@@ -42,11 +109,11 @@ exception Call_depth_exceeded
    shards interpret handlers on separate domains concurrently. *)
 let call_depth = Domain.DLS.new_key (fun () -> ref 0)
 
-let with_call_depth f =
+let enter_call () =
   let depth = Domain.DLS.get call_depth in
   if !depth >= max_call_depth then raise Call_depth_exceeded;
   incr depth;
-  Fun.protect ~finally:(fun () -> decr depth) f
+  depth
 
 type frame = {
   env : (string, Value.t) Hashtbl.t;
@@ -57,6 +124,9 @@ let lookup frame x =
   match Hashtbl.find_opt frame.env x with
   | Some v -> v
   | None -> raise (Unbound_variable x)
+
+(* Comparison results are the two shared constants, never a fresh box. *)
+let bool b = if b then Value.Bool true else Value.Bool false
 
 let rec eval_binop op a b =
   let open Value in
@@ -76,18 +146,18 @@ let rec eval_binop op a b =
     eval_arith_float op x (float_of_int y)
   | (Add | Sub | Mul | Div), Int x, Float y ->
     eval_arith_float op (float_of_int x) y
-  | Eq, a, b -> Bool (Value.equal a b)
-  | Ne, a, b -> Bool (not (Value.equal a b))
-  | Lt, Int x, Int y -> Bool (x < y)
-  | Le, Int x, Int y -> Bool (x <= y)
-  | Gt, Int x, Int y -> Bool (x > y)
-  | Ge, Int x, Int y -> Bool (x >= y)
-  | Lt, Float x, Float y -> Bool (x < y)
-  | Le, Float x, Float y -> Bool (x <= y)
-  | Gt, Float x, Float y -> Bool (x > y)
-  | Ge, Float x, Float y -> Bool (x >= y)
-  | And, Bool x, Bool y -> Bool (x && y)
-  | Or, Bool x, Bool y -> Bool (x || y)
+  | Eq, a, b -> bool (Value.equal a b)
+  | Ne, a, b -> bool (not (Value.equal a b))
+  | Lt, Int x, Int y -> bool (x < y)
+  | Le, Int x, Int y -> bool (x <= y)
+  | Gt, Int x, Int y -> bool (x > y)
+  | Ge, Int x, Int y -> bool (x >= y)
+  | Lt, Float x, Float y -> bool (x < y)
+  | Le, Float x, Float y -> bool (x <= y)
+  | Gt, Float x, Float y -> bool (x > y)
+  | Ge, Float x, Float y -> bool (x >= y)
+  | And, Bool x, Bool y -> bool (x && y)
+  | Or, Bool x, Bool y -> bool (x || y)
   | Concat, Str x, Str y -> Str (x ^ y)
   | Concat, Bytes x, Bytes y -> Bytes (Bytes.cat x y)
   | op, a, b ->
@@ -108,7 +178,7 @@ let eval_unop op v =
   match op, v with
   | Neg, Int n -> Int (-n)
   | Neg, Float f -> Float (-.f)
-  | Not, Bool b -> Bool (not b)
+  | Not, Bool b -> bool (not b)
   | op, v ->
     Value.type_error "bad operand for %s: %s" (unop_to_string op) (Value.to_string v)
 
@@ -117,7 +187,9 @@ let rec eval_expr (host : host) (prog : program) (frame : frame) (e : expr) : Va
   match e with
   | Lit v -> v
   | Var x -> lookup frame x
-  | Global g -> host.get_global g
+  | Global g ->
+    host.lock ();
+    Globals.find host.globals g
   | Arg i ->
     if i < 0 || i >= Array.length frame.args then
       Value.type_error "arg %d out of range (%d args)" i (Array.length frame.args)
@@ -153,7 +225,10 @@ and exec_stmt host prog frame (s : stmt) : unit =
   match s with
   | Let (x, e) | Assign (x, e) ->
     Hashtbl.replace frame.env x (eval_expr host prog frame e)
-  | Set_global (g, e) -> host.set_global g (eval_expr host prog frame e)
+  | Set_global (g, e) ->
+    let v = eval_expr host prog frame e in
+    host.lock ();
+    Globals.replace host.globals g v
   | If (c, t, e) ->
     if Value.truthy (eval_expr host prog frame c) then exec_block host prog frame t
     else exec_block host prog frame e
@@ -174,7 +249,7 @@ and exec_stmt host prog frame (s : stmt) : unit =
 and exec_block host prog frame b = List.iter (exec_stmt host prog frame) b
 
 and call_proc host prog (p : proc) (args : Value.t list) : Value.t =
-  with_call_depth @@ fun () ->
+  let depth = enter_call () in
   let frame = { env = Hashtbl.create 16; args = Array.of_list args } in
   let rec bind params args =
     match params, args with
@@ -190,11 +265,18 @@ and call_proc host prog (p : proc) (args : Value.t list) : Value.t =
   in
   bind p.params args;
   match exec_block host prog frame p.body with
-  | () -> Value.Unit
-  | exception Return_value v -> v
+  | () ->
+    decr depth;
+    Value.Unit
+  | exception Return_value v ->
+    decr depth;
+    v
+  | exception e ->
+    decr depth;
+    raise e
 
 (* Run a named procedure of [prog]. *)
-let run ?(host = null_host) (prog : program) (name : string) (args : Value.t list) :
+let run ?(host = null_host ()) (prog : program) (name : string) (args : Value.t list) :
     Value.t =
   match proc_by_name prog name with
   | Some p -> call_proc host prog p args

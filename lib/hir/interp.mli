@@ -6,19 +6,54 @@
     optimizer's payoff is measured against this baseline, mirroring the
     paper's original indirect, marshaled, per-handler execution path. *)
 
+(** The global store: the shared state of one runtime's handlers.
+
+    Append-only: a name gets a slot on first use and keeps it as the
+    store grows, so compiled code resolves each [global g] site to a
+    slot once per store.  A slot never set reads through the store's
+    [unbound] function. *)
+module Globals : sig
+  type t
+
+  (** [create ~unbound ()] is an empty store; [unbound name] answers a
+      read of a global never set (raise, or supply a default). *)
+  val create : unbound:(string -> Value.t) -> unit -> t
+
+  (** The slot of [name], allocated (never set) on first use. *)
+  val slot : t -> string -> int
+
+  (** Read a slot of this store; a never-set slot reads through
+      [unbound]. *)
+  val get : t -> int -> Value.t
+
+  val set : t -> int -> Value.t -> unit
+
+  (** By-name read, without allocating a slot. *)
+  val find : t -> string -> Value.t
+
+  (** By-name write. *)
+  val replace : t -> string -> Value.t -> unit
+
+  (** Fold over the set slots, in slot order; never-set slots are
+      skipped. *)
+  val fold : (string -> Value.t -> 'a -> 'a) -> t -> 'a -> 'a
+end
+
 (** Services the interpreter needs from its embedding (the event runtime
     or a test harness). *)
 type host = {
   raise_event : string -> Ast.mode -> Value.t list -> unit;
-  get_global : string -> Value.t;
-  set_global : string -> Value.t -> unit;
+  globals : Globals.t;
+  lock : unit -> unit;
+      (** charged once per global read or write, before the access *)
   emit : string -> Value.t list -> unit;
   tick : int -> unit;  (** per-AST-node cost; engine-dependent *)
   work : int -> unit;  (** intrinsic primitive work; engine-independent *)
 }
 
-(** A host that ignores everything (and raises on global reads). *)
-val null_host : host
+(** A fresh host that ignores raises, emits and costs.  Its globals live
+    in a fresh store, where a never-set read raises {!Value.Type_error}. *)
+val null_host : unit -> host
 
 (** Internal control-flow exception for [return]; escapes only on
     malformed use. *)
@@ -32,19 +67,22 @@ exception Call_depth_exceeded
 
 val max_call_depth : int
 
-(** Run [f] one call level deeper; shared by interpreter and compiled
-    code so mixed stacks are bounded together. *)
-val with_call_depth : (unit -> 'a) -> 'a
+(** [enter_call ()] moves one call level deeper and returns the
+    domain's depth counter; the caller decrements it on every exit,
+    exceptions included.  Shared by interpreter and compiled code so
+    mixed stacks are bounded together. *)
+val enter_call : unit -> int ref
 
 (** Shared evaluation of binary/unary operators (also used by the
     compiler and constant folding).  Raise {!Value.Type_error} on bad
     operands; [And]/[Or] here are strict — short-circuiting happens at
-    the expression level. *)
+    the expression level.  A [Bool] result is one of two shared
+    constants, never a fresh box. *)
 val eval_binop : Ast.binop -> Value.t -> Value.t -> Value.t
 
 val eval_unop : Ast.unop -> Value.t -> Value.t
 
-(** [run ~host prog name args] executes procedure [name].  Missing
-    parameters default to [Unit]; the result is the [return] value or
-    [Unit]. *)
+(** [run ~host prog name args] executes procedure [name] (on a fresh
+    {!null_host} when [host] is omitted).  Missing parameters default to
+    [Unit]; the result is the [return] value or [Unit]. *)
 val run : ?host:host -> Ast.program -> string -> Value.t list -> Value.t

@@ -5,25 +5,24 @@ open Podopt
 let value = Alcotest.testable Value.pp Value.equal
 
 (* A host that records emits and global state, with no cost charging;
-   returns (host, emits ref, globals table). *)
+   a never-set global reads 0.  Returns (host, emits ref, global store). *)
 let recording_host () =
   let emits = ref [] in
-  let globals = Hashtbl.create 16 in
+  let globals = Interp.Globals.create ~unbound:(fun _ -> Value.Int 0) () in
   let host =
     {
       Interp.raise_event = (fun _ _ _ -> ());
-      get_global =
-        (fun g ->
-          match Hashtbl.find_opt globals g with
-          | Some v -> v
-          | None -> Value.Int 0);
-      set_global = (fun g v -> Hashtbl.replace globals g v);
+      globals;
+      lock = ignore;
       emit = (fun tag args -> emits := (tag, args) :: !emits);
       tick = ignore;
       work = ignore;
     }
   in
   (host, emits, globals)
+
+let sorted_globals globals =
+  List.sort compare (Interp.Globals.fold (fun k v acc -> (k, v) :: acc) globals [])
 
 let run_proc_with_host prog name args =
   let host, emits, globals = recording_host () in
@@ -34,15 +33,13 @@ let run_proc_with_host prog name args =
    globals (sorted). *)
 let observe prog name args =
   let result, emits, globals = run_proc_with_host prog name args in
-  let gs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) globals [] in
-  (result, emits, List.sort compare gs)
+  (result, emits, sorted_globals globals)
 
 let observe_compiled prog name args =
   let host, emits, globals = recording_host () in
   let compiled = Compile.proc prog name in
   let result = compiled host args in
-  let gs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) globals [] in
-  (result, List.rev !emits, List.sort compare gs)
+  (result, List.rev !emits, sorted_globals globals)
 
 let check_same_behaviour msg prog1 name1 prog2 name2 args =
   let r1, e1, g1 = observe prog1 name1 args in

@@ -5,6 +5,7 @@
 open Podopt
 module Video = Podopt_apps.Video_player
 module Messenger = Podopt_apps.Secure_messenger
+module Chat = Podopt_apps.Chat_room
 
 let test_play_duration_when_keeping_up () =
   (* an optimized player at a low rate keeps up: total time stays within
@@ -59,6 +60,32 @@ let test_messenger_measure_rounds () =
   Alcotest.(check bool) "pop >= push - epsilon" true
     (m.Messenger.pop_mean >= m.Messenger.push_mean *. 0.8)
 
+(* An optimized chat post allocates the values its merged body computes
+   and the argument lists it passes, nothing per call, per global access
+   or in the dispatch bookkeeping: a fan-out-7 post stays under 150
+   minor words, at exactly the 240 units the cost model charges it. *)
+let test_chat_post_allocation () =
+  let rt = Chat.create () in
+  ignore
+    (Driver.profile_and_optimize ~threshold:10 rt
+       ~workload:(Chat.profile_workload rt));
+  Alcotest.(check bool) "event tracing off" false
+    rt.Runtime.trace.Trace.events_enabled;
+  let msg = Chat.message ~fanout:7 ~size:64 1 in
+  (* the first post resolves each global site's slot *)
+  Chat.push rt msg;
+  let opt0 = rt.Runtime.stats.Runtime.optimized_dispatches in
+  let u0 = Runtime.now rt in
+  let w0 = Gc.minor_words () in
+  Chat.push rt msg;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "one optimized dispatch" (opt0 + 1)
+    rt.Runtime.stats.Runtime.optimized_dispatches;
+  Alcotest.(check int) "units" 240 (Runtime.now rt - u0);
+  Alcotest.(check bool)
+    (Printf.sprintf "fan-out-7 post: %.0f words <= 150" words)
+    true (words <= 150.)
+
 let suite =
   [
     Alcotest.test_case "play keeps up" `Quick test_play_duration_when_keeping_up;
@@ -67,4 +94,5 @@ let suite =
     Alcotest.test_case "frame payload deterministic" `Quick test_frame_payload_deterministic;
     Alcotest.test_case "message deterministic" `Quick test_messenger_message_deterministic;
     Alcotest.test_case "measure protocol" `Quick test_messenger_measure_rounds;
+    Alcotest.test_case "chat post allocation" `Quick test_chat_post_allocation;
   ]

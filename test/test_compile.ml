@@ -49,11 +49,42 @@ let test_missing_args () =
 let test_arg_refs () =
   check "func f() { return arg 0 ++ arg 1; }" "f" [ Value.Str "a"; Value.Str "b" ]
 
+(* Both engines raise the same exception, after charging the same
+   ticks and primitive work. *)
+let check_same_error src name args expected =
+  let prog = Parse.program src in
+  let counting_host () =
+    let units = ref 0 in
+    ({ (Interp.null_host ()) with
+       Interp.tick = (fun n -> units := !units + n);
+       work = (fun w -> units := !units + (1000 * w)) },
+     units)
+  in
+  let ih, iu = counting_host () and ch, cu = counting_host () in
+  Alcotest.check_raises "interp" expected (fun () ->
+      ignore (Interp.run ~host:ih prog name args));
+  Alcotest.check_raises "compiled" expected (fun () ->
+      ignore (Compile.proc prog name ch args));
+  Alcotest.(check int) "same ticks and work before the error" !iu !cu
+
+let test_prim_arity_checked () =
+  check_same_error "handler f() { return len(arg 0, 2); }" "f" [ Value.Str "ab" ]
+    (Value.Type_error "len expects 1 arguments, got 2");
+  Prim.register "test_work_prim" ~arity:1 ~work:(fun _ -> 7) (fun _ -> Value.Unit);
+  check_same_error "handler f() { return test_work_prim(1, 2); }" "f" []
+    (Value.Type_error "test_work_prim expects 1 arguments, got 2")
+
+let test_unassigned_local_unbound () =
+  check_same_error "handler g() { if (arg 0 > 0) { let x = 1; } return x; }" "g"
+    [ Value.Int 0 ] (Interp.Unbound_variable "x");
+  check_same_error "handler g() { return y; }" "g" [] (Interp.Unbound_variable "y");
+  check "handler g() { if (arg 0 > 0) { let x = 1; } return x; }" "g" [ Value.Int 1 ]
+
 let test_raise_goes_through_host () =
   let prog = Parse.program "handler h() { raise sync E(7); }" in
   let raised = ref [] in
   let host =
-    { Interp.null_host with
+    { (Interp.null_host ()) with
       Interp.raise_event = (fun name mode args -> raised := (name, mode, args) :: !raised)
     }
   in
@@ -70,7 +101,7 @@ let test_compiled_fewer_ticks_than_interp () =
   in
   let prog = Parse.program src in
   let count_interp = ref 0 and count_comp = ref 0 in
-  let host c = { Interp.null_host with Interp.tick = (fun n -> c := !c + n) } in
+  let host c = { (Interp.null_host ()) with Interp.tick = (fun n -> c := !c + n) } in
   ignore (Interp.run ~host:(host count_interp) prog "f" [ Value.Int 50 ]);
   let compiled = Compile.proc prog "f" in
   ignore (compiled (host count_comp) [ Value.Int 50 ]);
@@ -88,5 +119,7 @@ let suite =
     Alcotest.test_case "missing args" `Quick test_missing_args;
     Alcotest.test_case "arg refs" `Quick test_arg_refs;
     Alcotest.test_case "raise via host" `Quick test_raise_goes_through_host;
+    Alcotest.test_case "primitive arity checked" `Quick test_prim_arity_checked;
+    Alcotest.test_case "unassigned local unbound" `Quick test_unassigned_local_unbound;
     Alcotest.test_case "tick parity" `Quick test_compiled_fewer_ticks_than_interp;
   ]

@@ -90,7 +90,7 @@ let test_prims () =
 let test_ticks_counted () =
   let prog = Parse.program "func f() { let x = 1; let y = 2; return x + y; }" in
   let ticks = ref 0 in
-  let host = { Interp.null_host with Interp.tick = (fun n -> ticks := !ticks + n) } in
+  let host = { (Interp.null_host ()) with Interp.tick = (fun n -> ticks := !ticks + n) } in
   ignore (Interp.run ~host prog "f" []);
   Alcotest.(check bool) "some ticks charged" true (!ticks >= 6)
 
@@ -100,16 +100,74 @@ let test_call_depth_limit () =
       ignore (Interp.run prog "loop" [ Value.Int 0 ]));
   let compiled = Compile.proc prog "loop" in
   Alcotest.check_raises "compiled bounded" Interp.Call_depth_exceeded (fun () ->
-      ignore (compiled Interp.null_host [ Value.Int 0 ]));
+      ignore (compiled (Interp.null_host ()) [ Value.Int 0 ]));
   (* the depth counter must unwind: a subsequent shallow call succeeds *)
   let prog2 = Parse.program "func ok() { return 5; }" in
   Alcotest.(check Helpers.value) "recovered" (Value.Int 5) (Interp.run prog2 "ok" [])
+
+(* The depth counter unwinds on every exit, exceptions included: after
+   3,000 calls that raise out of a callee, a 1,500-deep recursion still
+   fits under the 2,000 limit, on both engines. *)
+let test_call_depth_unwinds () =
+  let prog =
+    Parse.program
+      "func boom(n) { return n / 0; } \
+       func f(n) { return boom(n); } \
+       func deep(n) { if (n == 0) { return 0; } return 1 + deep(n - 1); }"
+  in
+  let engines =
+    [
+      ("interp", fun name args -> Interp.run prog name args);
+      ("compiled", fun name args -> Compile.proc prog name (Interp.null_host ()) args);
+    ]
+  in
+  List.iter
+    (fun (engine, run) ->
+      for _ = 1 to 3_000 do
+        match run "f" [ Value.Int 1 ] with
+        | _ -> Alcotest.failf "%s: division by zero returned" engine
+        | exception Value.Type_error _ -> ()
+      done;
+      let depth = Interp.enter_call () in
+      decr depth;
+      Alcotest.(check int) (engine ^ ": depth back to 0") 0 !depth;
+      Alcotest.(check Helpers.value)
+        (engine ^ ": 1,500 deep") (Value.Int 1_500)
+        (run "deep" [ Value.Int 1_500 ]))
+    engines
+
+(* The global store: slots survive growth, never-set slots raise
+   through [unbound] and are invisible to [fold]. *)
+let test_global_store () =
+  let module G = Interp.Globals in
+  let exception Unbound of string in
+  let st = G.create ~unbound:(fun g -> raise (Unbound g)) () in
+  let s0 = G.slot st "g0" in
+  G.set st s0 (Value.Int 0);
+  let slots = List.init 99 (fun i -> G.slot st (Printf.sprintf "g%d" (i + 1))) in
+  List.iteri (fun i s -> G.set st s (Value.Int (i + 1))) slots;
+  Alcotest.(check int) "g0 keeps its slot" s0 (G.slot st "g0");
+  Alcotest.(check Helpers.value) "g0 keeps its value" (Value.Int 0) (G.get st s0);
+  Alcotest.(check Helpers.value) "g99 by name" (Value.Int 99) (G.find st "g99");
+  List.iteri
+    (fun i s -> Alcotest.(check int) "stable slot" s (G.slot st (Printf.sprintf "g%d" (i + 1))))
+    slots;
+  let never = G.slot st "never" in
+  Alcotest.check_raises "never-set slot" (Unbound "never") (fun () ->
+      ignore (G.get st never));
+  Alcotest.check_raises "never-set name" (Unbound "absent") (fun () ->
+      ignore (G.find st "absent"));
+  let names = G.fold (fun k _ acc -> k :: acc) st [] in
+  Alcotest.(check int) "fold sees the 100 set slots" 100 (List.length names);
+  Alcotest.(check bool) "fold skips the never-set slot" false (List.mem "never" names);
+  G.replace st "never" (Value.Unit);
+  Alcotest.(check int) "set once, folded" 101 (G.fold (fun _ _ n -> n + 1) st 0)
 
 let test_raise_hook () =
   let prog = Parse.program "handler h() { raise async Next(41 + 1); }" in
   let raised = ref [] in
   let host =
-    { Interp.null_host with
+    { (Interp.null_host ()) with
       Interp.raise_event = (fun name mode args -> raised := (name, mode, args) :: !raised)
     }
   in
@@ -134,5 +192,7 @@ let suite =
     Alcotest.test_case "primitives" `Quick test_prims;
     Alcotest.test_case "ticks counted" `Quick test_ticks_counted;
     Alcotest.test_case "call depth bounded" `Quick test_call_depth_limit;
+    Alcotest.test_case "call depth unwinds" `Quick test_call_depth_unwinds;
+    Alcotest.test_case "global store" `Quick test_global_store;
     Alcotest.test_case "raise hook" `Quick test_raise_hook;
   ]

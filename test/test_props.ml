@@ -14,7 +14,9 @@ open Podopt
 let int_vars = [ "v0"; "v1"; "v2"; "v3" ]
 let globals = [ "g0"; "g1" ]
 
-let gen_int_expr : Ast.expr QCheck2.Gen.t =
+(* With [wrong_arity], a rare node calls a primitive with the wrong
+   number of arguments, which both engines must reject the same way. *)
+let gen_int_expr_of ~wrong_arity : Ast.expr QCheck2.Gen.t =
   let open QCheck2.Gen in
   sized (fun n ->
       fix
@@ -28,36 +30,52 @@ let gen_int_expr : Ast.expr QCheck2.Gen.t =
                 map (fun i -> Ast.Arg i) (int_range 0 1);
               ]
           else
-            oneof
-              [
-                map (fun i -> Ast.Lit (Value.Int i)) (int_range (-20) 20);
-                map2
-                  (fun op (a, b) -> Ast.Binop (op, a, b))
-                  (oneofl [ Ast.Add; Ast.Sub; Ast.Mul ])
-                  (pair (self (n / 2)) (self (n / 2)));
-                map (fun a -> Ast.Unop (Ast.Neg, a)) (self (n - 1));
-                map2
-                  (fun f a -> Ast.Call (f, [ a ]))
-                  (oneofl [ "abs" ])
-                  (self (n - 1));
-                map2
-                  (fun f (a, b) -> Ast.Call (f, [ a; b ]))
-                  (oneofl [ "min"; "max" ])
-                  (pair (self (n / 2)) (self (n / 2)));
-              ])
+            let well_formed =
+              oneof
+                [
+                  map (fun i -> Ast.Lit (Value.Int i)) (int_range (-20) 20);
+                  map2
+                    (fun op (a, b) -> Ast.Binop (op, a, b))
+                    (oneofl [ Ast.Add; Ast.Sub; Ast.Mul ])
+                    (pair (self (n / 2)) (self (n / 2)));
+                  map (fun a -> Ast.Unop (Ast.Neg, a)) (self (n - 1));
+                  map2
+                    (fun f a -> Ast.Call (f, [ a ]))
+                    (oneofl [ "abs" ])
+                    (self (n - 1));
+                  map2
+                    (fun f (a, b) -> Ast.Call (f, [ a; b ]))
+                    (oneofl [ "min"; "max" ])
+                    (pair (self (n / 2)) (self (n / 2)));
+                ]
+            in
+            (* abs with two arguments, min or max with one *)
+            let miscounted =
+              map2
+                (fun f (a, b) -> Ast.Call (f, if f = "abs" then [ a; b ] else [ a ]))
+                (oneofl [ "abs"; "min"; "max" ])
+                (pair (self (n / 2)) (self (n / 2)))
+            in
+            if wrong_arity then frequency [ (12, well_formed); (1, miscounted) ]
+            else well_formed)
         (min n 6))
 
-let gen_cond : Ast.expr QCheck2.Gen.t =
+let gen_int_expr = gen_int_expr_of ~wrong_arity:false
+
+let gen_cond_of ~wrong_arity : Ast.expr QCheck2.Gen.t =
   let open QCheck2.Gen in
+  let e = gen_int_expr_of ~wrong_arity in
   map2
     (fun op (a, b) -> Ast.Binop (op, a, b))
     (oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ])
-    (pair gen_int_expr gen_int_expr)
+    (pair e e)
 
 let counter = ref 0
 
-let gen_block : Ast.block QCheck2.Gen.t =
+let gen_block_of ~wrong_arity : Ast.block QCheck2.Gen.t =
   let open QCheck2.Gen in
+  let gen_int_expr = gen_int_expr_of ~wrong_arity in
+  let gen_cond = gen_cond_of ~wrong_arity in
   let gen_stmt self depth =
     let leaf =
       [
@@ -98,10 +116,16 @@ let gen_block : Ast.block QCheck2.Gen.t =
   in
   block 2
 
-(* initialize every variable and global before the random body runs *)
-let wrap_body (body : Ast.block) : Ast.proc =
+let gen_block = gen_block_of ~wrong_arity:false
+
+(* initialize every variable and global before the random body runs,
+   except the variable named by [drop], which a read before its first
+   assignment finds unbound *)
+let wrap_body ?drop (body : Ast.block) : Ast.proc =
   let inits =
-    List.map (fun v -> Ast.Let (v, Ast.Lit (Value.Int 1))) int_vars
+    List.filter_map
+      (fun v -> if Some v = drop then None else Some (Ast.Let (v, Ast.Lit (Value.Int 1))))
+      int_vars
     @ List.map (fun g -> Ast.Set_global (g, Ast.Lit (Value.Int 2))) globals
   in
   { Ast.name = "p"; params = []; body = inits @ body }
@@ -127,10 +151,20 @@ let prop_optimize_preserves =
       let p' = { (Pipeline.optimize_proc [ p ] p) with Ast.name = "q" } in
       behaviours_agree [ p ] "p" [ p' ] "q" args)
 
+(* The engines agree on errors too, exception text included.  The
+   generator sometimes leaves a variable uninitialized and sometimes
+   calls a primitive with the wrong number of arguments. *)
+let gen_compile_case : (string option * Ast.block) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  pair
+    (frequency [ (2, return None); (1, map Option.some (oneofl int_vars)) ])
+    (gen_block_of ~wrong_arity:true)
+
 let prop_compile_agrees_with_interp =
   QCheck2.Test.make ~name:"compile agrees with interp" ~count:300
-    ~print:print_block gen_block (fun body ->
-      let p = wrap_body body in
+    ~print:(fun (drop, body) -> Pp.proc_to_string (wrap_body ?drop body))
+    gen_compile_case (fun (drop, body) ->
+      let p = wrap_body ?drop body in
       let interp_result = observe_proc [ p ] "p" args in
       let compiled_result =
         try Ok (Helpers.observe_compiled [ p ] "p" args)
@@ -138,7 +172,8 @@ let prop_compile_agrees_with_interp =
       in
       match interp_result, compiled_result with
       | Ok a, Ok b -> a = b
-      | Error _, Error _ -> true
+      | Error a, Error b ->
+        a = b || QCheck2.Test.fail_reportf "interp raised %s, compiled raised %s" a b
       | Ok _, Error e -> QCheck2.Test.fail_reportf "only compiled failed: %s" e
       | Error e, Ok _ -> QCheck2.Test.fail_reportf "only interp failed: %s" e)
 

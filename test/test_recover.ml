@@ -143,7 +143,7 @@ let busy_shard () =
    does: in place. *)
 let scribble_globals (s : B.Shard.t) =
   let scribbled =
-    Hashtbl.fold
+    Podopt_hir.Interp.Globals.fold
       (fun _ v n ->
         match v with
         | Value.Bytes _ ->
