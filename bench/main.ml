@@ -450,975 +450,6 @@ handler dc(x) { global dc_sum = global dc_sum + x * 3 - global d_sum; }
   Fmt.pr
     "@.(with a 50/50 successor split neither chaining nor speculation applies;@. deferral runs one jointly-optimized dispatch instead of two)@."
 
-(* --- Broker: sharded serving with per-shard adaptive optimization ------- *)
-
-module Bk = Podopt_broker
-
-(* Machine-readable results: every broker measurement also lands in an
-   in-memory journal; [--json] dumps it as BENCH_broker.json (schema in
-   doc/BROKER.md) — the repo's perf-trajectory format.  Virtual-cost
-   fields are deterministic; [wall_ns] is the real monotonic clock. *)
-module Bjson = struct
-  type entry = {
-    bsection : string;
-    bkind : string;
-    bmode : string; (* "generic" | "optimized" *)
-    bshards : int;
-    bdomains : int;
-    bsessions : int;
-    bops : int;
-    bwall_ns : int64;
-    bbusy : int;
-    bmakespan : int;
-    bdispatched : int;
-    bshed : int;
-    boptimized : int;
-    bgeneric : int;
-    bfallbacks : int;
-    bfailures : int;
-    brequeued : int;
-    bquarantined : int;
-    btrips : int;
-    bdropped : int;
-    bdecode : int;
-    bwarm : bool; (* warm-started from a profile store *)
-    bfirst_opt : int;
-    bfirst_gen : int;
-    bckpt_every : int;
-    bkills : int;
-    brecoveries : int;
-    bredelivered : int;
-    bcheckpoints : int;
-    bramp_opt : int;
-    bramp_gen : int;
-    broute : string; (* "hash" | "zipf:S" *)
-    barrivals : string; (* "periodic" | "uniform" | "pareto:A" | "flash:T:M" *)
-    bmigrations : int;
-    bsteals : int;
-    bcritical : int; (* deterministic critical-path busy units *)
-    belapsed : int;
-    blatency : Bk.Loadgen.latency;
-  }
-
-  let entries : entry list ref = ref []
-  let record e = entries := e :: !entries
-
-  (* v3 latency fields: four flat ints per distribution *)
-  let dist_json prefix (d : Podopt_obs.Hist.dist) =
-    Printf.sprintf
-      "\"%s_p50\": %d, \"%s_p90\": %d, \"%s_p99\": %d, \"%s_max\": %d" prefix
-      d.Podopt_obs.Hist.p50 prefix d.Podopt_obs.Hist.p90 prefix
-      d.Podopt_obs.Hist.p99 prefix d.Podopt_obs.Hist.max
-
-  let of_summary ?(bwarm = false) ?(bckpt_every = 8)
-      ?(broute = "hash") ?(barrivals = "periodic")
-      ?(bmigrations = 0) ?(bsteals = 0) ?(bcritical = 0) ~bsection ~bkind
-      ~bmode ~bshards ~bdomains ~(profile : Bk.Loadgen.profile) ~wall_ns
-      (s : Bk.Loadgen.summary) =
-    {
-      bsection;
-      bkind;
-      bmode;
-      bshards;
-      bdomains;
-      bsessions = profile.Bk.Loadgen.sessions;
-      bops = profile.Bk.Loadgen.ops;
-      bwall_ns = wall_ns;
-      bbusy = s.Bk.Loadgen.busy;
-      bmakespan = s.Bk.Loadgen.makespan;
-      bdispatched = s.Bk.Loadgen.dispatched;
-      bshed = s.Bk.Loadgen.shed;
-      boptimized = s.Bk.Loadgen.optimized;
-      bgeneric = s.Bk.Loadgen.generic;
-      bfallbacks = s.Bk.Loadgen.fallbacks;
-      bfailures = s.Bk.Loadgen.failures;
-      brequeued = s.Bk.Loadgen.requeued;
-      bquarantined = s.Bk.Loadgen.quarantined;
-      btrips = s.Bk.Loadgen.breaker_trips;
-      bdropped = s.Bk.Loadgen.link_dropped;
-      bdecode = s.Bk.Loadgen.decode_failures;
-      bwarm;
-      bfirst_opt = s.Bk.Loadgen.first_epoch_optimized;
-      bfirst_gen = s.Bk.Loadgen.first_epoch_generic;
-      bckpt_every;
-      bkills = s.Bk.Loadgen.kills;
-      brecoveries = s.Bk.Loadgen.recoveries;
-      bredelivered = s.Bk.Loadgen.redelivered;
-      bcheckpoints = s.Bk.Loadgen.checkpoints;
-      bramp_opt = s.Bk.Loadgen.ramp_optimized;
-      bramp_gen = s.Bk.Loadgen.ramp_generic;
-      broute;
-      barrivals;
-      bmigrations;
-      bsteals;
-      bcritical;
-      belapsed = s.Bk.Loadgen.elapsed;
-      blatency = s.Bk.Loadgen.latency;
-    }
-
-  let write path =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v10\",\n";
-    Printf.bprintf b "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-    Buffer.add_string b "  \"entries\": [\n";
-    let n = List.length !entries in
-    List.iteri
-      (fun i e ->
-        Printf.bprintf b
-          "    {\"section\": %S, \"kind\": %S, \"mode\": %S, \"shards\": %d, \
-           \"domains\": %d, \"sessions\": %d, \"ops\": %d, \"wall_ns\": %Ld, \
-           \"busy\": %d, \"makespan\": %d, \"dispatched\": %d, \"shed\": %d, \
-           \"optimized\": %d, \"generic\": %d, \"fallbacks\": %d, \
-           \"failures\": %d, \"requeued\": %d, \"quarantined\": %d, \
-           \"breaker_trips\": %d, \"link_dropped\": %d, \"decode_failures\": %d, \
-           \"warm\": %b, \"first_epoch_optimized\": %d, \
-           \"first_epoch_generic\": %d, \"checkpoint_every\": %d, \
-           \"kills\": %d, \"recoveries\": %d, \"redelivered\": %d, \
-           \"checkpoints\": %d, \"ramp_optimized\": %d, \
-           \"ramp_generic\": %d, \"route\": %S, \
-           \"arrivals\": %S, \"migrations\": %d, \"steals\": %d, \
-           \"critical_busy\": %d, \"elapsed\": %d, %s, %s, %s}%s\n"
-          e.bsection e.bkind e.bmode e.bshards e.bdomains e.bsessions e.bops
-          e.bwall_ns e.bbusy e.bmakespan e.bdispatched e.bshed e.boptimized
-          e.bgeneric e.bfallbacks e.bfailures
-          e.brequeued e.bquarantined
-          e.btrips e.bdropped e.bdecode e.bwarm e.bfirst_opt e.bfirst_gen
-          e.bckpt_every e.bkills e.brecoveries e.bredelivered e.bcheckpoints
-          e.bramp_opt e.bramp_gen e.broute e.barrivals e.bmigrations
-          e.bsteals e.bcritical e.belapsed
-          (dist_json "qwait" e.blatency.Bk.Loadgen.queue_wait)
-          (dist_json "svc_opt" e.blatency.Bk.Loadgen.service_opt)
-          (dist_json "svc_gen" e.blatency.Bk.Loadgen.service_gen)
-          (if i = n - 1 then "" else ","))
-      (List.rev !entries);
-    Buffer.add_string b "  ]\n}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Fmt.pr "@.wrote %s (%d entries)@." path n
-end
-
-(* Warm up and reset outside the timed window, then measure the steady
-   phase under the monotonic clock (same protocol as Loadgen.steady,
-   opened up so wall time covers exactly the measured run). *)
-let timed_steady ?(warmup_ops = 12) broker profile =
-  let cfg = Bk.Broker.config broker in
-  if warmup_ops > 0 then begin
-    let warm =
-      Bk.Loadgen.make_sessions broker { profile with Bk.Loadgen.ops = warmup_ops }
-    in
-    ignore (Bk.Loadgen.run broker warm);
-    if cfg.Bk.Broker.optimize then Bk.Broker.force_reoptimize broker
-  end;
-  Bk.Broker.reset_measurements broker;
-  let sessions = Bk.Loadgen.make_sessions broker profile in
-  let t0 = Monotonic_clock.now () in
-  let s = Bk.Loadgen.run broker sessions in
-  let t1 = Monotonic_clock.now () in
-  (s, Int64.sub t1 t0)
-
-(* Any broker run that hit the load generator's tick budget produced an
-   unfinished summary — its numbers (and any determinism comparison made
-   with them) are meaningless, so the whole bench run fails. *)
-let broker_truncated = ref false
-
-(* Build a broker, run the steady protocol, record the JSON entry, shut
-   the pool down.  Returns (summary, wall ns). *)
-let run_broker ~bsection ~kind ~shards ~domains ~optimize ~profile ~warmup_ops
-    ?(tweak = fun c -> c) () =
-  let cfg =
-    tweak
-      {
-        Bk.Broker.default_config with
-        Bk.Broker.shards;
-        kind;
-        optimize;
-        batch = 16;
-        queue_limit = 256;
-        seed = 11L;
-        domains;
-      }
-  in
-  let b = Bk.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> Bk.Broker.shutdown b)
-    (fun () ->
-      let s, wall_ns = timed_steady ~warmup_ops b profile in
-      if s.Bk.Loadgen.truncated then begin
-        broker_truncated := true;
-        Fmt.epr
-          "%s (%s, %d shards, %d domains): run truncated at the tick budget — \
-           the summary describes an unfinished run (NO — BUG)@."
-          bsection
-          (if optimize then "optimized" else "generic")
-          shards domains
-      end;
-      Bjson.record
-        (Bjson.of_summary ~bsection
-           ~bwarm:(cfg.Bk.Broker.optimize && cfg.Bk.Broker.profile_in <> None)
-           ~bckpt_every:cfg.Bk.Broker.checkpoint_every
-           ~bkind:(Bk.Workload.kind_to_string kind)
-           ~bmode:(if optimize then "optimized" else "generic")
-           ~bshards:shards ~bdomains:domains ~profile ~wall_ns s);
-      (s, wall_ns))
-
-let broker_row ~kind ~shards ~profile ~warmup_ops =
-  let run optimize =
-    fst
-      (run_broker ~bsection:"broker" ~kind ~shards ~domains:1 ~optimize ~profile
-         ~warmup_ops ())
-  in
-  let g = run false in
-  let o = run true in
-  Fmt.pr "%6d | %10d | %12d %12d %6.1f | %9.1f | %12d %12d@." shards
-    g.Bk.Loadgen.dispatched g.Bk.Loadgen.busy o.Bk.Loadgen.busy
-    (pct (float_of_int o.Bk.Loadgen.busy) (float_of_int g.Bk.Loadgen.busy))
-    (Bk.Loadgen.opt_pct o) g.Bk.Loadgen.makespan o.Bk.Loadgen.makespan
-
-let broker_header () =
-  Fmt.pr "%6s | %10s | %12s %12s %6s | %9s | %12s %12s@." "shards" "dispatched"
-    "cost gen" "cost opt" "(%)" "opt-path%" "makespan g" "makespan o"
-
-let broker ?(quick = false) () =
-  section
-    "Broker: sharded serving, generic vs per-shard-optimized (SecComm steady state)";
-  broker_header ();
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 24);
-      ops = (if quick then 8 else 25);
-      interval = 120;
-      spread = 31;
-    }
-  in
-  List.iter
-    (fun shards -> broker_row ~kind:Bk.Workload.Seccomm ~shards ~profile ~warmup_ops:12)
-    (if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]);
-  Fmt.pr
-    "@.(every session's events route to one shard by stable hash; each shard's@. \
-     adaptive controller installs SecPush/SecPop super-handlers from its own@. \
-     live trace during warm-up, so steady-state dispatches take the guarded@. \
-     optimized path and total virtual cost drops at every shard count, while@. \
-     the makespan — the busiest shard's time — falls as shards are added)@.";
-  section "Broker: video frames through CTP shards";
-  broker_header ();
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 4 else 8);
-      ops = (if quick then 3 else 6);
-      interval = 400;
-      spread = 53;
-    }
-  in
-  List.iter
-    (fun shards -> broker_row ~kind:Bk.Workload.Video ~shards ~profile ~warmup_ops:10)
-    (if quick then [ 1; 2 ] else [ 1; 2; 4 ]);
-  Fmt.pr
-    "@.(the frame chain SendMsg -> MsgFrmUserH -> SegFromUser -> Seg2Net is one@. \
-     optimized dispatch; acks, timeouts and flow control stay generic, so the@. \
-     optimized-path share is lower than SecComm's but the chain savings still@. \
-     cut total cost)@.";
-  section "Broker: overload shedding (batch 1, queue limit 2, drop-oldest)";
-  let cfg =
-    {
-      Bk.Broker.default_config with
-      Bk.Broker.shards = 2;
-      batch = 1;
-      queue_limit = 2;
-      policy = Bk.Policy.Drop_oldest;
-      seed = 11L;
-    }
-  in
-  let b = Bk.Broker.create cfg in
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = 12;
-      ops = 10;
-      interval = 60;
-      spread = 11;
-    }
-  in
-  let s, wall_ns = timed_steady ~warmup_ops:0 b profile in
-  Bjson.record
-    (Bjson.of_summary ~bsection:"broker-overload" ~bkind:"seccomm"
-       ~bmode:"generic" ~bshards:2 ~bdomains:1 ~profile ~wall_ns s);
-  Fmt.pr "%a@.%a" Bk.Report.pp_table b Bk.Report.pp_summary s;
-  Fmt.pr
-    "@.(arrivals outrun the drain rate; the bounded ingress queues shed per@. \
-     policy, clients retry with exponential backoff and eventually give up —@. \
-     the broker degrades deterministically instead of growing without bound)@."
-
-(* --- Broker: parallel drain on OCaml 5 domains --------------------------- *)
-
-let ms ns = Int64.to_float ns /. 1.0e6
-
-let broker_par ?(quick = false) () =
-  section
-    (Printf.sprintf
-       "Broker: parallel drain on OCaml 5 domains (wall-clock ms, monotonic; \
-        host has %d core%s)"
-       (Domain.recommended_domain_count ())
-       (if Domain.recommended_domain_count () = 1 then "" else "s"));
-  let domains_list = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let shard_list = if quick then [ 2; 4 ] else [ 2; 4; 8 ] in
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 32);
-      ops = (if quick then 6 else 30);
-      interval = 120;
-      spread = 31;
-    }
-  in
-  Fmt.pr "%6s %7s | %12s %12s | %12s %12s | %9s | %s@." "shards" "domains"
-    "wall gen" "wall opt" "cost gen" "cost opt" "speedup" "deterministic";
-  List.iter
-    (fun shards ->
-      let base = ref None in
-      List.iter
-        (fun domains ->
-          let g, gw =
-            run_broker ~bsection:"broker-par" ~kind:Bk.Workload.Seccomm ~shards
-              ~domains ~optimize:false ~profile ~warmup_ops:12 ()
-          in
-          let o, ow =
-            run_broker ~bsection:"broker-par" ~kind:Bk.Workload.Seccomm ~shards
-              ~domains ~optimize:true ~profile ~warmup_ops:12 ()
-          in
-          (* the virtual summaries must not depend on the domain count:
-             compare every run against its 1-domain twin live *)
-          let deterministic, speedup =
-            match !base with
-            | None ->
-              base := Some (g, o, ow);
-              (true, 1.0)
-            | Some (g1, o1, ow1) ->
-              (g = g1 && o = o1, Int64.to_float ow1 /. Int64.to_float ow)
-          in
-          Fmt.pr "%6d %7d | %12.2f %12.2f | %12d %12d | %8.2fx | %s@." shards
-            domains (ms gw) (ms ow) g.Bk.Loadgen.busy o.Bk.Loadgen.busy speedup
-            (if deterministic then "yes" else "NO — BUG");
-          if not deterministic then
-            Fmt.epr "broker-par: %d shards x %d domains diverged from the \
-                     sequential run@." shards domains)
-        domains_list)
-    shard_list;
-  Fmt.pr
-    "@.(wall-clock for the measured steady phase only; speedup = optimized@. \
-     1-domain wall time over this row's optimized wall time.  The virtual@. \
-     summaries — every per-shard counter and clock — are checked identical@. \
-     across domain counts: parallel drains change elapsed seconds, never@. \
-     results.  Speedup needs real cores; on a 1-core host expect ~1.0x@. \
-     minus coordination overhead)@.";
-  section "Broker: overload under parallel drain (batch 1, queue limit 2)";
-  let overload_shards = if quick then 2 else 4 in
-  let oprofile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = 12;
-      ops = 10;
-      interval = 60;
-      spread = 11;
-    }
-  in
-  let tweak c =
-    {
-      c with
-      Bk.Broker.batch = 1;
-      queue_limit = 2;
-      policy = Bk.Policy.Drop_oldest;
-    }
-  in
-  Fmt.pr "%6s %7s | %12s | %10s %6s %8s | %s@." "shards" "domains" "wall"
-    "dispatched" "shed" "gave up" "deterministic";
-  let base = ref None in
-  List.iter
-    (fun domains ->
-      let s, wall =
-        run_broker ~bsection:"broker-par-overload" ~kind:Bk.Workload.Seccomm
-          ~shards:overload_shards ~domains ~optimize:false ~profile:oprofile
-          ~warmup_ops:0 ~tweak ()
-      in
-      let deterministic =
-        match !base with
-        | None ->
-          base := Some s;
-          true
-        | Some s1 -> s = s1
-      in
-      Fmt.pr "%6d %7d | %12.2f | %10d %6d %8d | %s@." overload_shards domains
-        (ms wall) s.Bk.Loadgen.dispatched s.Bk.Loadgen.shed s.Bk.Loadgen.gave_up
-        (if deterministic then "yes" else "NO — BUG"))
-    domains_list;
-  Fmt.pr
-    "@.(shedding, nacks, and retry backoff all happen on the coordinator's@. \
-     routing step, so even an overloaded run is bit-identical at every@. \
-     domain count)@."
-
-(* --- Broker: latency distributions --------------------------------------- *)
-
-(* Where in the distribution do super-handlers win?  Same steady-state
-   SecComm load served generic and optimized; the per-op service-time
-   percentiles show the shift is across the whole body of the
-   distribution (every op takes the optimized path), not just the tail,
-   while queue waits stay put (arrival pattern is identical). *)
-let broker_latency ?(quick = false) () =
-  section
-    "Broker latency: queue-wait and service-time percentiles, generic vs \
-     optimized (SecComm steady state)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 24);
-      ops = (if quick then 8 else 25);
-      interval = 120;
-      spread = 31;
-    }
-  in
-  let dist_row (d : Podopt_obs.Hist.dist) =
-    Fmt.str "%8d %8d %8d %8d" d.Podopt_obs.Hist.p50 d.Podopt_obs.Hist.p90
-      d.Podopt_obs.Hist.p99 d.Podopt_obs.Hist.max
-  in
-  Fmt.pr "%9s %9s | %35s | %35s@." "mode" "path" "queue-wait p50/p90/p99/max"
-    "service-time p50/p90/p99/max";
-  let run optimize =
-    fst
-      (run_broker ~bsection:"broker-latency" ~kind:Bk.Workload.Seccomm
-         ~shards:2 ~domains:1 ~optimize ~profile ~warmup_ops:12 ())
-  in
-  let g = run false in
-  let o = run true in
-  Fmt.pr "%9s %9s | %35s | %35s@." "generic" "generic"
-    (dist_row g.Bk.Loadgen.latency.Bk.Loadgen.queue_wait)
-    (dist_row g.Bk.Loadgen.latency.Bk.Loadgen.service_gen);
-  Fmt.pr "%9s %9s | %35s | %35s@." "optimized" "optimized"
-    (dist_row o.Bk.Loadgen.latency.Bk.Loadgen.queue_wait)
-    (dist_row o.Bk.Loadgen.latency.Bk.Loadgen.service_opt);
-  let ratio a b = float_of_int a /. float_of_int (max 1 b) in
-  let gd = g.Bk.Loadgen.latency.Bk.Loadgen.service_gen in
-  let od = o.Bk.Loadgen.latency.Bk.Loadgen.service_opt in
-  Fmt.pr
-    "@.(optimized service time = %.2fx generic at p50, %.2fx at p99: the@. \
-     merged super-handler cuts every op's dispatch cost, so the whole@. \
-     distribution shifts left rather than just the tail.  Queue waits@. \
-     depend only on arrivals and drain cadence, hence barely move)@."
-    (ratio od.Podopt_obs.Hist.p50 gd.Podopt_obs.Hist.p50)
-    (ratio od.Podopt_obs.Hist.p99 gd.Podopt_obs.Hist.p99)
-
-(* --- Broker: warm start from a profile store ----------------------------- *)
-
-(* Cold vs warm ramp: a seed run's per-shard profiles are captured into
-   a store, then the same load is served twice with no warm-up phase —
-   once cold (the adaptive controllers must rediscover the hot chains
-   from live traffic) and once warm-started from the store (the merged
-   profile compiles super-handlers before the first packet).  The
-   first-epoch counters make the ramp visible: cold's first batches are
-   all generic. *)
-let broker_warm ?(quick = false) () =
-  section
-    "Broker warm start: cold vs profile-store-fed, no warm-up phase (SecComm \
-     steady state)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 16);
-      ops = (if quick then 8 else 20);
-      interval = 120;
-      spread = 31;
-    }
-  in
-  let shards = 2 in
-  let store =
-    let cfg =
-      {
-        Bk.Broker.default_config with
-        Bk.Broker.shards;
-        kind = Bk.Workload.Seccomm;
-        optimize = true;
-        batch = 16;
-        queue_limit = 256;
-        seed = 11L;
-      }
-    in
-    let b = Bk.Broker.create cfg in
-    Fun.protect
-      ~finally:(fun () -> Bk.Broker.shutdown b)
-      (fun () ->
-        ignore (Bk.Loadgen.steady ~warmup_ops:12 b profile);
-        Bk.Broker.profile_store b)
-  in
-  let run tweak =
-    fst
-      (run_broker ~bsection:"broker-warm" ~kind:Bk.Workload.Seccomm ~shards
-         ~domains:1 ~optimize:true ~profile ~warmup_ops:0 ~tweak ())
-  in
-  let cold = run (fun c -> c) in
-  let warm = run (fun c -> { c with Bk.Broker.profile_in = Some store }) in
-  Fmt.pr "%6s | %13s %13s | %9s | %12s %12s@." "mode" "1st-epoch opt"
-    "1st-epoch gen" "opt-path%" "cost" "makespan";
-  let row name (s : Bk.Loadgen.summary) =
-    Fmt.pr "%6s | %13d %13d | %9.1f | %12d %12d@." name
-      s.Bk.Loadgen.first_epoch_optimized s.Bk.Loadgen.first_epoch_generic
-      (Bk.Loadgen.opt_pct s) s.Bk.Loadgen.busy s.Bk.Loadgen.makespan
-  in
-  row "cold" cold;
-  row "warm" warm;
-  Fmt.pr
-    "@.(the seed run's store is merged and fed back via profile_in; the warm@. \
-     broker dispatches optimized in its very first batch while the cold one@. \
-     must re-profile from scratch, so the warm run's optimized-path share@. \
-     and total cost beat cold for the same traffic)@."
-
-(* --- Broker: deterministic fault injection ------------------------------- *)
-
-let broker_faults ?(quick = false) () =
-  section
-    "Broker: fault injection (seeded crash/spike/drop plans, SecComm steady \
-     state)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 16);
-      ops = (if quick then 8 else 20);
-      interval = 120;
-      spread = 31;
-    }
-  in
-  let shards = 2 in
-  Fmt.pr "%6s | %10s %8s %8s %5s %5s | %12s %12s %6s | %s@." "crash%"
-    "dispatched" "failed" "requeued" "quar" "trips" "cost gen" "cost opt" "(%)"
-    "deterministic";
-  List.iter
-    (fun crash_permille ->
-      (* crashes dominate; spikes at half the rate, a sprinkle of wire
-         drops — all from the same seeded plan *)
-      let spec =
-        {
-          Podopt_faults.Plan.none with
-          Podopt_faults.Plan.seed = 7L;
-          crash_permille;
-          spike_permille = crash_permille / 2;
-          drop_permille = crash_permille / 20;
-        }
-      in
-      let tweak c = { c with Bk.Broker.faults = spec } in
-      let g, _ =
-        run_broker ~bsection:"broker-faults" ~kind:Bk.Workload.Seccomm ~shards
-          ~domains:1 ~optimize:false ~profile ~warmup_ops:12 ~tweak ()
-      in
-      let o, _ =
-        run_broker ~bsection:"broker-faults" ~kind:Bk.Workload.Seccomm ~shards
-          ~domains:1 ~optimize:true ~profile ~warmup_ops:12 ~tweak ()
-      in
-      (* faulty runs obey the same law as clean ones: the virtual summary
-         must not depend on the domain count *)
-      let o2, _ =
-        run_broker ~bsection:"broker-faults" ~kind:Bk.Workload.Seccomm ~shards
-          ~domains:2 ~optimize:true ~profile ~warmup_ops:12 ~tweak ()
-      in
-      let deterministic = o = o2 in
-      Fmt.pr "%6.1f | %10d %8d %8d %5d %5d | %12d %12d %6.1f | %s@."
-        (float_of_int crash_permille /. 10.0)
-        o.Bk.Loadgen.dispatched o.Bk.Loadgen.failures o.Bk.Loadgen.requeued
-        o.Bk.Loadgen.quarantined o.Bk.Loadgen.breaker_trips g.Bk.Loadgen.busy
-        o.Bk.Loadgen.busy
-        (pct (float_of_int o.Bk.Loadgen.busy) (float_of_int g.Bk.Loadgen.busy))
-        (if deterministic then "yes" else "NO — BUG");
-      if not deterministic then
-        Fmt.epr "broker-faults: crash=%d diverged across domain counts@."
-          crash_permille)
-    (if quick then [ 0; 200 ] else [ 0; 10; 50; 200 ]);
-  Fmt.pr
-    "@.(every fault is drawn from a per-kind, per-shard seeded PRNG stream, so@. \
-     a fault scenario replays bit-identically at any domain count.  Failed ops@. \
-     are isolated at the dispatch boundary and retried; after 3 consecutive@. \
-     failures an op is quarantined to the shard's dead-letter queue.  When@. \
-     the optimized path's fault rate trips the circuit breaker the shard@. \
-     falls back to generic dispatch and re-optimizes after the cool-down)@."
-
-(* --- Broker: deterministic crash recovery -------------------------------- *)
-
-(* The recovery invariant under load: a run with shard kills enabled
-   must produce end-of-run observables — global dispatch order,
-   per-attempt success, payload digests, and every client's accounting —
-   byte-identical to the same run with kills disabled, at any kill rate
-   and checkpoint interval; and the killed run itself must be
-   bit-identical across domain counts.  Any violation (or a recovery
-   whose first post-recovery batch dispatches nothing optimized — a cold
-   restart where a warm one was promised) fails the whole bench. *)
-let broker_recovery_failed = ref false
-
-let broker_recovery ?(quick = false) () =
-  section
-    "Broker recovery: seeded shard kills, epoch checkpoints, journal \
-     redelivery (SecComm steady state)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 16);
-      ops = (if quick then 8 else 20);
-      interval = 120;
-      spread = 31;
-    }
-  in
-  let shards = 2 in
-  (* One observed run: warm up, reset, then capture the measured phase's
-     deliveries (domains = 1 only — the hook needs a deterministic global
-     append order) and per-client accounting alongside the summary. *)
-  let observed ~domains ~kill ~checkpoint_every =
-    let cfg =
-      {
-        Bk.Broker.default_config with
-        Bk.Broker.shards;
-        kind = Bk.Workload.Seccomm;
-        optimize = true;
-        batch = 16;
-        queue_limit = 256;
-        seed = 11L;
-        domains;
-        checkpoint_every;
-        faults =
-          {
-            Podopt_faults.Plan.none with
-            Podopt_faults.Plan.seed = 7L;
-            kill_permille = kill;
-          };
-      }
-    in
-    let b = Bk.Broker.create cfg in
-    Fun.protect
-      ~finally:(fun () -> Bk.Broker.shutdown b)
-      (fun () ->
-        let warm =
-          Bk.Loadgen.make_sessions b { profile with Bk.Loadgen.ops = 12 }
-        in
-        ignore (Bk.Loadgen.run b warm);
-        Bk.Broker.force_reoptimize b;
-        Bk.Broker.reset_measurements b;
-        let deliveries = ref [] in
-        if domains = 1 then
-          Bk.Broker.set_delivery_hook b
-            (Some
-               (fun ~shard ~src ~seq ~ok ~payload ->
-                 deliveries :=
-                   Printf.sprintf "%d %s#%d %b %08x" shard src seq ok
-                     (Podopt_crypto.Crc32.compute payload land 0xffffffff)
-                   :: !deliveries));
-        let sessions = Bk.Loadgen.make_sessions b profile in
-        let t0 = Monotonic_clock.now () in
-        let s = Bk.Loadgen.run b sessions in
-        let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
-        if s.Bk.Loadgen.truncated then broker_truncated := true;
-        let clients =
-          List.map
-            (fun sess ->
-              let st = Bk.Session.stats sess in
-              Printf.sprintf "%s %d %d %d %d" (Bk.Session.id sess)
-                st.Bk.Session.sent st.Bk.Session.retries st.Bk.Session.nacks
-                st.Bk.Session.gave_up)
-            sessions
-        in
-        if domains = 1 then
-          Bjson.record
-            (Bjson.of_summary ~bsection:"broker-recovery" ~bkind:"seccomm"
-               ~bmode:(if kill > 0 then "killed" else "optimized")
-               ~bckpt_every:checkpoint_every ~bshards:shards ~bdomains:domains
-               ~profile ~wall_ns s);
-        (s, List.rev !deliveries, clients))
-  in
-  let _, d0, c0 = observed ~domains:1 ~kill:0 ~checkpoint_every:8 in
-  Fmt.pr "%6s %9s | %5s %5s %8s %6s | %10s | %9s | %s@." "kill%" "ckpt-every"
-    "kills" "recov" "redeliv" "ckpts" "ramp o/g" "identical" "deterministic";
-  List.iter
-    (fun (kill, checkpoint_every) ->
-      let s1, d1, c1 = observed ~domains:1 ~kill ~checkpoint_every in
-      let identical = d1 = d0 && c1 = c0 in
-      let s2, _, _ = observed ~domains:2 ~kill ~checkpoint_every in
-      let deterministic = s1 = s2 in
-      let warm_ramp =
-        s1.Bk.Loadgen.recoveries = 0 || s1.Bk.Loadgen.ramp_optimized > 0
-      in
-      Fmt.pr "%6.1f %9d | %5d %5d %8d %6d | %5d/%4d | %9s | %s@."
-        (float_of_int kill /. 10.0)
-        checkpoint_every s1.Bk.Loadgen.kills s1.Bk.Loadgen.recoveries
-        s1.Bk.Loadgen.redelivered s1.Bk.Loadgen.checkpoints
-        s1.Bk.Loadgen.ramp_optimized s1.Bk.Loadgen.ramp_generic
-        (if identical then "yes" else "NO — BUG")
-        (if deterministic then "yes" else "NO — BUG");
-      if not identical then begin
-        broker_recovery_failed := true;
-        Fmt.epr
-          "broker-recovery: kill=%d ckpt=%d observables diverged from the \
-           kill-free run@."
-          kill checkpoint_every
-      end;
-      if not deterministic then begin
-        broker_recovery_failed := true;
-        Fmt.epr "broker-recovery: kill=%d ckpt=%d diverged across domain \
-                 counts@." kill checkpoint_every
-      end;
-      if s1.Bk.Loadgen.kills = 0 then begin
-        broker_recovery_failed := true;
-        Fmt.epr "broker-recovery: kill=%d ckpt=%d drew no kills — the sweep \
-                 is not exercising recovery@." kill checkpoint_every
-      end;
-      if not warm_ramp then begin
-        broker_recovery_failed := true;
-        Fmt.epr
-          "broker-recovery: kill=%d ckpt=%d recovered cold — no optimized \
-           dispatch in the first post-recovery batch@."
-          kill checkpoint_every
-      end)
-    (if quick then [ (400, 4) ]
-     else [ (150, 1); (150, 8); (400, 2); (400, 8) ]);
-  Fmt.pr
-    "@.(each kill wipes a shard's runtime, optimizer, ingress and retry state;@. \
-     the supervisor restores the latest checkpoint — counters, globals,@. \
-     queue, retries, dead letters, fault streams, and the profile that@. \
-     warm-starts the super-handlers — then redelivers the journal in@. \
-     admission order.  The ramp column shows the first post-recovery batch@. \
-     dispatching optimized: restarts are warm, not cold)@."
-
-(* --- broker work-stealing: Zipf skew, deterministic migration ----------- *)
-
-let broker_steal_failed = ref false
-
-let broker_steal ?(quick = false) () =
-  section
-    "Broker work-stealing: Zipf-skewed routing, hot-shard migration \
-     (SecComm steady state)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 16 else 32);
-      ops = (if quick then 8 else 12);
-      interval = 80;
-      spread = 31;
-    }
-  in
-  let shards = 8 in
-  (* One measured run.  Returns the serve document (the byte-compared
-     observable), the summary, and the scheduler's deterministic
-     telemetry: the planned critical-path busy (per epoch, each shard's
-     busy is charged to its deterministic owner; the running max over
-     workers is the best makespan the ownership plan allows — steal-race
-     free, so reproducible on any host) and the shards the planner has
-     moved off the initial [i mod domains] ownership (warm-up migrations
-     included: the smoothed plan converges during warm-up and then
-     holds). *)
-  let run ~route ~domains =
-    let cfg =
-      {
-        Bk.Broker.default_config with
-        Bk.Broker.shards;
-        kind = Bk.Workload.Seccomm;
-        optimize = true;
-        batch = 16;
-        queue_limit = 256;
-        seed = 11L;
-        domains;
-        route;
-      }
-    in
-    let b = Bk.Broker.create cfg in
-    Fun.protect
-      ~finally:(fun () -> Bk.Broker.shutdown b)
-      (fun () ->
-        let warm =
-          Bk.Loadgen.make_sessions b { profile with Bk.Loadgen.ops = 12 }
-        in
-        ignore (Bk.Loadgen.run b warm);
-        Bk.Broker.force_reoptimize b;
-        Bk.Broker.reset_measurements b;
-        let sessions = Bk.Loadgen.make_sessions b profile in
-        let t0 = Monotonic_clock.now () in
-        let s = Bk.Loadgen.run b sessions in
-        let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
-        if s.Bk.Loadgen.truncated then broker_truncated := true;
-        let json = Bk.Report.json ~metrics:false b s in
-        let critical = Bk.Broker.critical_busy b in
-        let moved = ref 0 in
-        Array.iteri
-          (fun i o -> if o <> i mod domains then incr moved)
-          (Bk.Broker.owners b);
-        Bjson.record
-          (Bjson.of_summary ~bsection:"broker-steal" ~bkind:"seccomm"
-             ~bmode:"steal"
-             ~broute:(Bk.Shard_map.route_to_string route)
-             ~bmigrations:(Bk.Broker.migration_count b)
-             ~bsteals:(Bk.Broker.steals b) ~bcritical:critical ~bshards:shards
-             ~bdomains:domains ~profile ~wall_ns s);
-        (s, json, !moved, critical))
-  in
-  let routes =
-    if quick then [ Bk.Shard_map.Zipf 1.4 ]
-    else [ Bk.Shard_map.Hash; Bk.Shard_map.Zipf 0.9; Bk.Shard_map.Zipf 1.4 ]
-  in
-  let domain_counts = if quick then [ 2 ] else [ 2; 4 ] in
-  Fmt.pr "%9s %7s | %10s | %5s | %9s@." "route" "domains" "crit c/op" "moved"
-    "identical";
-  List.iter
-    (fun route ->
-      let rname = Bk.Shard_map.route_to_string route in
-      let row domains (s : Bk.Loadgen.summary) moved crit identical =
-        Fmt.pr "%9s %7d | %10.1f | %5d | %9s@." rname domains
-          (if s.Bk.Loadgen.dispatched = 0 then 0.0
-           else float_of_int crit /. float_of_int s.Bk.Loadgen.dispatched)
-          moved
-          (if identical then "yes" else "NO — BUG")
-      in
-      (* the reference document: one domain *)
-      let s0, json0, moved0, crit0 = run ~route ~domains:1 in
-      row 1 s0 moved0 crit0 true;
-      List.iter
-        (fun domains ->
-          let s, json, moved, crit = run ~route ~domains in
-          let identical = String.equal json json0 && s = s0 in
-          row domains s moved crit identical;
-          if not identical then begin
-            broker_steal_failed := true;
-            Fmt.epr
-              "broker-steal: route %s domains %d — observables diverged \
-               across domain counts@."
-              rname domains
-          end;
-          match route with
-          | Bk.Shard_map.Zipf _ when moved = 0 ->
-            broker_steal_failed := true;
-            Fmt.epr
-              "broker-steal: route %s domains %d — the planner never moved \
-               a shard under Zipf skew; the scheduler is not being \
-               exercised@."
-              rname domains
-          | _ -> ())
-        domain_counts)
-    routes;
-  Fmt.pr
-    "@.(crit c/op is the planned critical path per dispatched op: each@. \
-     epoch charges a shard's busy delta to its deterministic owner and@. \
-     takes the max over workers — the makespan the ownership plan allows,@. \
-     independent of steal races and host core count.  The moved column@. \
-     counts shards the planner has migrated off the initial [i mod@. \
-     domains] ownership — the smoothed plan converges during warm-up and@. \
-     holds.  Under Zipf skew the planner must move shards at >= 2@. \
-     domains while the serve document stays byte-identical to the@. \
-     1-domain run; under uniform hash routing there is nothing to@. \
-     rebalance and only identity is checked)@."
-
-(* --- broker workload zoo: open-loop arrivals across workloads ----------- *)
-
-let broker_zoo_failed = ref false
-
-let broker_zoo ?(quick = false) () =
-  section
-    "Broker workload zoo: GUI-storm / chat-fanout workloads under open-loop \
-     arrivals (shed-prone queue, domain identity checked per cell)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 12);
-      ops = (if quick then 6 else 10);
-      interval = 120;
-      spread = 17;
-    }
-  in
-  let shards = 4 in
-  (* One steady-state run per cell: a tight queue (limit 4, batch 2) so
-     the flash-crowd bursts actually pressure the shed policy, and the
-     serve document captured for the domain-identity comparison. *)
-  let run ~kind ~arrivals ~domains =
-    let cfg =
-      {
-        Bk.Broker.default_config with
-        Bk.Broker.shards;
-        kind;
-        optimize = true;
-        batch = 2;
-        queue_limit = 4;
-        seed = 13L;
-        domains;
-        arrivals;
-      }
-    in
-    let b = Bk.Broker.create cfg in
-    Fun.protect
-      ~finally:(fun () -> Bk.Broker.shutdown b)
-      (fun () ->
-        let warm =
-          Bk.Loadgen.make_sessions b { profile with Bk.Loadgen.ops = 6 }
-        in
-        ignore (Bk.Loadgen.run b warm);
-        Bk.Broker.force_reoptimize b;
-        Bk.Broker.reset_measurements b;
-        let sessions = Bk.Loadgen.make_sessions b profile in
-        let t0 = Monotonic_clock.now () in
-        let s = Bk.Loadgen.run b sessions in
-        let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
-        if s.Bk.Loadgen.truncated then broker_truncated := true;
-        let json = Bk.Report.json ~metrics:false b s in
-        Bjson.record
-          (Bjson.of_summary ~bsection:"broker-zoo"
-             ~bkind:(Bk.Workload.kind_to_string kind)
-             ~bmode:"optimized"
-             ~barrivals:(Bk.Arrivals.to_string arrivals)
-             ~bshards:shards ~bdomains:domains ~profile ~wall_ns s);
-        (s, json))
-  in
-  let kinds = [ Bk.Workload.Seccomm; Bk.Workload.Xwin; Bk.Workload.Chat ] in
-  let specs =
-    [ Bk.Arrivals.Uniform; Bk.Arrivals.Pareto 1.5; Bk.Arrivals.Flash (600, 8) ]
-  in
-  let alt_domains = if quick then 2 else 4 in
-  let flash_pressure = ref 0 in
-  Fmt.pr "%8s %12s | %10s %6s %6s %6s | %9s@." "workload" "arrivals"
-    "dispatched" "shed" "displ" "opt%" "identical";
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun spec ->
-          let s1, json1 = run ~kind ~arrivals:spec ~domains:1 in
-          let sn, jsonn = run ~kind ~arrivals:spec ~domains:alt_domains in
-          let identical = String.equal json1 jsonn && s1 = sn in
-          (match spec with
-           | Bk.Arrivals.Flash _ ->
-             flash_pressure :=
-               !flash_pressure + s1.Bk.Loadgen.shed + s1.Bk.Loadgen.displaced
-           | _ -> ());
-          Fmt.pr "%8s %12s | %10d %6d %6d %6.1f | %9s@."
-            (Bk.Workload.kind_to_string kind)
-            (Bk.Arrivals.to_string spec)
-            s1.Bk.Loadgen.dispatched s1.Bk.Loadgen.shed s1.Bk.Loadgen.displaced
-            (Bk.Loadgen.opt_pct s1)
-            (if identical then "yes" else "NO — BUG");
-          if not identical then begin
-            broker_zoo_failed := true;
-            Fmt.epr
-              "broker-zoo: %s under %s arrivals — observables diverged \
-               between --domains 1 and --domains %d@."
-              (Bk.Workload.kind_to_string kind)
-              (Bk.Arrivals.to_string spec)
-              alt_domains
-          end)
-        specs)
-    kinds;
-  if !flash_pressure = 0 then begin
-    broker_zoo_failed := true;
-    Fmt.epr
-      "broker-zoo: no flash-crowd cell shed or displaced a single packet — \
-       the bursts never pressured the queues, so the open-loop path is not \
-       being exercised@."
-  end;
-  Fmt.pr
-    "@.(each cell is one steady-state run per domain count; identical means@. \
-     the serve JSON document and every summary counter match byte-for-byte@. \
-     between the sequential and the parallel drain.  The flash rows must@. \
-     shed or displace — a burst that never pressures the shed-prone queue@. \
-     would leave the open-loop machinery untested)@."
-
 (* --- Bechamel wall-clock suite ------------------------------------------ *)
 
 let bechamel () =
@@ -1521,23 +552,11 @@ let all_tables () =
   fig14 ();
   speculate ();
   defer ();
-  configs ();
-  broker ();
-  broker_latency ();
-  broker_warm ();
-  broker_faults ();
-  broker_recovery ();
-  broker_steal ();
-  broker_zoo ()
+  configs ()
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl |> List.filter (( <> ) "--") in
-  let json = List.mem "--json" args in
-  let quick = List.mem "--quick" args in
-  let names =
-    List.filter (fun a -> a <> "--json" && a <> "--quick") args
-  in
-  (match names with
+  let names = Array.to_list Sys.argv |> List.tl |> List.filter (( <> ) "--") in
+  match names with
   | [] ->
     all_tables ();
     bechamel ()
@@ -1557,40 +576,9 @@ let () =
         | "speculate" -> speculate ()
         | "defer" -> defer ()
         | "configs" -> configs ()
-        | "broker" -> broker ~quick ()
-        | "broker-latency" -> broker_latency ~quick ()
-        | "broker-warm" -> broker_warm ~quick ()
-        | "broker-par" -> broker_par ~quick ()
-        | "broker-faults" -> broker_faults ~quick ()
-        | "broker-recovery" -> broker_recovery ~quick ()
-        | "broker-steal" -> broker_steal ~quick ()
-        | "broker-zoo" -> broker_zoo ~quick ()
         | "bechamel" -> bechamel ()
         | "tables" -> all_tables ()
         | other ->
           Fmt.epr "unknown benchmark %s@." other;
           exit 2)
-      names);
-  if json then Bjson.write "BENCH_broker.json";
-  if !broker_truncated then begin
-    Fmt.epr "bench: at least one broker run was truncated — results invalid@.";
-    exit 1
-  end;
-  if !broker_recovery_failed then begin
-    Fmt.epr
-      "bench: crash recovery diverged from the kill-free run or restarted \
-       cold — results invalid@.";
-    exit 1
-  end;
-  if !broker_steal_failed then begin
-    Fmt.epr
-      "bench: the work-stealing scheduler diverged across domain counts or \
-       never migrated a shard on a skewed workload — results invalid@.";
-    exit 1
-  end;
-  if !broker_zoo_failed then begin
-    Fmt.epr
-      "bench: a workload-zoo cell diverged across domain counts or the \
-       flash crowd never pressured the queues — results invalid@.";
-    exit 1
-  end
+      names

@@ -454,7 +454,6 @@ let migrated t = Array.copy t.migrated
 let migrations t = List.rev t.migrations
 let migration_count t = Array.fold_left ( + ) 0 t.migrated
 let critical_busy t = t.critical
-let owners t = Array.copy t.owner
 
 (* Recovery accounting, summed over shards. *)
 let supervised t = t.supervised

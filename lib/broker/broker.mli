@@ -158,13 +158,13 @@ val decode_failures : t -> int
 
 (** {2 Scheduler accounting} (see doc/SCHEDULER.md)
 
-    [migrations]/[migrated]/[migration_count]/[critical_busy]/[owners]
-    are pure functions of recorded state — identical from run to run
-    for a given config.  [steals]/[stolen] record the actual claim
-    race and are telemetry only: they never enter snapshots, summaries,
-    or serve JSON (which must stay byte-identical at any domain
-    count).  Ownership and migration feed only [critical_busy], the
-    [migr] column and the [stole] telemetry: no claim reads them. *)
+    [migrations]/[migrated]/[migration_count]/[critical_busy] are pure
+    functions of recorded state — identical from run to run for a given
+    config.  [steals]/[stolen] record the actual claim race and are
+    telemetry only: they never enter snapshots, summaries, or serve
+    JSON (which must stay byte-identical at any domain count).
+    Ownership and migration feed only [critical_busy], the [migr]
+    column and the [stole] telemetry: no claim reads them. *)
 
 (** [migration_plan ~domains ~depths owner] is one epoch's planner
     decision, a pure function of its arguments: while the heaviest
@@ -197,9 +197,6 @@ val migration_count : t -> int
     The bench's skew metric: lower means the fleet serializes less
     behind its hottest lane. *)
 val critical_busy : t -> int
-
-(** The current shard-to-preferred-worker map. *)
-val owners : t -> int array
 
 (** {2 Crash-recovery accounting} (see doc/RECOVERY.md) *)
 

@@ -90,12 +90,13 @@ let offer t ~now pkt =
    of that invariant is that a retry storm can push the queue past
    [limit]; [requeued] / [requeue_overflow] make the excursion visible
    instead of letting it hide inside high_water.  [due] must be the
-   SHARD clock (so an established shard's retries sort behind its fresh
-   arrivals, whose due is broker time, far smaller) — enforced here,
-   not just documented: the shard clock is monotone, so a [due] below a
-   previous requeue's due means a caller mixed in another timebase
-   (e.g. broker time), and the drain order would silently flip once the
-   clocks diverge.  Fail loudly instead.  (Audit: the only callers are
+   SHARD clock (a busy shard's clock runs ahead of broker time, the due
+   of fresh arrivals, so its retries sort behind them; a shard with
+   little traffic can lag broker time) — enforced here, not just
+   documented: the shard clock is monotone, so a [due] below a previous
+   requeue's due means a caller mixed in another timebase (e.g. broker
+   time), and the drain order would silently flip once the clocks
+   diverge.  Fail loudly instead.  (Audit: the only callers are
    Shard.note_failure and Shard.redrain_dead, both passing
    [Runtime.now shard.rt].) *)
 let requeue t ~due pkt =
@@ -132,14 +133,13 @@ let drain t ~max = List.map snd (drain_timed t ~max)
    them. *)
 let to_list t = Equeue.to_list t.q
 
-let reload t items =
-  List.iter
-    (fun (due, pkt) ->
-      Equeue.push t.q ~due pkt;
-      (* conservative floor: post-restore requeues carry the restored
-         shard clock, which is >= every due in the checkpointed queue *)
-      if due > t.retry_floor then t.retry_floor <- due)
-    items
+let reload t ~floor items =
+  List.iter (fun (due, pkt) -> Equeue.push t.q ~due pkt) items;
+  (* [floor] is the restored shard clock: every requeue before the
+     checkpoint carried a clock at or below it, every later one carries
+     a clock at or above it.  The queued dues bound nothing — fresh
+     arrivals carry broker time, which can run ahead of the shard *)
+  t.retry_floor <- floor
 
 let stats t = t.stats
 

@@ -49,12 +49,12 @@ val offer : t -> now:int -> Packet.t -> outcome
     and the limit check — its admission was already paid for, and a
     retry must never be shed — but counts into [stats.requeued], and
     into [stats.requeue_overflow] when the queue was already full.
-    Pass the shard clock as [due] so retried packets sort after fresh
-    arrivals (whose due is broker time).  Enforced: the shard clock is
+    Pass the shard clock as [due]: it is a different timebase from the
+    broker time fresh arrivals carry.  Enforced: the shard clock is
     monotone, so [due] below any earlier requeue's due (or, after a
-    {!reload}, below the checkpointed queue's highest due) means the
-    caller mixed in another timebase — raises [Invalid_argument]
-    instead of silently reordering the drain. *)
+    {!reload}, below its [floor]) means the caller mixed in another
+    timebase — raises [Invalid_argument] instead of silently
+    reordering the drain. *)
 val requeue : t -> due:int -> Packet.t -> unit
 
 (** Remove and return up to [max] packets in arrival order. *)
@@ -75,9 +75,10 @@ val reset_stats : t -> unit
 val to_list : t -> (int * Packet.t) list
 
 (** Re-enter a {!to_list} snapshot into a (fresh) queue, preserving pop
-    order.  Bypasses all accounting — restored stats travel separately
+    order, and set the {!requeue} floor to [floor], the restored shard
+    clock.  Bypasses all accounting — restored stats travel separately
     in the checkpoint. *)
-val reload : t -> (int * Packet.t) list -> unit
+val reload : t -> floor:int -> (int * Packet.t) list -> unit
 
 (** Overwrite the counters from restored checkpoint values. *)
 val set_stats :

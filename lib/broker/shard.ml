@@ -642,7 +642,7 @@ let restore t (snap : Recover.snapshot) =
   List.iter
     (fun (name, v) -> Runtime.set_global t.rt name v)
     snap.Recover.globals;
-  Ingress.reload t.ingress snap.Recover.queue;
+  Ingress.reload t.ingress ~floor:snap.Recover.clock snap.Recover.queue;
   apply_counters t snap.Recover.counters;
   List.iter
     (fun (key, count) -> Hashtbl.replace t.retry key count)

@@ -68,3 +68,25 @@ let check_emits msg expected actual =
       Alcotest.(check string) (msg ^ ": tag") t1 t2;
       Alcotest.(check (list value)) (msg ^ ": args") a1 a2)
     expected actual
+
+(* One broker run the way [podopt serve] makes it: the measured
+   protocol ({!Podopt_broker.Loadgen.steady}), then the serve document,
+   the per-shard snapshot report and the run summary. *)
+type served = {
+  json : string;
+  snapshots : string;
+  summary : Podopt_broker.Loadgen.summary;
+}
+
+let serve ?warmup_ops cfg profile =
+  let module B = Podopt_broker in
+  let broker = B.Broker.create cfg in
+  Fun.protect
+    ~finally:(fun () -> B.Broker.shutdown broker)
+    (fun () ->
+      let summary = B.Loadgen.steady ?warmup_ops broker profile in
+      {
+        json = B.Report.json ~metrics:false broker summary;
+        snapshots = Fmt.str "%a" B.Report.pp_snapshots broker;
+        summary;
+      })

@@ -272,7 +272,6 @@ let test_steady_reset_with_faults () =
       faults;
     }
   in
-  let broker = B.Broker.create cfg in
   let profile =
     {
       B.Loadgen.default_profile with
@@ -282,7 +281,7 @@ let test_steady_reset_with_faults () =
       spread = 31;
     }
   in
-  let s = B.Loadgen.steady ~warmup_ops:6 broker profile in
+  let s = (Helpers.serve ~warmup_ops:6 cfg profile).Helpers.summary in
   Alcotest.(check int) "steady accounting closes" s.B.Loadgen.sent
     (s.B.Loadgen.dispatched + s.B.Loadgen.quarantined)
 
@@ -411,10 +410,8 @@ let test_breaker_shard_cycle () =
 
 (* --- end-to-end faulty runs --------------------------------------------- *)
 
-type outcome = { summary : B.Loadgen.summary; snapshots : string }
-
 let run_once ?(warmup_ops = 6) ~domains ~faults ~optimize ~shards profile =
-  let cfg =
+  Helpers.serve ~warmup_ops
     {
       B.Broker.default_config with
       B.Broker.shards;
@@ -424,14 +421,7 @@ let run_once ?(warmup_ops = 6) ~domains ~faults ~optimize ~shards profile =
       domains;
       faults;
     }
-  in
-  let broker = B.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> B.Broker.shutdown broker)
-    (fun () ->
-      let summary = B.Loadgen.steady ~warmup_ops broker profile in
-      let snapshots = Fmt.str "%a" B.Report.pp_snapshots broker in
-      { summary; snapshots })
+    profile
 
 let profile ~sessions ~ops =
   {
@@ -450,7 +440,7 @@ let test_e2e_20pct_no_abort () =
   let s =
     (run_once ~domains:1 ~faults ~optimize:true ~shards:2
        (profile ~sessions:8 ~ops:10))
-      .summary
+      .Helpers.summary
   in
   Alcotest.(check int) "all ops sent" 80 s.B.Loadgen.sent;
   Alcotest.(check bool) "failures observed" true (s.B.Loadgen.failures > 0);
@@ -465,7 +455,7 @@ let test_e2e_wire_faults_accounted () =
   let s =
     (run_once ~warmup_ops:0 ~domains:1 ~faults ~optimize:false ~shards:2
        (profile ~sessions:6 ~ops:10))
-      .summary
+      .Helpers.summary
   in
   Alcotest.(check bool) "some packets dropped" true (s.B.Loadgen.link_dropped > 0);
   Alcotest.(check int) "arrivals all accounted" s.B.Loadgen.sent
@@ -485,13 +475,10 @@ let test_e2e_corrupt_seq_dropped () =
       faults = spec_of "seed=7,corrupt=50";
     }
   in
-  let broker = B.Broker.create cfg in
   let s =
-    Fun.protect
-      ~finally:(fun () -> B.Broker.shutdown broker)
-      (fun () ->
-        B.Loadgen.steady ~warmup_ops:12 broker
-          { B.Loadgen.default_profile with B.Loadgen.sessions = 64 })
+    (Helpers.serve ~warmup_ops:12 cfg
+       { B.Loadgen.default_profile with B.Loadgen.sessions = 64 })
+      .Helpers.summary
   in
   Alcotest.(check bool) "headers were corrupted" true
     (s.B.Loadgen.decode_failures > 0);
@@ -520,58 +507,22 @@ let test_e2e_faulty_parallel_deterministic () =
   in
   let seq = run ~domains:1 in
   Alcotest.(check bool)
-    "faulty run actually faults" true (seq.summary.B.Loadgen.failures > 0);
+    "faulty run actually faults" true
+    (seq.Helpers.summary.B.Loadgen.failures > 0);
   Alcotest.(check bool)
-    "the breaker tripped" true (seq.summary.B.Loadgen.breaker_trips > 0);
+    "the breaker tripped" true
+    (seq.Helpers.summary.B.Loadgen.breaker_trips > 0);
   List.iter
     (fun domains ->
       let par = run ~domains in
       Alcotest.(check string)
         (Printf.sprintf "faulty snapshots byte-identical at %d domains" domains)
-        seq.snapshots par.snapshots;
+        seq.Helpers.snapshots par.Helpers.snapshots;
       Alcotest.(check bool)
         (Printf.sprintf "faulty summary identical at %d domains" domains)
         true
-        (seq.summary = par.summary))
+        (seq.Helpers.summary = par.Helpers.summary))
     [ 2; 3 ]
-
-let prop_faulty_parallel_deterministic =
-  (* random fault plans on random small configs: parallel drains must
-     never change a faulty run's results either *)
-  let gen =
-    QCheck2.Gen.(
-      tup2
-        (tup4 (int_range 2 4) (int_range 1 4) (int_range 1 99) bool)
-        (tup4 (int_range 0 300) (int_range 0 200) (int_range 0 50)
-           (int_range 0 50)))
-  in
-  let print ((domains, shards, seed, optimize), (crash, spike, drop, corrupt)) =
-    Printf.sprintf
-      "domains=%d shards=%d seed=%d optimize=%b crash=%d spike=%d drop=%d \
-       corrupt=%d"
-      domains shards seed optimize crash spike drop corrupt
-  in
-  QCheck2.Test.make
-    ~name:"any fault plan: parallel drain result = sequential result"
-    ~count:10 ~print gen
-    (fun ((domains, shards, seed, optimize), (crash, spike, drop, corrupt)) ->
-      let faults =
-        {
-          Plan.none with
-          Plan.seed = Int64.of_int (seed + 1);
-          crash_permille = crash;
-          spike_permille = spike;
-          drop_permille = drop;
-          corrupt_permille = corrupt;
-        }
-      in
-      let run ~domains =
-        run_once ~warmup_ops:4 ~domains ~faults ~optimize ~shards
-          (profile ~sessions:5 ~ops:6)
-      in
-      let seq = run ~domains:1 in
-      let par = run ~domains in
-      seq.snapshots = par.snapshots && seq.summary = par.summary)
 
 (* --- policy satellites -------------------------------------------------- *)
 
@@ -633,4 +584,3 @@ let suite =
     Alcotest.test_case "policy validates attempts" `Quick
       test_policy_attempt_validation;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_faulty_parallel_deterministic ]

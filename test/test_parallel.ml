@@ -8,12 +8,9 @@
 
 module B = Podopt_broker
 
-type outcome = { summary : B.Loadgen.summary; snapshots : string }
-
 let run_once ?(warmup_ops = 6) ~domains ~shards ~kind ~optimize ?(batch = 16)
-    ?(queue_limit = 256) ?(policy = B.Policy.Drop_newest) ?(seed = 11L) profile
-    =
-  let cfg =
+    ?(queue_limit = 256) ?(policy = B.Policy.Drop_newest) profile =
+  Helpers.serve ~warmup_ops
     {
       B.Broker.default_config with
       B.Broker.shards;
@@ -22,28 +19,21 @@ let run_once ?(warmup_ops = 6) ~domains ~shards ~kind ~optimize ?(batch = 16)
       batch;
       queue_limit;
       policy;
-      seed;
+      seed = 11L;
       domains;
     }
-  in
-  let broker = B.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> B.Broker.shutdown broker)
-    (fun () ->
-      let summary = B.Loadgen.steady ~warmup_ops broker profile in
-      let snapshots = Fmt.str "%a" B.Report.pp_snapshots broker in
-      { summary; snapshots })
+    profile
 
 let check_matches_sequential ~msg ~domains run =
   let seq = run ~domains:1 in
   let par = run ~domains in
   Alcotest.(check string)
     (msg ^ ": per-shard snapshots byte-identical")
-    seq.snapshots par.snapshots;
+    seq.Helpers.snapshots par.Helpers.snapshots;
   Alcotest.(check bool)
     (msg ^ ": run summary identical")
     true
-    (seq.summary = par.summary)
+    (seq.Helpers.summary = par.Helpers.summary)
 
 let profile ~sessions ~ops =
   {
@@ -103,7 +93,7 @@ let test_overload_parallel () =
      overload pressure surfaces as displacements rather than door-sheds *)
   Alcotest.(check bool)
     "overload profile actually displaces" true
-    (seq.summary.B.Loadgen.displaced > 0);
+    (seq.Helpers.summary.B.Loadgen.displaced > 0);
   check_matches_sequential ~msg:"overload, 4 domains" ~domains:4 run
 
 let test_domains_invalid () =
@@ -124,40 +114,6 @@ let test_parallel_flag () =
           ignore (B.Broker.drain b)))
     [ 1; 2 ]
 
-(* --- property: random configs ----------------------------------------- *)
-
-let prop_parallel_deterministic =
-  (* small random configs: domains in {2,3,4}, shards 1..6 (often more
-     shards than domains), both workloads, optimizer on or off, random
-     seed and load shape — always equal to the 1-domain run *)
-  let gen =
-    QCheck2.Gen.(
-      tup2
-        (tup4 (int_range 2 4) (int_range 1 6) bool bool)
-        (tup4 (int_range 1 99) (int_range 2 5) (int_range 2 4)
-           (int_range 1 8)))
-  in
-  let print ((domains, shards, optimize, seccomm), (seed, sessions, ops, batch))
-      =
-    Printf.sprintf
-      "domains=%d shards=%d optimize=%b seccomm=%b seed=%d sessions=%d ops=%d \
-       batch=%d"
-      domains shards optimize seccomm seed sessions ops batch
-  in
-  QCheck2.Test.make
-    ~name:"any config: parallel drain result = sequential result" ~count:20
-    ~print gen
-    (fun ((domains, shards, optimize, seccomm), (seed, sessions, ops, batch)) ->
-      let kind = if seccomm then B.Workload.Seccomm else B.Workload.Video in
-      let run ~domains =
-        run_once ~domains ~shards ~kind ~optimize ~batch
-          ~seed:(Int64.of_int seed) ~warmup_ops:4
-          (profile ~sessions ~ops)
-      in
-      let seq = run ~domains:1 in
-      let par = run ~domains in
-      seq.snapshots = par.snapshots && seq.summary = par.summary)
-
 let suite =
   [
     Alcotest.test_case "seccomm optimized: 2 and 4 domains" `Quick
@@ -169,5 +125,4 @@ let suite =
       test_overload_parallel;
     Alcotest.test_case "domains must be positive" `Quick test_domains_invalid;
     Alcotest.test_case "parallel/domains accessors" `Quick test_parallel_flag;
-    QCheck_alcotest.to_alcotest prop_parallel_deterministic;
   ]

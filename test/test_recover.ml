@@ -314,26 +314,49 @@ let test_killed_diff_from_clean_log () =
   | Some (what, l, r) ->
     Alcotest.failf "killed-from-clean diverged at %s: %s vs %s" what l r
 
-let serve_killed ~domains =
-  let cfg = { base_cfg with B.Broker.domains } in
-  let broker = B.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> B.Broker.shutdown broker)
-    (fun () ->
-      let s = B.Loadgen.steady ~warmup_ops:12 broker profile in
-      (B.Report.json ~metrics:false broker s, s))
-
 let test_killed_domain_identity () =
-  let j1, s1 = serve_killed ~domains:1 in
-  let j4, s4 = serve_killed ~domains:4 in
+  let serve domains =
+    Helpers.serve ~warmup_ops:12 { base_cfg with B.Broker.domains } profile
+  in
+  let r1 = serve 1 in
+  let r4 = serve 4 in
+  let s1 = r1.Helpers.summary in
   Alcotest.(check bool) "kills actually drawn" true (s1.B.Loadgen.kills > 0);
   Alcotest.(check bool) "recoveries completed" true
     (s1.B.Loadgen.recoveries > 0);
   Alcotest.(check bool) "restarts are warm" true
     (s1.B.Loadgen.ramp_optimized > 0);
-  Alcotest.(check bool) "summaries identical at domains 1 vs 4" true (s1 = s4);
+  Alcotest.(check bool) "summaries identical at domains 1 vs 4" true
+    (s1 = r4.Helpers.summary);
   Alcotest.(check string) "killed serve JSON byte-identical at domains 1 vs 4"
-    j1 j4
+    r1.Helpers.json r4.Helpers.json
+
+(* A restored shard whose clock lags broker time.  With these flags
+   shard 3 checkpoints at clock 0 holding an arrival due at broker time
+   150; after a kill its redelivered op crashes and is retried at the
+   shard clock, 0.  The requeue floor must come from the restored clock,
+   not from the queued dues. *)
+let test_restore_behind_broker_time () =
+  let cfg =
+    {
+      B.Broker.default_config with
+      B.Broker.shards = 4;
+      route = B.Shard_map.Zipf 1.2;
+      checkpoint_every = 2;
+      faults =
+        { Plan.none with Plan.seed = 1L; crash_permille = 50; kill_permille = 150 };
+    }
+  in
+  let profile = B.Loadgen.default_profile in
+  let s = (Helpers.serve ~warmup_ops:12 cfg profile).Helpers.summary in
+  Alcotest.(check bool) "kills actually drawn" true (s.B.Loadgen.kills > 0);
+  Alcotest.(check bool) "handlers actually crashed" true
+    (s.B.Loadgen.failures > 0);
+  let log = Record.run ~warmup_ops:12 cfg profile in
+  match (Diff.run Diff.Killed log).Diff.divergence with
+  | None -> ()
+  | Some (what, l, r) ->
+    Alcotest.failf "killed diverged at %s: %s vs %s" what l r
 
 
 (* The workload the cheap checkpoints speed up: a chat flash crowd with
@@ -357,18 +380,14 @@ let test_chat_flash_kills ~checkpoint_every () =
    | Some (what, l, r) ->
      Alcotest.failf "killed diverged at %s: %s vs %s" what l r);
   let serve domains =
-    let broker = B.Broker.create { cfg with B.Broker.domains } in
-    Fun.protect
-      ~finally:(fun () -> B.Broker.shutdown broker)
-      (fun () ->
-        let s = B.Loadgen.steady ~warmup_ops:12 broker profile in
-        (B.Report.json ~metrics:false broker s, s))
+    Helpers.serve ~warmup_ops:12 { cfg with B.Broker.domains } profile
   in
-  let j1, s1 = serve 1 in
-  let j2, _ = serve 2 in
-  Alcotest.(check bool) "kills actually drawn" true (s1.B.Loadgen.kills > 0);
+  let r1 = serve 1 in
+  let r2 = serve 2 in
+  Alcotest.(check bool) "kills actually drawn" true
+    (r1.Helpers.summary.B.Loadgen.kills > 0);
   Alcotest.(check string) "killed serve JSON byte-identical at domains 1 vs 2"
-    j1 j2
+    r1.Helpers.json r2.Helpers.json
 
 let suite =
   [
@@ -388,6 +407,8 @@ let suite =
       test_killed_diff_from_clean_log;
     Alcotest.test_case "killed serve identical across domains" `Quick
       test_killed_domain_identity;
+    Alcotest.test_case "restore behind broker time retries a crash" `Quick
+      test_restore_behind_broker_time;
     Alcotest.test_case "chat flash-crowd kills, checkpoint every epoch" `Quick
       (test_chat_flash_kills ~checkpoint_every:1);
     Alcotest.test_case "chat flash-crowd kills, checkpoint every 4" `Quick

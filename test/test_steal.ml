@@ -1,15 +1,14 @@
 (* The work-stealing scheduler and its determinism contract.
 
    Unit cases pin the route codec, the Zipf router's shape, and the
-   migration planner's decisions; the properties are the load-bearing
-   part: (a) the barrier every epoch rides on neither loses nor leaks a
-   round under real domain interleavings, and (b) the whole broker's
-   observable output — serve document, per-shard snapshots, run
-   summary — is byte-identical at every domain count, at random Zipf
-   skews.  That last property is the tentpole invariant: stealing is
-   scheduling, never semantics.  The replay case closes the loop by
-   checking the recorded migration plan (the log's M lines) is
-   re-derived move for move. *)
+   migration planner's decisions; the property checks that the barrier
+   every epoch rides on neither loses nor leaks a round under real
+   domain interleavings.  That the whole broker's observable output is
+   byte-identical at every domain count, at random Zipf skews, is the
+   cross-axis property's job (test_fuzz.ml): stealing is scheduling,
+   never semantics.  The replay case closes the loop by checking the
+   recorded migration plan (the log's M lines) is re-derived move for
+   move. *)
 
 module B = Podopt_broker
 module Barrier = Podopt_exec.Barrier
@@ -210,72 +209,6 @@ let prop_barrier_rounds =
       List.iter Domain.join doms;
       Barrier.rounds b = rounds && Array.for_all (fun c -> c = rounds) counts)
 
-(* --- property: byte-identity across domain counts ----------------------- *)
-
-let serve_doc ~route ~domains ~seed profile =
-  let cfg =
-    {
-      B.Broker.default_config with
-      B.Broker.shards = 6;
-      kind = B.Workload.Seccomm;
-      optimize = true;
-      queue_limit = 256;
-      seed;
-      domains;
-      route;
-    }
-  in
-  let broker = B.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> B.Broker.shutdown broker)
-    (fun () ->
-      let summary = B.Loadgen.steady ~warmup_ops:4 broker profile in
-      let json = B.Report.json ~metrics:false broker summary in
-      let snapshots = Fmt.str "%a" B.Report.pp_snapshots broker in
-      (json, snapshots, summary))
-
-let prop_steal_identity =
-  (* random Zipf skew, domain count, seed and load shape: the serve
-     document, snapshot report and summary at D domains equal the
-     1-domain run byte for byte *)
-  let gen =
-    QCheck2.Gen.(
-      tup4 (int_range 2 4) (int_range 1 99)
-        (oneof [ return None; map Option.some (int_range 1 10) ])
-        (tup2 (int_range 2 6) (int_range 2 6)))
-  in
-  let print (domains, seed, skew, (sessions, ops)) =
-    Printf.sprintf "domains=%d seed=%d route=%s sessions=%d ops=%d" domains
-      seed
-      (match skew with
-      | None -> "hash"
-      | Some q -> Printf.sprintf "zipf:%g" (float_of_int q /. 4.0))
-      sessions ops
-  in
-  QCheck2.Test.make
-    ~name:"any zipf skew and domain count: D domains = 1 domain"
-    ~count:15 ~print gen (fun (domains, seed, skew, (sessions, ops)) ->
-      let route =
-        match skew with
-        | None -> B.Shard_map.Hash
-        | Some q -> B.Shard_map.Zipf (float_of_int q /. 4.0)
-      in
-      let profile =
-        {
-          B.Loadgen.default_profile with
-          B.Loadgen.sessions;
-          ops;
-          interval = 90;
-          spread = 31;
-        }
-      in
-      let run ~domains =
-        serve_doc ~route ~domains ~seed:(Int64.of_int seed) profile
-      in
-      let j1, s1, sum1 = run ~domains:1 in
-      let jd, sd, sumd = run ~domains in
-      String.equal jd j1 && String.equal sd s1 && sumd = sum1)
-
 (* --- replay re-derives the migration plan ------------------------------ *)
 
 let test_replay_migrations () =
@@ -333,7 +266,6 @@ let suite =
     Alcotest.test_case "migration plan beats static pinning under zipf" `Quick
       test_migration_plan;
     QCheck_alcotest.to_alcotest prop_barrier_rounds;
-    QCheck_alcotest.to_alcotest prop_steal_identity;
     Alcotest.test_case "replay re-derives the recorded migration plan" `Quick
       test_replay_migrations;
   ]

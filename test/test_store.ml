@@ -204,13 +204,11 @@ let seed_store () =
       B.Broker.profile_store broker)
 
 let serve_json ?profile_in ~domains () =
-  let cfg = { base_cfg with B.Broker.profile_in; domains } in
-  let broker = B.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> B.Broker.shutdown broker)
-    (fun () ->
-      let s = B.Loadgen.steady ~warmup_ops:0 broker profile in
-      (B.Report.json ~metrics:false broker s, s))
+  let r =
+    Helpers.serve ~warmup_ops:0 { base_cfg with B.Broker.profile_in; domains }
+      profile
+  in
+  (r.Helpers.json, r.Helpers.summary)
 
 let test_warm_start_first_epoch () =
   let store = seed_store () in

@@ -117,102 +117,73 @@ let test_xwin_payload_paths () =
 
 (* --- tentpole: domain identity for every workload x arrivals cell ------- *)
 
-let serve_doc ~kind ~arrivals ~domains ~seed profile =
-  let cfg =
-    {
-      B.Broker.default_config with
-      B.Broker.shards = 3;
-      kind;
-      optimize = true;
-      queue_limit = 16;
-      seed;
-      domains;
-      arrivals;
-    }
-  in
-  let broker = B.Broker.create cfg in
-  Fun.protect
-    ~finally:(fun () -> B.Broker.shutdown broker)
-    (fun () ->
-      let summary = B.Loadgen.steady ~warmup_ops:4 broker profile in
-      let json = B.Report.json ~metrics:false broker summary in
-      let snapshots = Fmt.str "%a" B.Report.pp_snapshots broker in
-      (json, snapshots, summary))
-
 let zoo_kinds = [ B.Workload.Seccomm; B.Workload.Xwin; B.Workload.Chat ]
 
 let zoo_specs =
   [ B.Arrivals.Uniform; B.Arrivals.Pareto 1.5; B.Arrivals.Flash (400, 6) ]
 
-let prop_zoo_identity =
-  (* every cell of the workload x arrivals grid (enumerated, not
-     sampled: a combination that never comes up would silently escape
-     the invariant), with a random seed, domain count and load shape —
-     the serve document, snapshot report and summary at --domains N
-     must equal the sequential run byte for byte *)
-  let cells =
-    List.concat_map (fun k -> List.map (fun a -> (k, a)) zoo_specs) zoo_kinds
-  in
-  let gen =
-    QCheck2.Gen.(
-      tup4 (oneofl cells) (int_range 2 4) (int_range 1 99)
-        (tup2 (int_range 2 5) (int_range 2 5)))
-  in
-  let print ((kind, spec), domains, seed, (sessions, ops)) =
-    Printf.sprintf "kind=%s arrivals=%s domains=%d seed=%d sessions=%d ops=%d"
-      (B.Workload.kind_to_string kind)
-      (B.Arrivals.to_string spec)
-      domains seed sessions ops
-  in
-  QCheck2.Test.make
-    ~name:"any workload x arrivals cell: --domains N = sequential" ~count:12
-    ~print gen (fun ((kind, spec), domains, seed, (sessions, ops)) ->
-      let profile =
-        {
-          B.Loadgen.default_profile with
-          B.Loadgen.sessions;
-          ops;
-          interval = 90;
-          spread = 31;
-        }
-      in
-      let run ~domains =
-        serve_doc ~kind ~arrivals:spec ~domains ~seed:(Int64.of_int seed)
-          profile
-      in
-      let j1, s1, sum1 = run ~domains:1 in
-      let jn, sn, sumn = run ~domains in
-      String.equal jn j1 && String.equal sn s1 && sumn = sum1)
+(* The cell configs, each with its profile and warm-up: a roomy queue,
+   and a shed-prone one (queue limit 4, batch 2) whose flash crowds
+   must shed or displace — a burst that never pressures the queue
+   leaves the open-loop admission path untested. *)
+let zoo_configs =
+  let cell = B.Broker.default_config in
+  [
+    ( { cell with B.Broker.shards = 3; queue_limit = 16; seed = 11L },
+      { B.Loadgen.default_profile with B.Loadgen.sessions = 4; ops = 3;
+        interval = 90; spread = 31 },
+      4 );
+    ( { cell with B.Broker.shards = 4; batch = 2; queue_limit = 4; seed = 13L },
+      { B.Loadgen.default_profile with B.Loadgen.sessions = 8; ops = 6;
+        interval = 120; spread = 17 },
+      6 );
+  ]
 
 let test_zoo_grid_identity () =
-  (* the full grid once, deterministically: qcheck's random draws cover
-     cells across runs, this covers all of them in every run *)
-  let profile =
-    { B.Loadgen.default_profile with B.Loadgen.sessions = 4; ops = 3;
-      interval = 90; spread = 31 }
-  in
+  (* every cell of the workload x arrivals grid, enumerated rather than
+     sampled so no combination escapes the invariant: the serve
+     document, snapshot report and summary at 3 domains equal the
+     sequential run byte for byte *)
+  let flash_pressure = ref 0 in
   List.iter
-    (fun kind ->
+    (fun (cfg, profile, warmup_ops) ->
       List.iter
-        (fun spec ->
-          let run ~domains =
-            serve_doc ~kind ~arrivals:spec ~domains ~seed:11L profile
-          in
-          let j1, s1, sum1 = run ~domains:1 in
-          let j3, s3, sum3 = run ~domains:3 in
-          let cell =
-            Printf.sprintf "%s/%s"
-              (B.Workload.kind_to_string kind)
-              (B.Arrivals.to_string spec)
-          in
-          Alcotest.(check string) (cell ^ ": document identical") j1 j3;
-          Alcotest.(check string) (cell ^ ": snapshots identical") s1 s3;
-          Alcotest.(check bool) (cell ^ ": summary identical") true
-            (sum1 = sum3);
-          Alcotest.(check bool) (cell ^ ": ops actually dispatched") true
-            (sum1.B.Loadgen.dispatched > 0))
-        zoo_specs)
-    zoo_kinds
+        (fun kind ->
+          List.iter
+            (fun arrivals ->
+              let run domains =
+                Helpers.serve ~warmup_ops
+                  { cfg with B.Broker.kind; arrivals; domains }
+                  profile
+              in
+              let r1 = run 1 in
+              let r3 = run 3 in
+              let sum1 = r1.Helpers.summary in
+              let cell =
+                Printf.sprintf "%s/%s, queue limit %d"
+                  (B.Workload.kind_to_string kind)
+                  (B.Arrivals.to_string arrivals)
+                  cfg.B.Broker.queue_limit
+              in
+              Alcotest.(check string) (cell ^ ": document identical")
+                r1.Helpers.json r3.Helpers.json;
+              Alcotest.(check string) (cell ^ ": snapshots identical")
+                r1.Helpers.snapshots r3.Helpers.snapshots;
+              Alcotest.(check bool) (cell ^ ": summary identical") true
+                (sum1 = r3.Helpers.summary);
+              Alcotest.(check bool) (cell ^ ": ops actually dispatched") true
+                (sum1.B.Loadgen.dispatched > 0);
+              match arrivals with
+              | B.Arrivals.Flash _ ->
+                flash_pressure :=
+                  !flash_pressure + sum1.B.Loadgen.shed
+                  + sum1.B.Loadgen.displaced
+              | _ -> ())
+            zoo_specs)
+        zoo_kinds)
+    zoo_configs;
+  Alcotest.(check bool) "flash crowds shed or displace" true
+    (!flash_pressure > 0)
 
 (* --- regression: the give-up latch -------------------------------------- *)
 
@@ -356,4 +327,3 @@ let suite =
     Alcotest.test_case "register replaces" `Quick test_register_replaces;
     Alcotest.test_case "requeue clock floor" `Quick test_requeue_clock_floor;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_zoo_identity ]
