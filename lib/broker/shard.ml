@@ -48,6 +48,24 @@ type recov = {
   mutable ramp_generic : int;   (* post-recovery batch (accumulated) *)
 }
 
+(* The histograms the drain records into, resolved once per wiring so
+   that the drain hashes no metric name.  [Metrics.reset] empties them
+   in place, so the handles stay valid across measurement resets. *)
+type probes = {
+  p_queue_wait : Hist.t;
+  p_service_opt : Exact.t;
+  p_service_gen : Exact.t;
+  p_batch_depth : Exact.t;
+}
+
+let probes_of metrics =
+  {
+    p_queue_wait = Metrics.histogram metrics m_queue_wait;
+    p_service_opt = Metrics.exact metrics m_service_opt;
+    p_service_gen = Metrics.exact metrics m_service_gen;
+    p_batch_depth = Metrics.exact metrics m_batch_depth;
+  }
+
 type t = {
   id : int;
   kind : Workload.kind;
@@ -58,6 +76,7 @@ type t = {
   mutable adaptive : Adaptive.t option;
   mutable breaker : Breaker.t option;
   mutable metrics : Metrics.t;
+  mutable probes : probes;  (* the drain's histograms in [metrics] *)
   warm_installed : int;  (* super-handlers installed before any packet *)
   warm_stale : int;      (* stored-profile events rejected as stale *)
   stats : stats;
@@ -156,6 +175,7 @@ let create ?faults ?(max_failures = 3) ?(dead_limit = 32) ?breaker
     adaptive;
     breaker = breaker';
     metrics;
+    probes = probes_of metrics;
     warm_installed;
     warm_stale;
     stats =
@@ -259,11 +279,11 @@ let dispatch_one t (p : Packet.t) =
   let ok = st.Runtime.handler_failures = before in
   if ok then begin
     let cost = Runtime.now rt - t0 in
-    let path =
-      if st.Runtime.optimized_dispatches > opt0 then m_service_opt
-      else m_service_gen
+    let h =
+      if st.Runtime.optimized_dispatches > opt0 then t.probes.p_service_opt
+      else t.probes.p_service_gen
     in
-    Metrics.observe_exact t.metrics path cost
+    Exact.observe h cost
   end;
   (* purely observational, no virtual time: the oracle's outcome stream *)
   (match t.on_delivery with
@@ -306,13 +326,13 @@ let drain_batch t ~now ~batch =
     let opt0 = t.rt.Runtime.stats.Runtime.optimized_dispatches in
     let gen0 = t.rt.Runtime.stats.Runtime.generic_dispatches in
     (* the drained size, as the batch.depth distribution operators read *)
-    Metrics.observe_exact t.metrics m_batch_depth (List.length pkts);
+    Exact.observe t.probes.p_batch_depth (List.length pkts);
     let dispatch_pkt ((due, p) : int * Packet.t) =
       (* queue wait on the front clock, fresh arrivals only: a retry's
          due is the shard clock, a different timebase (and its wait is
          back-pressure policy, not arrival-to-drain latency) *)
       if not (Hashtbl.mem t.retry (retry_key p)) then
-        Metrics.observe t.metrics m_queue_wait (max 0 (now - due));
+        Hist.observe t.probes.p_queue_wait (max 0 (now - due));
       if dispatch_one t p then begin
         Hashtbl.remove t.retry (retry_key p);
         t.stats.dispatched <- t.stats.dispatched + 1
@@ -601,6 +621,7 @@ let kill t =
   t.adaptive <- adaptive;
   t.breaker <- breaker;
   t.metrics <- metrics;
+  t.probes <- probes_of metrics;
   Hashtbl.reset t.retry;
   Queue.clear t.dead;
   t.stats.batches <- 0;
@@ -674,10 +695,10 @@ let recovery t = t.recov
 
 let handler_failures t = t.rt.Runtime.stats.Runtime.handler_failures
 let metrics t = t.metrics
-let queue_wait t = Metrics.histogram t.metrics m_queue_wait
-let service_opt t = Metrics.exact t.metrics m_service_opt
-let service_gen t = Metrics.exact t.metrics m_service_gen
-let batch_depth t = Metrics.exact t.metrics m_batch_depth
+let queue_wait t = t.probes.p_queue_wait
+let service_opt t = t.probes.p_service_opt
+let service_gen t = t.probes.p_service_gen
+let batch_depth t = t.probes.p_batch_depth
 
 let snapshot t =
   let ist = Ingress.stats t.ingress in

@@ -61,6 +61,11 @@ type recov = {
       (** generic dispatches in those same first batches *)
 }
 
+(** The handles of [queue_wait], [service.optimized],
+    [service.generic] and [batch.depth] in a shard's [metrics], resolved
+    when the shard is wired so that the drain hashes no metric name. *)
+type probes
+
 type t = {
   id : int;
   kind : Workload.kind;
@@ -77,6 +82,7 @@ type t = {
       (** per-shard deterministic metrics: [queue_wait],
           [service.optimized] / [service.generic] per-op cost, and one
           [dispatch.<Event>] histogram per event kind *)
+  mutable probes : probes;  (** handles into [metrics], rewired with it *)
   warm_installed : int;
       (** super-handlers installed from a stored profile before any
           packet arrived (see {!create}'s [warm]) *)

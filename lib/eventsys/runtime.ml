@@ -17,7 +17,10 @@ type pending = { pev : Event.t; pargs : Value.t list; pmode : Ast.mode }
 
 (* A super-handler installed for an event. *)
 type opt_entry = {
-  covered : (Event.t * int) list;  (* events merged in + their versions *)
+  guards : (Registry.entry * int) list;
+      (* the registry entries of the events merged in, resolved at
+         install, with their binding versions then *)
+  nguards : int;
   arity : int;  (* argument-vector width the compiled code expects *)
   kind : opt_kind;
 }
@@ -56,9 +59,13 @@ and segment = {
 (* Pad an argument vector with Unit up to [arity]; mirrors the generic
    path's convention that missing handler parameters default to Unit. *)
 let pad_args arity args =
-  let n = List.length args in
-  if n >= arity then args
-  else args @ List.init (arity - n) (fun _ -> Value.Unit)
+  let rec at_least n = function
+    | _ when n <= 0 -> true
+    | [] -> false
+    | _ :: rest -> at_least (n - 1) rest
+  in
+  if at_least arity args then args
+  else args @ List.init (arity - List.length args) (fun _ -> Value.Unit)
 
 type stats = {
   mutable generic_dispatches : int;
@@ -252,12 +259,12 @@ and generic_dispatch t (ev : Event.t) args =
      with Prim.Halt_event -> () (* stop remaining handlers of this event *))
 
 and guard_ok t entry =
-  charge t (t.costs.guard_check * List.length entry.covered);
-  versions_match t.registry entry.covered
+  charge t (t.costs.guard_check * entry.nguards);
+  versions_match entry.guards
 
-and versions_match reg = function
+and versions_match = function
   | [] -> true
-  | (ev, ver) :: rest -> Registry.version reg ev = ver && versions_match reg rest
+  | ((e : Registry.entry), ver) :: rest -> e.version = ver && versions_match rest
 
 and run_partitioned t segments args =
   let rec go segments args =
@@ -357,10 +364,11 @@ and dispatch t (ev : Event.t) args =
   Trace.record_dispatch_end t.trace ~event:ev.Event.name ~time:(now t) ~depth:t.depth;
   (* speculative preparation (Sec. 5): pull the predicted successor's
      handler list during the "free cycles" after handling [ev] *)
-  (match Hashtbl.find_opt t.spec_table ev.Event.id with
-   | Some next ->
-     t.prefetched <- Some (next.Event.id, Registry.handlers t.registry next)
-   | None -> ());
+  (if Hashtbl.length t.spec_table > 0 then
+     match Hashtbl.find_opt t.spec_table ev.Event.id with
+     | Some next ->
+       t.prefetched <- Some (next.Event.id, Registry.handlers t.registry next)
+     | None -> ());
   let dt = now t - t0 in
   let id = ev.Event.id in
   if id >= Array.length t.event_time then grow_event_stats t id;
@@ -422,7 +430,7 @@ let create ?(costs = Costs.default) ?(program = []) () =
         {
           Interp.raise_event = (fun name mode args -> raise_event t name mode args);
           globals;
-          lock = (fun () -> charge t t.costs.lock);
+          lock = (fun n -> charge t (n * t.costs.lock));
           emit = (fun tag args -> emit t tag args);
           tick = (fun n -> charge t (n * t.costs.interp_step));
           work = (fun w -> charge t w);
@@ -431,7 +439,7 @@ let create ?(costs = Costs.default) ?(program = []) () =
         {
           Interp.raise_event = (fun name mode args -> raise_event t name mode args);
           globals;
-          lock = (fun () -> charge t t.costs.lock_merged);
+          lock = (fun n -> charge t (n * t.costs.lock_merged));
           emit = (fun tag args -> emit t tag args);
           tick = (fun n -> charge t (n * t.costs.compiled_step));
           work = (fun w -> charge t w);
@@ -508,22 +516,26 @@ let pending t = Equeue.length t.queue
 
 (* --- Optimization installation (used by lib/optimize) ---------------- *)
 
+(* Resolve the covered events' registry entries once, so that the guard
+   compares versions without a registry lookup. *)
+let guards_of t covered =
+  List.map
+    (fun name ->
+      let entry = Registry.entry t.registry (event t name) in
+      (entry, entry.Registry.version))
+    covered
+
 let install_super t ~event:name ~covered ~arity compiled =
   let ev = event t name in
-  let covered =
-    List.map
-      (fun n ->
-        let e = event t n in
-        (e, Registry.version t.registry e))
-      covered
-  in
-  Hashtbl.replace t.opt_entries ev.Event.id { covered; arity; kind = Super compiled }
+  let guards = guards_of t covered in
+  Hashtbl.replace t.opt_entries ev.Event.id
+    { guards; nguards = List.length guards; arity; kind = Super compiled }
 
 let install_partitioned t ~event:name segments =
   let ev = event t name in
-  let covered = List.map (fun s -> (s.seg_event, s.seg_version)) segments in
+  (* each segment checks its own version; the entry-wide guard is unused *)
   Hashtbl.replace t.opt_entries ev.Event.id
-    { covered; arity = 0; kind = Partitioned segments }
+    { guards = []; nguards = 0; arity = 0; kind = Partitioned segments }
 
 (* Install a deferred entry (Sec. 5): raising [event] stores its
    arguments; when the next event occurs, a jointly-optimized pair body
@@ -532,13 +544,7 @@ let install_partitioned t ~event:name segments =
 let install_deferred t ~event:name ~covered ~arity ~(alone : Compile.compiled_proc)
     (pairs : (string * int * Compile.compiled_proc) list) =
   let ev = event t name in
-  let covered =
-    List.map
-      (fun n ->
-        let e = event t n in
-        (e, Registry.version t.registry e))
-      covered
-  in
+  let guards = guards_of t covered in
   let def_pairs =
     List.map
       (fun (next, pair_arity, compiled) ->
@@ -553,7 +559,8 @@ let install_deferred t ~event:name ~covered ~arity ~(alone : Compile.compiled_pr
   in
   Hashtbl.replace t.opt_entries ev.Event.id
     {
-      covered;
+      guards;
+      nguards = List.length guards;
       arity;
       kind = Deferred { def_alone = alone; def_arity = arity; def_pairs };
     }

@@ -15,9 +15,11 @@ type pending = { pev : Event.t; pargs : Value.t list; pmode : Ast.mode }
 
 (** A super-handler installed for an event. *)
 type opt_entry = {
-  covered : (Event.t * int) list;
-      (** events merged into this entry, with their binding versions at
-          installation time; any mismatch at dispatch triggers fallback *)
+  guards : (Registry.entry * int) list;
+      (** the registry entries of the events merged into this entry,
+          resolved at installation, with their binding versions then; any
+          mismatch at dispatch triggers fallback *)
+  nguards : int;  (** the length of [guards], the guard's charge count *)
   arity : int;  (** argument-vector width the compiled code expects *)
   kind : opt_kind;
 }

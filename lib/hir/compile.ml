@@ -11,10 +11,17 @@
    only the values the body computes and the argument lists it passes
    are allocated.
 
-   The generated closure still reports one [tick] per executed node so the
-   deterministic cost model can price compiled execution differently from
-   interpreted execution; the wall-clock speedup comes from the removed
-   name lookups, closure and list allocations, and match dispatch. *)
+   The generated closure charges one tick per executed node and one lock
+   per global access, as the interpreter does, so the deterministic cost
+   model can price compiled execution differently from interpreted
+   execution.  It does not call the host for each: the frame counts them
+   and flushes the counts, one [tick n] and one [lock k], before each
+   raise, emit or user call and on every exit of the body.  Those are the
+   only points where the clock can be read during or after the body (a
+   primitive sees only values, and its [work] only adds), and charges
+   only add, so the clock reads the same at each of them.  The wall-clock
+   speedup comes from the removed host calls, name lookups, closure and
+   list allocations, and match dispatch. *)
 
 open Ast
 module Globals = Interp.Globals
@@ -25,7 +32,21 @@ type frame = {
   args : Value.t list;
   host : Interp.host;
   mutable ret : Value.t;  (* set by [return] just before it unwinds *)
+  mutable ticks : int;  (* node ticks not yet charged to the host *)
+  mutable locks : int;  (* global accesses not yet charged *)
 }
+
+(* Charge the counted ticks and accesses; called wherever the clock can
+   next be read. *)
+let flush fr =
+  if fr.ticks > 0 then begin
+    fr.host.tick fr.ticks;
+    fr.ticks <- 0
+  end;
+  if fr.locks > 0 then begin
+    fr.host.lock fr.locks;
+    fr.locks <- 0
+  end
 
 type compiled_proc = Interp.host -> Value.t list -> Value.t
 
@@ -113,62 +134,69 @@ let rec args_of = function
 
 let rec compile_expr (ctx : ctx) slots (e : expr) : frame -> Value.t =
   match e with
-  | Lit v -> fun fr -> fr.host.tick 1; v
+  | Lit v ->
+    fun fr ->
+      fr.ticks <- fr.ticks + 1;
+      v
   | Var x ->
     (match Hashtbl.find_opt slots x with
      | Some i ->
        fun fr ->
-         fr.host.tick 1;
+         fr.ticks <- fr.ticks + 1;
          let v = fr.slots.(i) in
          if v == unassigned then raise (Interp.Unbound_variable x) else v
      | None ->
        fun fr ->
-         fr.host.tick 1;
+         fr.ticks <- fr.ticks + 1;
          raise (Interp.Unbound_variable x))
   | Global g ->
     let cache = ref no_site in
     fun fr ->
-      let host = fr.host in
-      host.tick 1;
-      host.lock ();
-      let st = host.globals in
+      fr.ticks <- fr.ticks + 1;
+      fr.locks <- fr.locks + 1;
+      let st = fr.host.globals in
       Globals.get st (site_slot cache g st)
   | Arg i ->
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       nth_arg fr.args i i fr.args
   | Binop (And, a, b) ->
     let ca = compile_expr ctx slots a in
     let cb = compile_expr ctx slots b in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       if Value.as_bool (ca fr) then cb fr else Value.Bool false
   | Binop (Or, a, b) ->
     let ca = compile_expr ctx slots a in
     let cb = compile_expr ctx slots b in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       if Value.as_bool (ca fr) then Value.Bool true else cb fr
   | Binop (op, a, b) ->
     let ca = compile_expr ctx slots a in
     let cb = compile_expr ctx slots b in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       let va = ca fr in
       let vb = cb fr in
-      Interp.eval_binop op va vb
+      (match op, va, vb with
+       | Add, Value.Int x, Value.Int y -> Value.Int (x + y)
+       | Sub, Value.Int x, Value.Int y -> Value.Int (x - y)
+       | Mul, Value.Int x, Value.Int y -> Value.Int (x * y)
+       | _ -> Interp.eval_binop op va vb)
   | Unop (op, a) ->
     let ca = compile_expr ctx slots a in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       Interp.eval_unop op (ca fr)
   | Call (f, args) ->
     let cargs = args_of (List.map (compile_expr ctx slots) args) in
     (match proc_by_name ctx.prog f with
      | Some _ ->
        fun fr ->
-         fr.host.tick 1;
+         fr.ticks <- fr.ticks + 1;
          let vs = cargs fr in
+         flush fr;
          (compiled_proc ctx f) fr.host vs
      | None ->
        let prim = Prim.find f in
@@ -178,18 +206,18 @@ let rec compile_expr (ctx : ctx) slots (e : expr) : frame -> Value.t =
           (* the interpreter's order: arguments, their work, then the
              arity error *)
           fun fr ->
-            fr.host.tick 1;
+            fr.ticks <- fr.ticks + 1;
             let w = Prim.work_of prim (cargs fr) in
             if w > 0 then fr.host.work w;
             Value.type_error "%s expects %d arguments, got %d" f k n
         | _, None ->
           let fn = prim.Prim.fn in
           fun fr ->
-            fr.host.tick 1;
+            fr.ticks <- fr.ticks + 1;
             fn (cargs fr)
         | _, Some _ ->
           fun fr ->
-            fr.host.tick 1;
+            fr.ticks <- fr.ticks + 1;
             let vs = cargs fr in
             let w = Prim.work_of prim vs in
             if w > 0 then fr.host.work w;
@@ -203,7 +231,7 @@ and compile_cond ctx slots (e : expr) : frame -> bool =
     let ca = compile_expr ctx slots a in
     let cb = compile_expr ctx slots b in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       let va = ca fr in
       let vb = cb fr in
       (match op, va, vb with
@@ -224,59 +252,60 @@ and compile_stmt ctx slots (s : stmt) : frame -> unit =
     let i = Hashtbl.find slots x in
     let ce = compile_expr ctx slots e in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       fr.slots.(i) <- ce fr
   | Set_global (g, e) ->
     let ce = compile_expr ctx slots e in
     let cache = ref no_site in
     fun fr ->
-      let host = fr.host in
-      host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       let v = ce fr in
-      host.lock ();
-      let st = host.globals in
+      fr.locks <- fr.locks + 1;
+      let st = fr.host.globals in
       Globals.set st (site_slot cache g st) v
   | If (c, t, e) ->
     let cc = compile_cond ctx slots c in
     let ct = compile_block ctx slots t in
     let ce = compile_block ctx slots e in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       if cc fr then ct fr else ce fr
   | While (c, b) ->
     let cc = compile_cond ctx slots c in
     let cb = compile_block ctx slots b in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       while cc fr do
         cb fr
       done
   | Expr e ->
     let ce = compile_expr ctx slots e in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       ignore (ce fr)
   | Raise { event; mode; args } ->
     let cargs = args_of (List.map (compile_expr ctx slots) args) in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       let vs = cargs fr in
+      flush fr;
       fr.host.raise_event event mode vs
   | Emit (tag, args) ->
     let cargs = args_of (List.map (compile_expr ctx slots) args) in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       let vs = cargs fr in
+      flush fr;
       fr.host.emit tag vs
   | Return None ->
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       fr.ret <- Value.Unit;
       raise_notrace Return
   | Return (Some e) ->
     let ce = compile_expr ctx slots e in
     fun fr ->
-      fr.host.tick 1;
+      fr.ticks <- fr.ticks + 1;
       fr.ret <- ce fr;
       raise_notrace Return
 
@@ -305,18 +334,24 @@ and compiled_proc (ctx : ctx) (name : string) : compiled_proc =
        let cbody = compile_block ctx slots p.body in
        let params = Array.of_list (List.map (Hashtbl.find slots) p.params) in
        let run host args =
-         let fr = { slots = Array.make nslots unassigned; args; host; ret = Value.Unit } in
+         let fr =
+           { slots = Array.make nslots unassigned; args; host; ret = Value.Unit;
+             ticks = 0; locks = 0 }
+         in
          bind_params fr.slots params 0 args;
          let depth = Interp.enter_call () in
          match cbody fr with
          | () ->
            decr depth;
+           flush fr;
            Value.Unit
          | exception Return ->
            decr depth;
+           flush fr;
            fr.ret
          | exception e ->
            decr depth;
+           flush fr;
            raise e
        in
        fwd := run;

@@ -7,13 +7,17 @@
     direct OCaml control flow, conditions evaluate to native booleans,
     and literals are preallocated; a call allocates its frame, and
     otherwise only the values the body computes and the argument lists
-    it passes.  The generated closure still reports one [tick] per
-    executed node so the deterministic cost model can price compiled
-    execution differently from interpreted execution; the wall-clock
-    speedup comes from the removed name lookups, closure and list
-    allocations, and match dispatch.
+    it passes.  The generated closure charges the host the
+    interpreter's node ticks and global accesses, so the deterministic
+    cost model can price compiled execution differently from
+    interpreted execution, but it counts them in the frame and charges
+    them with one [tick] and one [lock] call before each raise, emit and
+    user call and on every exit: the points where the clock can be
+    read.  The wall-clock speedup comes from the removed host calls,
+    name lookups, closure and list allocations, and match dispatch.
 
-    Results, emits, globals and errors agree with {!Interp}: a read of a
+    Results, emits, raises, globals, errors and the units charged at
+    each of those points agree with {!Interp}: a read of a
     local never assigned raises {!Interp.Unbound_variable}, and a
     primitive called with the wrong number of arguments raises the
     interpreter's {!Value.Type_error} after evaluating its arguments. *)

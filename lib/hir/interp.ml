@@ -79,7 +79,7 @@ end
 type host = {
   raise_event : string -> mode -> Value.t list -> unit;
   globals : Globals.t;
-  lock : unit -> unit;  (* per-access charge of a global read or write *)
+  lock : int -> unit;  (* charge n global reads or writes *)
   emit : string -> Value.t list -> unit;
   tick : int -> unit;   (* per-AST-node cost; engine-dependent *)
   work : int -> unit;   (* intrinsic primitive work; engine-independent *)
@@ -188,7 +188,7 @@ let rec eval_expr (host : host) (prog : program) (frame : frame) (e : expr) : Va
   | Lit v -> v
   | Var x -> lookup frame x
   | Global g ->
-    host.lock ();
+    host.lock 1;
     Globals.find host.globals g
   | Arg i ->
     if i < 0 || i >= Array.length frame.args then
@@ -227,7 +227,7 @@ and exec_stmt host prog frame (s : stmt) : unit =
     Hashtbl.replace frame.env x (eval_expr host prog frame e)
   | Set_global (g, e) ->
     let v = eval_expr host prog frame e in
-    host.lock ();
+    host.lock 1;
     Globals.replace host.globals g v
   | If (c, t, e) ->
     if Value.truthy (eval_expr host prog frame c) then exec_block host prog frame t

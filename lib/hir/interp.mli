@@ -44,10 +44,15 @@ end
 type host = {
   raise_event : string -> Ast.mode -> Value.t list -> unit;
   globals : Globals.t;
-  lock : unit -> unit;
-      (** charged once per global read or write, before the access *)
+  lock : int -> unit;
+      (** [lock n] charges [n] global reads or writes.  The interpreter
+          charges each access as it makes it; compiled code may charge
+          several at once, at the next point where the clock can be
+          read *)
   emit : string -> Value.t list -> unit;
-  tick : int -> unit;  (** per-AST-node cost; engine-dependent *)
+  tick : int -> unit;
+      (** [tick n] charges [n] executed AST nodes, at an engine-dependent
+          price; batched like [lock] *)
   work : int -> unit;  (** intrinsic primitive work; engine-independent *)
 }
 

@@ -18,7 +18,9 @@ type t = {
   loss_permille : int;
   rng : Prng.t;
   stats : stats;
-  attempts : (int, int) Hashtbl.t;  (* packet seq -> sends so far *)
+  attempts : (int, int) Hashtbl.t;
+      (* packet seq -> sends so far; kept only while a script or logger,
+         its only readers, is installed *)
   mutable script : (Packet.t -> attempt:int -> int option) option;
   mutable logger : (Packet.t -> attempt:int -> int option -> unit) option;
 }
@@ -35,8 +37,21 @@ let create ?(latency = 50) ?(jitter = 0) ?(loss_permille = 0) ?(seed = 42L) () =
     logger = None;
   }
 
-let set_script t script = t.script <- script
-let set_logger t logger = t.logger <- logger
+(* Attempt counts start with the first send, so a script or logger must
+   be installed before it: installed later, it would see counts that
+   restarted at 0. *)
+let check_install t what = function
+  | Some _ when t.stats.sent > 0 ->
+    invalid_arg (Printf.sprintf "Link.%s: the link has already sent" what)
+  | _ -> ()
+
+let set_script t script =
+  check_install t "set_script" script;
+  t.script <- script
+
+let set_logger t logger =
+  check_install t "set_logger" logger;
+  t.logger <- logger
 
 (* Send [packet] towards [rt]; on delivery the event [deliver_event] is
    raised with the encoded packet as its single argument.  The outcome
@@ -45,9 +60,15 @@ let set_logger t logger = t.logger <- logger
 let send (t : t) (rt : Runtime.t) ~(deliver_event : string) (packet : Packet.t) : unit =
   t.stats.sent <- t.stats.sent + 1;
   t.stats.bytes <- t.stats.bytes + Packet.size packet;
-  let seq = packet.Packet.seq in
-  let attempt = Option.value ~default:0 (Hashtbl.find_opt t.attempts seq) in
-  Hashtbl.replace t.attempts seq (attempt + 1);
+  let attempt =
+    match t.script, t.logger with
+    | None, None -> 0
+    | _ ->
+      let seq = packet.Packet.seq in
+      let attempt = Option.value ~default:0 (Hashtbl.find_opt t.attempts seq) in
+      Hashtbl.replace t.attempts seq (attempt + 1);
+      attempt
+  in
   let outcome =
     match t.script with
     | Some script -> script packet ~attempt

@@ -24,13 +24,16 @@ val create :
     [Some delay] delivers after [delay] units.  While a script is
     installed the link's PRNG is never advanced.  [None] restores the
     probabilistic behaviour.  The replay layer uses this to re-impose a
-    recorded arrival schedule. *)
+    recorded arrival schedule.  Attempts are counted only while a script
+    or logger is installed, so installing either after the link's first
+    send raises [Invalid_argument]. *)
 val set_script : t -> (Packet.t -> attempt:int -> int option) option -> unit
 
 (** Observe every send's outcome ([None] lost, [Some delay] delivered)
     together with the packet and its per-seq attempt index; scripted
     and probabilistic outcomes both pass through.  The run recorder
-    captures the arrival schedule here. *)
+    captures the arrival schedule here.  Like {!set_script}, it must be
+    installed before the first send. *)
 val set_logger : t -> (Packet.t -> attempt:int -> int option -> unit) option -> unit
 
 (** Send towards [rt]: on (probabilistic) delivery, [deliver_event] is

@@ -24,6 +24,43 @@ let recording_host () =
 let sorted_globals globals =
   List.sort compare (Interp.Globals.fold (fun k v acc -> (k, v) :: acc) globals [])
 
+(* A host that counts node ticks, global accesses and primitive work
+   units, and stamps every emit, every raise, the exit and any exception
+   with the three counts so far: the points where an event runtime can
+   read its clock.  [stamped run] calls [run] on a fresh such host and
+   returns the stamps in order with the final globals, sorted. *)
+let stamped run =
+  let ticks = ref 0 and locks = ref 0 and work = ref 0 in
+  let stamps = ref [] in
+  let stamp what = stamps := (what, !ticks, !locks, !work) :: !stamps in
+  let call tag args =
+    Printf.sprintf "%s(%s)" tag (String.concat ", " (List.map Value.to_string args))
+  in
+  let globals = Interp.Globals.create ~unbound:(fun _ -> Value.Int 0) () in
+  let host =
+    {
+      Interp.raise_event =
+        (fun ev mode args -> stamp ("raise " ^ Ast.mode_to_string mode ^ " " ^ call ev args));
+      globals;
+      lock = (fun n -> locks := !locks + n);
+      emit = (fun tag args -> stamp ("emit " ^ call tag args));
+      tick = (fun n -> ticks := !ticks + n);
+      work = (fun n -> work := !work + n);
+    }
+  in
+  (match run host with
+   | v -> stamp ("exit " ^ Value.to_string v)
+   | exception e -> stamp ("exception " ^ Printexc.to_string e));
+  (List.rev !stamps, sorted_globals globals)
+
+let show_stamped (stamps, globals) =
+  String.concat "\n"
+    (List.map
+       (fun (what, ticks, locks, work) ->
+         Printf.sprintf "  %s @ ticks %d, locks %d, work %d" what ticks locks work)
+       stamps
+    @ List.map (fun (g, v) -> Printf.sprintf "  %s = %s" g (Value.to_string v)) globals)
+
 let run_proc_with_host prog name args =
   let host, emits, globals = recording_host () in
   let result = Interp.run ~host prog name args in

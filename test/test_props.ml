@@ -1,7 +1,9 @@
 (* Property-based tests (qcheck):
 
    1. HIR semantics preservation: for random well-formed programs,
-      [optimize p] and [compile p] behave exactly like [interp p].
+      [optimize p] behaves like [interp p]; [compile p] behaves exactly
+      like it and charges the same units at every emit, raise, exit and
+      exception.
    2. Event-graph invariants of the GraphBuilder algorithm.
    3. End-to-end: for random event configurations, the optimized runtime
       is observationally equivalent to the generic one, including under
@@ -14,9 +16,22 @@ open Podopt
 let int_vars = [ "v0"; "v1"; "v2"; "v3" ]
 let globals = [ "g0"; "g1" ]
 
-(* With [wrong_arity], a rare node calls a primitive with the wrong
-   number of arguments, which both engines must reject the same way. *)
-let gen_int_expr_of ~wrong_arity : Ast.expr QCheck2.Gen.t =
+(* A primitive with a work function, so that the engine property also
+   compares the engines' work charges. *)
+let () =
+  Prim.register "spin" ~arity:1
+    ~work:(function [ Value.Int n ] -> 1 + abs n | _ -> 0)
+    (function
+      | [ Value.Int n ] -> Value.Int (n / 2)
+      | _ -> Value.type_error "spin expects an int")
+
+(* [engine] adds nodes that only the engine property draws, since the
+   optimizer may drop a dead node that would have failed: a rare call of
+   a primitive with the wrong number of arguments, [/] and [%] (zero
+   divisors included), the work primitive [spin], raises in every mode,
+   and [&&] and [||] conditions.  [calls] also draws calls of the helper
+   [func f(v0, v1)], whose own body draws none. *)
+let gen_int_expr_of ~engine ~calls : Ast.expr QCheck2.Gen.t =
   let open QCheck2.Gen in
   sized (fun n ->
       fix
@@ -30,24 +45,18 @@ let gen_int_expr_of ~wrong_arity : Ast.expr QCheck2.Gen.t =
                 map (fun i -> Ast.Arg i) (int_range 0 1);
               ]
           else
+            let binop ops = map2 (fun op (a, b) -> Ast.Binop (op, a, b)) (oneofl ops) in
             let well_formed =
-              oneof
-                [
-                  map (fun i -> Ast.Lit (Value.Int i)) (int_range (-20) 20);
-                  map2
-                    (fun op (a, b) -> Ast.Binop (op, a, b))
-                    (oneofl [ Ast.Add; Ast.Sub; Ast.Mul ])
-                    (pair (self (n / 2)) (self (n / 2)));
-                  map (fun a -> Ast.Unop (Ast.Neg, a)) (self (n - 1));
-                  map2
-                    (fun f a -> Ast.Call (f, [ a ]))
-                    (oneofl [ "abs" ])
-                    (self (n - 1));
-                  map2
-                    (fun f (a, b) -> Ast.Call (f, [ a; b ]))
-                    (oneofl [ "min"; "max" ])
-                    (pair (self (n / 2)) (self (n / 2)));
-                ]
+              [
+                map (fun i -> Ast.Lit (Value.Int i)) (int_range (-20) 20);
+                binop [ Ast.Add; Ast.Sub; Ast.Mul ] (pair (self (n / 2)) (self (n / 2)));
+                map (fun a -> Ast.Unop (Ast.Neg, a)) (self (n - 1));
+                map2 (fun f a -> Ast.Call (f, [ a ])) (oneofl [ "abs" ]) (self (n - 1));
+                map2
+                  (fun f (a, b) -> Ast.Call (f, [ a; b ]))
+                  (oneofl [ "min"; "max" ])
+                  (pair (self (n / 2)) (self (n / 2)));
+              ]
             in
             (* abs with two arguments, min or max with one *)
             let miscounted =
@@ -56,26 +65,55 @@ let gen_int_expr_of ~wrong_arity : Ast.expr QCheck2.Gen.t =
                 (oneofl [ "abs"; "min"; "max" ])
                 (pair (self (n / 2)) (self (n / 2)))
             in
-            if wrong_arity then frequency [ (12, well_formed); (1, miscounted) ]
-            else well_formed)
+            let engine_only =
+              [
+                (1, miscounted);
+                (3, binop [ Ast.Div; Ast.Mod ] (pair (self (n / 2)) (self (n / 2))));
+                (3, map (fun a -> Ast.Call ("spin", [ a ])) (self (n - 1)));
+              ]
+            in
+            let helper =
+              [ (3, map2 (fun a b -> Ast.Call ("f", [ a; b ])) (self (n / 2)) (self (n / 2))) ]
+            in
+            frequency
+              (List.map (fun g -> (10, g)) well_formed
+              @ (if engine then engine_only else [])
+              @ if calls then helper else []))
         (min n 6))
 
-let gen_int_expr = gen_int_expr_of ~wrong_arity:false
+let gen_int_expr = gen_int_expr_of ~engine:false ~calls:false
 
-let gen_cond_of ~wrong_arity : Ast.expr QCheck2.Gen.t =
+let gen_cond_of ~engine ~calls : Ast.expr QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let e = gen_int_expr_of ~wrong_arity in
-  map2
-    (fun op (a, b) -> Ast.Binop (op, a, b))
-    (oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ])
-    (pair e e)
+  let e = gen_int_expr_of ~engine ~calls in
+  let compare =
+    map2
+      (fun op (a, b) -> Ast.Binop (op, a, b))
+      (oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ])
+      (pair e e)
+  in
+  if engine then
+    frequency
+      [
+        (4, compare);
+        (1, map2 (fun a b -> Ast.Binop (Ast.And, a, b)) compare compare);
+        (1, map2 (fun a b -> Ast.Binop (Ast.Or, a, b)) compare compare);
+      ]
+  else compare
 
 let counter = ref 0
 
-let gen_block_of ~wrong_arity : Ast.block QCheck2.Gen.t =
+let gen_block_of ~engine ~calls : Ast.block QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let gen_int_expr = gen_int_expr_of ~wrong_arity in
-  let gen_cond = gen_cond_of ~wrong_arity in
+  let gen_int_expr = gen_int_expr_of ~engine ~calls in
+  let gen_cond = gen_cond_of ~engine ~calls in
+  let gen_raise =
+    map2
+      (fun mode e -> Ast.Raise { event = "E"; mode; args = [ e ] })
+      (oneof
+         [ return Ast.Sync; return Ast.Async; map (fun d -> Ast.Timed d) (int_range 0 9) ])
+      gen_int_expr
+  in
   let gen_stmt self depth =
     let leaf =
       [
@@ -85,6 +123,7 @@ let gen_block_of ~wrong_arity : Ast.block QCheck2.Gen.t =
         map (fun e -> Ast.Emit ("out", [ e ])) gen_int_expr;
         return (Ast.Return None);
       ]
+      @ if engine then [ gen_raise ] else []
     in
     if depth <= 0 then oneof leaf
     else
@@ -116,7 +155,7 @@ let gen_block_of ~wrong_arity : Ast.block QCheck2.Gen.t =
   in
   block 2
 
-let gen_block = gen_block_of ~wrong_arity:false
+let gen_block = gen_block_of ~engine:false ~calls:false
 
 (* initialize every variable and global before the random body runs,
    except the variable named by [drop], which a read before its first
@@ -151,31 +190,39 @@ let prop_optimize_preserves =
       let p' = { (Pipeline.optimize_proc [ p ] p) with Ast.name = "q" } in
       behaviours_agree [ p ] "p" [ p' ] "q" args)
 
-(* The engines agree on errors too, exception text included.  The
-   generator sometimes leaves a variable uninitialized and sometimes
-   calls a primitive with the wrong number of arguments. *)
-let gen_compile_case : (string option * Ast.block) QCheck2.Gen.t =
+(* A program for the engine property: [p], which sometimes leaves a
+   variable uninitialized, and the helper [f] it may call. *)
+let gen_engine_program : Ast.program QCheck2.Gen.t =
   let open QCheck2.Gen in
-  pair
-    (frequency [ (2, return None); (1, map Option.some (oneofl int_vars)) ])
-    (gen_block_of ~wrong_arity:true)
+  let* drop = frequency [ (2, return None); (1, map Option.some (oneofl int_vars)) ] in
+  let* body = gen_block_of ~engine:true ~calls:true in
+  let* f_body = gen_block_of ~engine:true ~calls:false in
+  let+ f_ret = gen_int_expr_of ~engine:true ~calls:false in
+  let f =
+    {
+      Ast.name = "f";
+      params = [ "v0"; "v1" ];
+      body =
+        [ Ast.Let ("v2", Ast.Lit (Value.Int 1)); Ast.Let ("v3", Ast.Lit (Value.Int 1)) ]
+        @ f_body
+        @ [ Ast.Return (Some f_ret) ];
+    }
+  in
+  [ wrap_body ?drop body; f ]
 
+(* The engines agree at every point where an event runtime can read its
+   clock: each emit, raise, exit and exception carries the same node
+   ticks, global accesses and work units, and the same value or
+   exception text. *)
 let prop_compile_agrees_with_interp =
   QCheck2.Test.make ~name:"compile agrees with interp" ~count:300
-    ~print:(fun (drop, body) -> Pp.proc_to_string (wrap_body ?drop body))
-    gen_compile_case (fun (drop, body) ->
-      let p = wrap_body ?drop body in
-      let interp_result = observe_proc [ p ] "p" args in
-      let compiled_result =
-        try Ok (Helpers.observe_compiled [ p ] "p" args)
-        with e -> Error (Printexc.to_string e)
-      in
-      match interp_result, compiled_result with
-      | Ok a, Ok b -> a = b
-      | Error a, Error b ->
-        a = b || QCheck2.Test.fail_reportf "interp raised %s, compiled raised %s" a b
-      | Ok _, Error e -> QCheck2.Test.fail_reportf "only compiled failed: %s" e
-      | Error e, Ok _ -> QCheck2.Test.fail_reportf "only interp failed: %s" e)
+    ~print:Pp.program_to_string gen_engine_program (fun prog ->
+      let c = Compile.proc prog "p" in
+      let interp = Helpers.stamped (fun host -> Interp.run ~host prog "p" args) in
+      let compiled = Helpers.stamped (fun host -> c host args) in
+      interp = compiled
+      || QCheck2.Test.fail_reportf "interp:@.%s@.compiled:@.%s" (Helpers.show_stamped interp)
+           (Helpers.show_stamped compiled))
 
 let prop_dce_never_grows =
   QCheck2.Test.make ~name:"dce never grows code" ~count:300 ~print:print_block
