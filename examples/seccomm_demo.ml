@@ -18,7 +18,7 @@ let exchange rt link ~count =
   Runtime.on_emit rt (fun tag args ->
       match tag, args with
       | "udp_tx", [ Value.Bytes wire ] ->
-        Link.send link rt ~deliver_event:"WireIn"
+        Link.send link rt ~deliver_event:(Link.raise_timed "WireIn")
           (Packet.make ~src:"alice" ~dst:"bob" ~seq:!delivered wire)
       | "deliver", [ Value.Bytes _ ] -> incr delivered
       | _ -> ());

@@ -38,7 +38,7 @@ let wire_sender (t : t) =
       match tag, args with
       | "udp_tx", [ V.Bytes wire ] -> Ctp.send t.sender ~priority:1 wire
       | "tx", [ V.Bytes seg; V.Int n ] ->
-        Link.send t.link t.receiver ~deliver_event:"LinkIn"
+        Link.send t.link t.receiver ~deliver_event:(Link.raise_timed "LinkIn")
           (Packet.make ~src:"sender" ~dst:"receiver" ~seq:n seg)
       | _ -> ())
 

@@ -1,7 +1,6 @@
 open Podopt_eventsys
 module Packet = Podopt_net.Packet
 module Plan = Podopt_faults.Plan
-module V = Podopt_hir.Value
 module Store = Podopt_store.Store
 module Recover = Podopt_recover.Recover
 
@@ -42,11 +41,17 @@ let default_config =
     arrivals = Arrivals.Periodic;
   }
 
-let deliver_event = "BrokerIngress"
+(* The front door: the simulation clock, and the wires in flight
+   towards the broker, due at [clock + delay] and popped in (due, push
+   order). *)
+type front = { clock : Vclock.t; wires : bytes Equeue.t }
+
+let deliver_event front ~delay wire =
+  Equeue.push front.wires ~due:(Vclock.now front.clock + delay) wire
 
 type t = {
   cfg : config;
-  front : Runtime.t;
+  front : front;
   router : string -> int;            (* session id -> shard index *)
   shards : Shard.t array;
   pool : Podopt_exec.Pool.t;
@@ -100,16 +105,24 @@ type t = {
 let config t = t.cfg
 let front t = t.front
 let shards t = t.shards
-let now t = Runtime.now t.front
+let now t = Vclock.now t.front.clock
 let register t ~id ~nack = Hashtbl.replace t.nacks id nack
 
+(* One session lookup per packet: the router runs only for a session
+   not seen since the last reset, and its (pure) answer is cached. *)
 let route t (pkt : Packet.t) =
-  let idx = t.router pkt.Packet.src in
+  let src = pkt.Packet.src in
+  let idx =
+    match Hashtbl.find t.session_shard src with
+    | idx -> idx
+    | exception Not_found ->
+      let idx = t.router src in
+      Hashtbl.add t.session_shard src idx;
+      let shard = t.shards.(idx) in
+      shard.Shard.sessions <- shard.Shard.sessions + 1;
+      idx
+  in
   let shard = t.shards.(idx) in
-  if not (Hashtbl.mem t.session_shard pkt.Packet.src) then begin
-    Hashtbl.replace t.session_shard pkt.Packet.src idx;
-    shard.Shard.sessions <- shard.Shard.sessions + 1
-  end;
   t.routed <- t.routed + 1;
   (* journal every offer, shed or accepted: the redo log must reproduce
      the exact ingress-queue evolution (including evictions and stat
@@ -135,12 +148,6 @@ let create (cfg : config) =
   if cfg.domains <= 0 then invalid_arg "Broker.create: domains <= 0";
   if cfg.checkpoint_every <= 0 then
     invalid_arg "Broker.create: checkpoint_every <= 0";
-  (* the front door is a landing pad for link deliveries, not a measured
-     runtime: routing must not consume simulation time, or the clock
-     would leap past pending sessions and turn steady traffic into
-     artificial bursts *)
-  let front = Runtime.create ~costs:Costs.free () in
-  front.Runtime.emit_log_enabled <- false;
   (* One aggregation of the stored profile feeds every shard's warm
      start; each shard checks the shared signatures against its own
      runtime.  Aggregation and installation happen here on the
@@ -172,78 +179,72 @@ let create (cfg : config) =
     else [||]
   in
   let pool = Podopt_exec.Pool.create ~domains:cfg.domains in
-  let t =
-    {
-      cfg;
-      front;
-      router = Shard_map.router ~route:cfg.route ~shards:cfg.shards;
-      shards;
-      pool;
-      drained = Array.make cfg.shards 0;
-      nacks = Hashtbl.create 64;
-      session_shard = Hashtbl.create 64;
-      routed = 0;
-      front_faults =
-        (if Plan.enabled cfg.faults then Some (Plan.create ~salt:0 cfg.faults)
-         else None);
-      link_dropped = 0;
-      decode_failures = 0;
-      supervised;
-      journals =
-        Array.init cfg.shards (fun _ ->
-            Recover.journal ~limit:(journal_limit cfg));
-      checkpoints;
-      epoch = 0;
-      owner = Array.init cfg.shards (fun i -> i mod cfg.domains);
-      load_ema = Array.make cfg.shards 0;
-      have_depths = false;
-      prev_busy = Array.make cfg.shards 0;
-      wbusy = Array.make cfg.domains 0;
-      executed_by = Array.make cfg.shards (-1);
-      stolen = Array.make cfg.shards 0;
-      migrated = Array.make cfg.shards 0;
-      steals = 0;
-      migrations = [];
-      sched_epoch = 0;
-      critical = 0;
-    }
-  in
-  let front_door _host args =
-    match args with
-    | [ V.Bytes b ] ->
-      (* Exactly one draw per packet from each wire-fault stream,
-         whether or not the other fault fires: a drop-rate change
-         never shifts which packets the corrupt stream picks. *)
-      let dropped, b =
-        match t.front_faults with
-        | None -> (false, b)
-        | Some inj ->
-          let dropped = Plan.drop inj in
-          let b = match Plan.corrupt inj b with Some b' -> b' | None -> b in
-          (dropped, b)
-      in
-      if dropped then t.link_dropped <- t.link_dropped + 1
-      else (
-        match Packet.decode b with
-        | pkt -> route t pkt
-        | exception Packet.Decode_error ->
-          t.decode_failures <- t.decode_failures + 1)
-    | _ -> ()
-  in
-  (* the binding stays as the guard's generic fallback; deliveries take
-     the paper's direct-call path: the same function installed as the
-     event's super-handler, so no registry lookup, no marshal round trip
-     of the wire and no indirect call.  It sees the link's own buffer,
-     which nothing else holds (corruption copies; decode copies out). *)
-  Runtime.bind front ~event:deliver_event
-    (Handler.native "broker_route" front_door);
-  Runtime.install_super front ~event:deliver_event ~covered:[ deliver_event ]
-    ~arity:1 (fun host args ->
-      front_door host args;
-      V.Unit);
-  t
+  {
+    cfg;
+    front = { clock = Vclock.create (); wires = Equeue.create () };
+    router = Shard_map.router ~route:cfg.route ~shards:cfg.shards;
+    shards;
+    pool;
+    drained = Array.make cfg.shards 0;
+    nacks = Hashtbl.create 64;
+    session_shard = Hashtbl.create 64;
+    routed = 0;
+    front_faults =
+      (if Plan.enabled cfg.faults then Some (Plan.create ~salt:0 cfg.faults)
+       else None);
+    link_dropped = 0;
+    decode_failures = 0;
+    supervised;
+    journals =
+      Array.init cfg.shards (fun _ ->
+          Recover.journal ~limit:(journal_limit cfg));
+    checkpoints;
+    epoch = 0;
+    owner = Array.init cfg.shards (fun i -> i mod cfg.domains);
+    load_ema = Array.make cfg.shards 0;
+    have_depths = false;
+    prev_busy = Array.make cfg.shards 0;
+    wbusy = Array.make cfg.domains 0;
+    executed_by = Array.make cfg.shards (-1);
+    stolen = Array.make cfg.shards 0;
+    migrated = Array.make cfg.shards 0;
+    steals = 0;
+    migrations = [];
+    sched_epoch = 0;
+    critical = 0;
+  }
 
-let pump t ~until = Runtime.run ~until t.front
+(* A wire that fails to decode is counted, never silently swallowed. *)
+let decode_and_route t wire =
+  match Packet.decode wire with
+  | pkt -> route t pkt
+  | exception Packet.Decode_error -> t.decode_failures <- t.decode_failures + 1
+
+(* The door, once per wire: exactly one draw per packet from each
+   wire-fault stream, drop first, whether or not the other fault fires,
+   so a drop-rate change never shifts which packets the corrupt stream
+   picks.  The wire is the link's own buffer, which nothing else holds
+   (corruption copies; decode copies out). *)
+let door t wire =
+  match t.front_faults with
+  | None -> decode_and_route t wire
+  | Some inj ->
+    let dropped = Plan.drop inj in
+    let wire = match Plan.corrupt inj wire with Some w -> w | None -> wire in
+    if dropped then t.link_dropped <- t.link_dropped + 1
+    else decode_and_route t wire
+
+(* Routing spends no simulation time: the clock moves only to a later
+   wire's due, or the clock would leap past pending sessions and turn
+   steady traffic into artificial bursts. *)
+let rec pump t ~until =
+  match Equeue.peek t.front.wires with
+  | Some (due, wire) when due <= until ->
+    ignore (Equeue.pop t.front.wires);
+    if due > now t then Vclock.set t.front.clock due;
+    door t wire;
+    pump t ~until
+  | _ -> ()
 
 (* Crash recovery for one killed shard, on the coordinator: wipe, load
    the last checkpoint, then redeliver the redo journal in admission
@@ -434,10 +435,10 @@ let drain t =
 let domains t = t.cfg.domains
 let shutdown t = Podopt_exec.Pool.shutdown t.pool
 
-let advance_to t upto = if upto > now t then Vclock.set t.front.Runtime.clock upto
+let advance_to t upto = if upto > now t then Vclock.set t.front.clock upto
 
 let idle t =
-  Runtime.pending t.front = 0
+  Equeue.is_empty t.front.wires
   && Array.for_all (fun s -> Ingress.length s.Shard.ingress = 0) t.shards
 
 let routed t = t.routed

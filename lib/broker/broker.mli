@@ -2,16 +2,19 @@
     shards.
 
     Encoded packets arrive over per-session links at the broker's
-    *front* runtime (the [BrokerIngress] event — external stimuli enter
-    as implicitly raised events, exactly like the paper's Sec. 2.2).  A
-    native routing handler decodes each packet and offers it to the
-    shard owning the session ({!Shard_map} of the packet source); full
-    ingress queues shed per {!Policy.shed}, and shed packets are
-    nack'ed back to the owning session for retry-with-backoff.
+    {e front door}: a virtual clock and a queue of wires, each due at
+    the clock's time of sending plus the link delay.  {!pump} pops the
+    due wires in (due, push order), applies the front's wire faults,
+    decodes each packet and offers it to the shard owning the session
+    ({!Shard_map} of the packet source); full ingress queues shed per
+    {!Policy.shed}, and shed packets are nack'ed back to the owning
+    session for retry-with-backoff.  Ops enter each shard's runtime as
+    raised events; the door itself is no event runtime — it needs only
+    the clock and the queue.
 
-    The front runtime's virtual clock is the simulation clock; shards
-    advance their own clocks as they dispatch.  Everything downstream
-    of the seeded links is deterministic.
+    The front clock is the simulation clock; shards advance their own
+    clocks as they dispatch.  Everything downstream of the seeded links
+    is deterministic.
 
     The broker drains its shards on a pool of [domains] OCaml 5 domains
     ({!Podopt_exec.Pool}), the coordinator among them: every simulation
@@ -31,8 +34,6 @@
     order — and therefore every per-shard stat, trace, and
     adaptive-optimizer decision — is byte-identical at any domain
     count (see the parallel and steal test suites). *)
-
-open Podopt_eventsys
 
 type config = {
   shards : int;
@@ -91,11 +92,18 @@ type t
 val create : config -> t
 val config : t -> config
 
-(** The event sessions address their packets to. *)
-val deliver_event : string
+(** The front door's clock and wire queue. *)
+type front
 
-(** The front (ingress) runtime — hand this to {!Session.pump}. *)
-val front : t -> Runtime.t
+(** The broker's front door — hand it to {!Session.pump} together with
+    {!deliver_event}. *)
+val front : t -> front
+
+(** [deliver_event front ~delay wire] puts an encoded packet in flight:
+    it reaches the door [delay] units after the front clock's current
+    time.  Wires due at the same time are popped in push order.  The
+    door owns [wire] from here on. *)
+val deliver_event : front -> delay:int -> bytes -> unit
 
 val shards : t -> Shard.t array
 val now : t -> int
@@ -108,12 +116,18 @@ val now : t -> int
     object can never receive a steady-phase nack. *)
 val register : t -> id:string -> nack:(int -> int -> unit) -> unit
 
-(** Route a decoded packet (exposed for tests; live traffic arrives via
-    the front runtime's [BrokerIngress] handler). *)
+(** Route a decoded packet into its session's shard (exposed for
+    tests; live traffic arrives through {!pump}).  A session's shard is
+    looked up once per packet: the router runs the first time a
+    session is seen since the last reset, which also counts the
+    session on its shard. *)
 val route : t -> Podopt_net.Packet.t -> unit
 
-(** Deliver every link packet due by [until] (routing each into its
-    shard's ingress queue). *)
+(** Run the door for every wire due by [until], in (due, push order):
+    move the front clock to the wire's due when that is later, draw the
+    front's drop, then its corrupt fault (one draw each per wire), then
+    decode and {!route} it.  A dropped wire counts in {!link_dropped},
+    an undecodable one in {!decode_failures}. *)
 val pump : t -> until:int -> unit
 
 (** Drain one batch from every shard; returns the total ops dispatched.
@@ -143,7 +157,7 @@ val shutdown : t -> unit
 (** Advance the front clock to [upto] (never backwards). *)
 val advance_to : t -> int -> unit
 
-(** No packet in flight and every ingress queue empty. *)
+(** No wire in flight and every ingress queue empty. *)
 val idle : t -> bool
 
 (** Packets routed since the last reset. *)

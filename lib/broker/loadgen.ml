@@ -138,10 +138,10 @@ let summarize ?(truncated = false) broker sessions ~elapsed =
        in
        let module Exact = Podopt_obs.Exact in
        {
-         queue_wait = Hist.dist (Metrics.histogram merged "queue_wait");
-         service_opt = Exact.dist (Metrics.exact merged "service.optimized");
-         service_gen = Exact.dist (Metrics.exact merged "service.generic");
-         batch_depth = Exact.dist (Metrics.exact merged "batch.depth");
+         queue_wait = Hist.dist merged.Metrics.queue_wait;
+         service_opt = Exact.dist merged.Metrics.service_opt;
+         service_gen = Exact.dist merged.Metrics.service_gen;
+         batch_depth = Exact.dist merged.Metrics.batch_depth;
        });
     busy = sum Shard.busy;
     makespan = maxi Shard.busy;
@@ -200,7 +200,7 @@ let run ?max_ticks broker sessions =
       | _ -> acc
     in
     (* ascending session index: the exact relative order the full
-       List.iter scan pumped in, so front-runtime insertion order — and
+       List.iter scan pumped in, so the front door's push order — and
        with it every downstream observable — is unchanged *)
     let due = List.sort_uniq compare (collect []) in
     List.iter

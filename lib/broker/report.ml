@@ -109,7 +109,7 @@ let dist_cell_e h =
   if Exact.count h = 0 then "-" else Fmt.str "%a" Hist.pp_dist (Exact.dist h)
 
 (* Per-shard + total latency percentiles, then the per-event dispatch
-   distributions from the merged registries.  Queue wait is front-clock
+   distributions from the merged metrics.  Queue wait is front-clock
    units (arrival to drain), service time shard-clock units per op split
    by dispatch path, batch-depth in drained ops per non-empty drain. *)
 let pp_metrics ppf broker =
@@ -128,23 +128,15 @@ let pp_metrics ppf broker =
         ~depth:(Shard.batch_depth s))
     (Broker.shards broker);
   let merged = merged_metrics broker in
-  row "total"
-    ~qwait:(Metrics.histogram merged "queue_wait")
-    ~svc_opt:(Metrics.exact merged "service.optimized")
-    ~svc_gen:(Metrics.exact merged "service.generic")
-    ~depth:(Metrics.exact merged "batch.depth");
+  row "total" ~qwait:merged.Metrics.queue_wait
+    ~svc_opt:merged.Metrics.service_opt ~svc_gen:merged.Metrics.service_gen
+    ~depth:merged.Metrics.batch_depth;
   Fmt.pf ppf "@.dispatch time by event (all shards):@.";
   Fmt.pf ppf "%16s | %7s | %25s@." "event" "count" "p50/p90/p99/max";
   List.iter
-    (fun (name, v) ->
-      match v with
-      | Metrics.Histogram h when String.length name > 9
-                                 && String.sub name 0 9 = "dispatch." ->
-        Fmt.pf ppf "%16s | %7d | %25s@."
-          (String.sub name 9 (String.length name - 9))
-          (Hist.count h) (dist_cell h)
-      | _ -> ())
-    (Metrics.to_list merged)
+    (fun (name, h) ->
+      Fmt.pf ppf "%16s | %7d | %25s@." name (Hist.count h) (dist_cell h))
+    (Metrics.events merged)
 
 (* --- JSON ------------------------------------------------------------- *)
 
@@ -162,12 +154,12 @@ let json ?(metrics = false) broker (s : Loadgen.summary) =
   in
   let dist name h = dist_of name (Hist.count h) (Hist.dist h) in
   let dist_e name h = dist_of name (Exact.count h) (Exact.dist h) in
-  let hists m =
+  let hists (m : Metrics.t) =
     Printf.sprintf "%s, %s, %s, %s"
-      (dist "queue_wait" (Metrics.histogram m "queue_wait"))
-      (dist_e "service_opt" (Metrics.exact m "service.optimized"))
-      (dist_e "service_gen" (Metrics.exact m "service.generic"))
-      (dist_e "batch_depth" (Metrics.exact m "batch.depth"))
+      (dist "queue_wait" m.queue_wait)
+      (dist_e "service_opt" m.service_opt)
+      (dist_e "service_gen" m.service_gen)
+      (dist_e "batch_depth" m.batch_depth)
   in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"podopt/serve/v9\",\n";
@@ -241,16 +233,7 @@ let json ?(metrics = false) broker (s : Loadgen.summary) =
   Buffer.add_string b "  ]";
   if metrics then begin
     Buffer.add_string b ",\n  \"events\": [\n";
-    let events =
-      List.filter_map
-        (fun (name, v) ->
-          match v with
-          | Metrics.Histogram h
-            when String.length name > 9 && String.sub name 0 9 = "dispatch." ->
-            Some (String.sub name 9 (String.length name - 9), h)
-          | _ -> None)
-        (Metrics.to_list merged)
-    in
+    let events = Metrics.events merged in
     let n = List.length events in
     List.iteri
       (fun i (name, h) ->

@@ -12,7 +12,6 @@
     can neither re-enter the backoff machinery nor inflate
     [gave_up]. *)
 
-open Podopt_eventsys
 open Podopt_net
 
 type stats = {
@@ -60,8 +59,12 @@ val set_waker : t -> (int -> unit) option -> unit
 val horizon : t -> int
 
 (** Send every op and due retry whose schedule time is [<= now] over
-    the link towards [rt] (the broker's front runtime). *)
-val pump : t -> now:int -> rt:Runtime.t -> deliver_event:string -> unit
+    the link, which hands each delivered wire to [deliver_event rt]
+    (see {!Podopt_net.Link.send}); towards the broker, [rt] is
+    {!Broker.front} and [deliver_event] is {!Broker.deliver_event}. *)
+val pump :
+  t -> now:int -> rt:'rt -> deliver_event:('rt -> delay:int -> bytes -> unit) ->
+  unit
 
 (** The broker shed this session's op [seq] at time [now].  A [seq]
     outside [\[0, ops)] (a corrupted header) is ignored. *)

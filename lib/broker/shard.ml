@@ -8,16 +8,6 @@ module Recover = Podopt_recover.Recover
 
 module Exact = Podopt_obs.Exact
 
-(* Histogram names in the shard's metrics registry.  Queue wait is a
-   log-bucketed Hist; the service-time and drain-size metrics are
-   Exact (full-resolution) histograms — the deterministic cost model
-   lands per-op costs on a handful of exact values, which one log
-   bucket would collapse into a degenerate p50 = p90 = p99 = max. *)
-let m_queue_wait = "queue_wait"
-let m_service_opt = "service.optimized"
-let m_service_gen = "service.generic"
-let m_batch_depth = "batch.depth"
-
 type stats = {
   mutable batches : int;
   mutable dispatched : int;
@@ -48,24 +38,6 @@ type recov = {
   mutable ramp_generic : int;   (* post-recovery batch (accumulated) *)
 }
 
-(* The histograms the drain records into, resolved once per wiring so
-   that the drain hashes no metric name.  [Metrics.reset] empties them
-   in place, so the handles stay valid across measurement resets. *)
-type probes = {
-  p_queue_wait : Hist.t;
-  p_service_opt : Exact.t;
-  p_service_gen : Exact.t;
-  p_batch_depth : Exact.t;
-}
-
-let probes_of metrics =
-  {
-    p_queue_wait = Metrics.histogram metrics m_queue_wait;
-    p_service_opt = Metrics.exact metrics m_service_opt;
-    p_service_gen = Metrics.exact metrics m_service_gen;
-    p_batch_depth = Metrics.exact metrics m_batch_depth;
-  }
-
 type t = {
   id : int;
   kind : Workload.kind;
@@ -76,7 +48,6 @@ type t = {
   mutable adaptive : Adaptive.t option;
   mutable breaker : Breaker.t option;
   mutable metrics : Metrics.t;
-  mutable probes : probes;  (* the drain's histograms in [metrics] *)
   warm_installed : int;  (* super-handlers installed before any packet *)
   warm_stale : int;      (* stored-profile events rejected as stale *)
   stats : stats;
@@ -101,9 +72,8 @@ type t = {
 }
 
 (* The dispatch hook's histograms, memoized by event id.  Each one is
-   registered as "dispatch.<event>" on the event's first observation, so
-   the registry lists exactly the events seen, and later dispatches
-   neither build nor hash the name. *)
+   added to [metrics] on the event's first observation, so the metrics
+   list exactly the events seen, and later dispatches hash no name. *)
 let dispatch_observer metrics =
   let hists = Hashtbl.create 16 in
   fun (ev : Event.t) dt ->
@@ -111,7 +81,7 @@ let dispatch_observer metrics =
       match Hashtbl.find hists ev.Event.id with
       | h -> h
       | exception Not_found ->
-        let h = Metrics.histogram metrics ("dispatch." ^ ev.Event.name) in
+        let h = Metrics.event metrics ev.Event.name in
         Hashtbl.add hists ev.Event.id h;
         h
     in
@@ -175,7 +145,6 @@ let create ?faults ?(max_failures = 3) ?(dead_limit = 32) ?breaker
     adaptive;
     breaker = breaker';
     metrics;
-    probes = probes_of metrics;
     warm_installed;
     warm_stale;
     stats =
@@ -280,8 +249,8 @@ let dispatch_one t (p : Packet.t) =
   if ok then begin
     let cost = Runtime.now rt - t0 in
     let h =
-      if st.Runtime.optimized_dispatches > opt0 then t.probes.p_service_opt
-      else t.probes.p_service_gen
+      if st.Runtime.optimized_dispatches > opt0 then t.metrics.service_opt
+      else t.metrics.service_gen
     in
     Exact.observe h cost
   end;
@@ -326,15 +295,20 @@ let drain_batch t ~now ~batch =
     let opt0 = t.rt.Runtime.stats.Runtime.optimized_dispatches in
     let gen0 = t.rt.Runtime.stats.Runtime.generic_dispatches in
     (* the drained size, as the batch.depth distribution operators read *)
-    Exact.observe t.probes.p_batch_depth (List.length pkts);
+    Exact.observe t.metrics.batch_depth (List.length pkts);
     let dispatch_pkt ((due, p) : int * Packet.t) =
       (* queue wait on the front clock, fresh arrivals only: a retry's
          due is the shard clock, a different timebase (and its wait is
-         back-pressure policy, not arrival-to-drain latency) *)
-      if not (Hashtbl.mem t.retry (retry_key p)) then
-        Hist.observe t.probes.p_queue_wait (max 0 (now - due));
+         back-pressure policy, not arrival-to-drain latency).  The key
+         is built only while some op awaits a retry; [dispatch_one]
+         never adds to the table, so an absent key stays absent. *)
+      let retried =
+        Hashtbl.length t.retry > 0 && Hashtbl.mem t.retry (retry_key p)
+      in
+      if not retried then
+        Hist.observe t.metrics.queue_wait (max 0 (now - due));
       if dispatch_one t p then begin
-        Hashtbl.remove t.retry (retry_key p);
+        if retried then Hashtbl.remove t.retry (retry_key p);
         t.stats.dispatched <- t.stats.dispatched + 1
       end
       else note_failure t p
@@ -621,7 +595,6 @@ let kill t =
   t.adaptive <- adaptive;
   t.breaker <- breaker;
   t.metrics <- metrics;
-  t.probes <- probes_of metrics;
   Hashtbl.reset t.retry;
   Queue.clear t.dead;
   t.stats.batches <- 0;
@@ -695,10 +668,10 @@ let recovery t = t.recov
 
 let handler_failures t = t.rt.Runtime.stats.Runtime.handler_failures
 let metrics t = t.metrics
-let queue_wait t = t.probes.p_queue_wait
-let service_opt t = t.probes.p_service_opt
-let service_gen t = t.probes.p_service_gen
-let batch_depth t = t.probes.p_batch_depth
+let queue_wait t = t.metrics.queue_wait
+let service_opt t = t.metrics.service_opt
+let service_gen t = t.metrics.service_gen
+let batch_depth t = t.metrics.batch_depth
 
 let snapshot t =
   let ist = Ingress.stats t.ingress in

@@ -61,11 +61,6 @@ type recov = {
       (** generic dispatches in those same first batches *)
 }
 
-(** The handles of [queue_wait], [service.optimized],
-    [service.generic] and [batch.depth] in a shard's [metrics], resolved
-    when the shard is wired so that the drain hashes no metric name. *)
-type probes
-
 type t = {
   id : int;
   kind : Workload.kind;
@@ -79,10 +74,9 @@ type t = {
   mutable breaker : Podopt_optimize.Breaker.t option;
       (** optimizing shards only *)
   mutable metrics : Podopt_obs.Metrics.t;
-      (** per-shard deterministic metrics: [queue_wait],
-          [service.optimized] / [service.generic] per-op cost, and one
-          [dispatch.<Event>] histogram per event kind *)
-  mutable probes : probes;  (** handles into [metrics], rewired with it *)
+      (** per-shard deterministic metrics: queue wait, per-op service
+          cost by dispatch path, batch depth, and one dispatch-time
+          histogram per event kind *)
   warm_installed : int;
       (** super-handlers installed from a stored profile before any
           packet arrived (see {!create}'s [warm]) *)
@@ -182,7 +176,7 @@ val profile_entry : t -> Podopt_store.Store.entry option
     isolated here — they propagate out of {!drain_batch}. *)
 val handler_failures : t -> int
 
-(** The shard's metrics registry (see the [metrics] field). *)
+(** The shard's metrics (see the [metrics] field). *)
 val metrics : t -> Podopt_obs.Metrics.t
 
 (** Queue-wait histogram: front-clock units from arrival to drain,

@@ -48,6 +48,3 @@ let instantiate (rt : Runtime.t) (t : t) : unit =
      raise (Invalid_handler_code (Fmt.str "%a" Podopt_hir.Check.pp_issue issue)));
   Runtime.set_program rt (existing @ added);
   List.iter (Micro_protocol.bind_all rt) t.micro_protocols
-
-let micro_protocol_names (t : t) =
-  List.map (fun (mp : Micro_protocol.t) -> mp.Micro_protocol.name) t.micro_protocols

@@ -25,5 +25,3 @@ val program : t -> Podopt_hir.Ast.program
 (** Statically check the handler code, extend the runtime's program and
     bind everything.  Raises {!Invalid_handler_code} on checker errors. *)
 val instantiate : Runtime.t -> t -> unit
-
-val micro_protocol_names : t -> string list

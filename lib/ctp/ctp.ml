@@ -62,22 +62,6 @@ let send rt ?(priority = 1) (payload : bytes) =
   Runtime.raise_sync rt Events.send_msg
     [ Podopt_hir.Value.Bytes payload; Podopt_hir.Value.Int priority ]
 
-(* Kick the controller clocks: each clock handler run re-arms itself via
-   the application (period in virtual time units). *)
-let start_clocks rt ~(period_h : int) ~(period_l : int) =
-  Runtime.raise_timed rt Events.controller_clk_h ~delay:period_h
-    [ Podopt_hir.Value.Int 0 ];
-  Runtime.raise_timed rt Events.controller_clk_l ~delay:period_l
-    [ Podopt_hir.Value.Int 0 ]
-
-let rearm_clock_h rt ~period tick =
-  Runtime.raise_timed rt Events.controller_clk_h ~delay:period
-    [ Podopt_hir.Value.Int tick ]
-
-let rearm_clock_l rt ~period tick =
-  Runtime.raise_timed rt Events.controller_clk_l ~delay:period
-    [ Podopt_hir.Value.Int tick ]
-
 let sample rt = Runtime.raise_async rt Events.sample [ Podopt_hir.Value.Int 0 ]
 
 (* Statistics accessors over CTP's shared state. *)

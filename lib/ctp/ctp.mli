@@ -37,12 +37,6 @@ val open_session : Runtime.t -> unit
     MsgFrmUserH, otherwise MsgFrmUserL). *)
 val send : Runtime.t -> ?priority:int -> bytes -> unit
 
-(** Schedule the first high- and low-priority controller clock ticks. *)
-val start_clocks : Runtime.t -> period_h:int -> period_l:int -> unit
-
-val rearm_clock_h : Runtime.t -> period:int -> int -> unit
-val rearm_clock_l : Runtime.t -> period:int -> int -> unit
-
 (** Raise the (asynchronous) statistics [Sample] event. *)
 val sample : Runtime.t -> unit
 

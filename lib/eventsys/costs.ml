@@ -43,22 +43,3 @@ let default =
     interp_step = 7;
     compiled_step = 1;
   }
-
-(* A model in which every overhead is free; useful in tests that check
-   pure functional behaviour. *)
-let free =
-  {
-    registry_lookup = 0;
-    lock = 0;
-    lock_merged = 0;
-    marshal_base = 0;
-    marshal_per_byte = 0;
-    unmarshal_base = 0;
-    unmarshal_per_byte = 0;
-    indirect_call = 0;
-    direct_call = 0;
-    guard_check = 0;
-    enqueue = 0;
-    interp_step = 0;
-    compiled_step = 0;
-  }

@@ -27,6 +27,3 @@ type model = {
 }
 
 val default : model
-
-(** Every overhead free; for purely functional tests. *)
-val free : model

@@ -20,6 +20,4 @@ let native name fn = { name; code = Native fn }
 let hir name ~proc = { name; code = Hir proc }
 let hir' name = { name; code = Hir name }
 
-let is_hir h = match h.code with Hir _ -> true | Native _ -> false
-let proc_name h = match h.code with Hir p -> Some p | Native _ -> None
 let pp ppf h = Fmt.string ppf h.name

@@ -23,6 +23,4 @@ val hir : string -> proc:string -> t
 (** [hir' name] = [hir name ~proc:name]. *)
 val hir' : string -> t
 
-val is_hir : t -> bool
-val proc_name : t -> string option
 val pp : Format.formatter -> t -> unit

@@ -64,7 +64,6 @@ let unbind_all t ev =
 
 let handlers t ev : Handler.t list = List.map snd (entry t ev).handlers
 let version t ev : int = (entry t ev).version
-let is_bound t ev = (entry t ev).handlers <> []
 
 let events_with_bindings t (tbl : Event.table) : Event.t list =
   Hashtbl.fold

@@ -34,5 +34,4 @@ val handlers : t -> Event.t -> Handler.t list
 
 val version : t -> Event.t -> int
 
-val is_bound : t -> Event.t -> bool
 val events_with_bindings : t -> Event.table -> Event.t list

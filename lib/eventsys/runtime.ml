@@ -157,7 +157,6 @@ let unbind t ~event:name ~handler =
   Registry.unbind t.registry ev ~name:handler
 
 let handlers t name = Registry.handlers t.registry (event t name)
-let binding_version t name = Registry.version t.registry (event t name)
 
 (* --- Hosts ------------------------------------------------------------ *)
 
@@ -502,16 +501,6 @@ let rec run ?until t =
           dispatch t p.pev p.pargs;
           run ?until t))
 
-let step t =
-  match Equeue.pop t.queue with
-  | None -> false
-  | Some (due, p) ->
-    if due > now t then Vclock.set t.clock due;
-    Trace.record_event t.trace ~event:p.pev.Event.name ~mode:p.pmode ~time:(now t)
-      ~depth:t.depth;
-    dispatch t p.pev p.pargs;
-    true
-
 let pending t = Equeue.length t.queue
 
 (* --- Optimization installation (used by lib/optimize) ---------------- *)
@@ -574,10 +563,6 @@ let make_segment t ~event:name ?next ~arity compiled =
     seg_compiled = compiled;
     seg_next = Option.map (event t) next;
   }
-
-let uninstall t ~event:name =
-  let ev = event t name in
-  Hashtbl.remove t.opt_entries ev.Event.id
 
 let uninstall_all t = Hashtbl.reset t.opt_entries
 let optimized_events t = Hashtbl.fold (fun id _ acc -> id :: acc) t.opt_entries []

@@ -171,7 +171,6 @@ val bind : t -> event:string -> ?order:int -> Handler.t -> unit
 val unbind : t -> event:string -> handler:string -> bool
 
 val handlers : t -> string -> Handler.t list
-val binding_version : t -> string -> int
 
 (** {1 Raising and scheduling} *)
 
@@ -191,9 +190,6 @@ val flush_deferred : t -> bool
 (** Run queued activations; [until] bounds virtual time (later
     activations stay queued). *)
 val run : ?until:int -> t -> unit
-
-(** Dispatch one queued activation; false when the queue is empty. *)
-val step : t -> bool
 
 val pending : t -> int
 
@@ -215,7 +211,6 @@ val install_deferred :
 val make_segment :
   t -> event:string -> ?next:string -> arity:int -> Compile.compiled_proc -> segment
 
-val uninstall : t -> event:string -> unit
 val uninstall_all : t -> unit
 val optimized_events : t -> int list
 val set_speculation : t -> after:string -> expect:string -> unit

@@ -19,7 +19,6 @@ let licm = { name = "licm"; apply = Opt_licm.pass }
 let dce = { name = "dce"; apply = Opt_dce.pass }
 
 let default_passes = [ inline; constfold; copyprop; cse; licm; dce ]
-let cleanup_passes = [ constfold; copyprop; cse; licm; dce ]
 
 let max_rounds = 8
 

@@ -22,9 +22,6 @@ val dce : pass
 (** [inline; constfold; copyprop; cse; licm; dce] *)
 val default_passes : pass list
 
-(** The default passes without inlining. *)
-val cleanup_passes : pass list
-
 val max_rounds : int
 
 val optimize_block : ?passes:pass list -> Ast.program -> Ast.block -> Ast.block

@@ -40,6 +40,5 @@ let pp_proc ppf { name; params; body } =
 
 let pp_program ppf p = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:(cut ++ cut) pp_proc) p
 
-let expr_to_string e = Fmt.str "%a" pp_expr e
 let proc_to_string p = Fmt.str "%a" pp_proc p
 let program_to_string p = Fmt.str "%a" pp_program p

@@ -56,8 +56,3 @@ let replace_args (args : expr array) (b : block) : block =
       | Arg _ -> Lit Value.Unit
       | e -> e)
     b
-
-(* Replace reads of variable [x] with expression [e] (used for binding
-   parameters to simple arguments without a temporary). *)
-let replace_var (x : string) (by : expr) (b : block) : block =
-  Rewrite.block_exprs (function Var y when y = x -> by | e -> e) b

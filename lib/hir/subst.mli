@@ -18,6 +18,3 @@ val locals_of : string list -> Ast.block -> string list
 
 (** Replace [Arg i] by [args.(i)] ([Unit] beyond the array). *)
 val replace_args : Ast.expr array -> Ast.block -> Ast.block
-
-(** Replace reads of a variable by an expression. *)
-val replace_var : string -> Ast.expr -> Ast.block -> Ast.block

@@ -1,7 +1,8 @@
 (* A simulated point-to-point link with latency, jitter, and probabilistic
-   loss.  Delivery is an asynchronous timed event raised on the receiving
-   endpoint's runtime — exactly how external stimuli enter the paper's
-   event model (Sec. 2.2, implicitly raised events). *)
+   loss.  Delivery hands the encoded packet and its delay to the
+   receiving endpoint; a runtime endpoint raises it as a timed event —
+   exactly how external stimuli enter the paper's event model (Sec. 2.2,
+   implicitly raised events). *)
 
 open Podopt_eventsys
 
@@ -53,11 +54,11 @@ let set_logger t logger =
   check_install t "set_logger" logger;
   t.logger <- logger
 
-(* Send [packet] towards [rt]; on delivery the event [deliver_event] is
-   raised with the encoded packet as its single argument.  The outcome
-   — [None] lost, [Some delay] delivered — comes from the loss/jitter
-   PRNG unless a script overrides it; either way the logger sees it. *)
-let send (t : t) (rt : Runtime.t) ~(deliver_event : string) (packet : Packet.t) : unit =
+(* Send [packet] towards [dst]; on delivery [deliver_event dst ~delay]
+   receives the encoded packet.  The outcome — [None] lost, [Some delay]
+   delivered — comes from the loss/jitter PRNG unless a script overrides
+   it; either way the logger sees it. *)
+let send t dst ~deliver_event (packet : Packet.t) =
   t.stats.sent <- t.stats.sent + 1;
   t.stats.bytes <- t.stats.bytes + Packet.size packet;
   let attempt =
@@ -82,7 +83,9 @@ let send (t : t) (rt : Runtime.t) ~(deliver_event : string) (packet : Packet.t) 
   | None -> t.stats.dropped <- t.stats.dropped + 1
   | Some delay ->
     t.stats.delivered <- t.stats.delivered + 1;
-    Runtime.raise_timed rt deliver_event ~delay
-      [ Podopt_hir.Value.Bytes (Packet.encode packet) ]
+    deliver_event dst ~delay (Packet.encode packet)
+
+let raise_timed event rt ~delay wire =
+  Runtime.raise_timed rt event ~delay [ Podopt_hir.Value.Bytes wire ]
 
 let stats t = t.stats

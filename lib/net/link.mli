@@ -1,7 +1,8 @@
 (** A simulated point-to-point link with latency, jitter, and
-    probabilistic loss.  Delivery raises a timed event on the receiving
-    runtime — how external stimuli enter the paper's event model
-    (implicitly raised events, Sec. 2.2). *)
+    probabilistic loss.  Delivery hands the encoded packet and its delay
+    to the receiving endpoint; a runtime endpoint ({!raise_timed})
+    raises it as a timed event — how external stimuli enter the paper's
+    event model (implicitly raised events, Sec. 2.2). *)
 
 open Podopt_eventsys
 
@@ -36,9 +37,17 @@ val set_script : t -> (Packet.t -> attempt:int -> int option) option -> unit
     installed before the first send. *)
 val set_logger : t -> (Packet.t -> attempt:int -> int option -> unit) option -> unit
 
-(** Send towards [rt]: on (probabilistic) delivery, [deliver_event] is
-    raised after latency(+jitter) with the encoded packet as its single
-    argument. *)
-val send : t -> Runtime.t -> deliver_event:string -> Packet.t -> unit
+(** [send t dst ~deliver_event packet]: on (probabilistic) delivery,
+    [deliver_event dst ~delay wire] receives the encoded packet and its
+    latency(+jitter) [delay]; a lost packet calls nothing.  The wire is
+    a fresh buffer the endpoint owns. *)
+val send :
+  t -> 'dst -> deliver_event:('dst -> delay:int -> bytes -> unit) ->
+  Packet.t -> unit
+
+(** The [deliver_event] of a runtime endpoint: [raise_timed event rt
+    ~delay wire] raises [event] on [rt] after [delay] units, with the
+    wire as its single argument. *)
+val raise_timed : string -> Runtime.t -> delay:int -> bytes -> unit
 
 val stats : t -> stats

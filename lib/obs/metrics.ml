@@ -1,93 +1,38 @@
-type cell = C of int ref | G of int ref | H of Hist.t | E of Exact.t
+type t = {
+  queue_wait : Hist.t;
+  service_opt : Exact.t;
+  service_gen : Exact.t;
+  batch_depth : Exact.t;
+  events : (string, Hist.t) Hashtbl.t;
+}
 
-type t = (string, cell) Hashtbl.t
+let create () =
+  {
+    queue_wait = Hist.create ();
+    service_opt = Exact.create ();
+    service_gen = Exact.create ();
+    batch_depth = Exact.create ();
+    events = Hashtbl.create 16;
+  }
 
-let create () : t = Hashtbl.create 32
-
-let kind_clash name =
-  invalid_arg (Printf.sprintf "Metrics: %s already exists with another kind" name)
-
-let add t name n =
-  match Hashtbl.find_opt t name with
-  | Some (C r) -> r := !r + n
-  | Some _ -> kind_clash name
-  | None -> Hashtbl.replace t name (C (ref n))
-
-let set_gauge t name v =
-  match Hashtbl.find_opt t name with
-  | Some (G r) -> r := v
-  | Some _ -> kind_clash name
-  | None -> Hashtbl.replace t name (G (ref v))
-
-let histogram t name =
-  match Hashtbl.find_opt t name with
-  | Some (H h) -> h
-  | Some _ -> kind_clash name
+let event t name =
+  match Hashtbl.find_opt t.events name with
+  | Some h -> h
   | None ->
     let h = Hist.create () in
-    Hashtbl.replace t name (H h);
+    Hashtbl.replace t.events name h;
     h
 
-let observe t name v = Hist.observe (histogram t name) v
-
-let exact t name =
-  match Hashtbl.find_opt t name with
-  | Some (E e) -> e
-  | Some _ -> kind_clash name
-  | None ->
-    let e = Exact.create () in
-    Hashtbl.replace t name (E e);
-    e
-
-let observe_exact t name v = Exact.observe (exact t name) v
-
-let counter t name =
-  match Hashtbl.find_opt t name with
-  | Some (C r) -> !r
-  | Some _ -> kind_clash name
-  | None -> 0
-
-let gauge t name =
-  match Hashtbl.find_opt t name with
-  | Some (G r) -> !r
-  | Some _ -> kind_clash name
-  | None -> 0
-
-type value =
-  | Counter of int
-  | Gauge of int
-  | Histogram of Hist.t
-  | Exact_hist of Exact.t
-
-let to_list t =
-  Hashtbl.fold
-    (fun name cell acc ->
-      let v =
-        match cell with
-        | C r -> Counter !r
-        | G r -> Gauge !r
-        | H h -> Histogram h
-        | E e -> Exact_hist e
-      in
-      (name, v) :: acc)
-    t []
+let events t =
+  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.events []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let merge_into ~dst src =
-  Hashtbl.iter
-    (fun name cell ->
-      match cell with
-      | C r -> add dst name !r
-      | G r -> set_gauge dst name (max (gauge dst name) !r)
-      | H h -> Hist.merge_into ~dst:(histogram dst name) h
-      | E e -> Exact.merge_into ~dst:(exact dst name) e)
-    src
-
-let merge a b =
-  let t = create () in
-  merge_into ~dst:t a;
-  merge_into ~dst:t b;
-  t
+  Hist.merge_into ~dst:dst.queue_wait src.queue_wait;
+  Exact.merge_into ~dst:dst.service_opt src.service_opt;
+  Exact.merge_into ~dst:dst.service_gen src.service_gen;
+  Exact.merge_into ~dst:dst.batch_depth src.batch_depth;
+  Hashtbl.iter (fun name h -> Hist.merge_into ~dst:(event dst name) h) src.events
 
 let merge_all ts =
   let t = create () in
@@ -95,21 +40,8 @@ let merge_all ts =
   t
 
 let reset t =
-  Hashtbl.iter
-    (fun _ cell ->
-      match cell with
-      | C r -> r := 0
-      | G r -> r := 0
-      | H h -> Hist.reset h
-      | E e -> Exact.reset e)
-    t
-
-let pp ppf t =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter n -> Fmt.pf ppf "%s: %d@." name n
-      | Gauge n -> Fmt.pf ppf "%s: %d (gauge)@." name n
-      | Histogram h -> Fmt.pf ppf "%s: %a@." name Hist.pp h
-      | Exact_hist e -> Fmt.pf ppf "%s: %a@." name Exact.pp e)
-    (to_list t)
+  Hist.reset t.queue_wait;
+  Exact.reset t.service_opt;
+  Exact.reset t.service_gen;
+  Exact.reset t.batch_depth;
+  Hashtbl.iter (fun _ h -> Hist.reset h) t.events

@@ -1,70 +1,42 @@
-(** Named-metric registry: counters, gauges, and {!Hist} histograms,
-    all integer-valued and virtual-time-deterministic.
+(** A broker shard's metrics: four fixed histograms plus one
+    dispatch-time histogram per event name, all integer-valued and
+    virtual-time-deterministic.
 
-    Metrics are created on first use; using one name with two
-    different kinds raises [Invalid_argument].  Iteration
-    ({!to_list}, {!pp}) is sorted by name, so rendering never depends
-    on hash-table insertion order.
+    Queue wait is a log-bucketed {!Hist}; service time and batch depth
+    are {!Exact} (full-resolution) histograms, because the
+    deterministic cost model lands per-op costs on a handful of exact
+    values that one log bucket would collapse into a degenerate
+    p50 = p90 = p99 = max.
 
-    {!merge} combines registries the way the broker combines shards:
-    counters add, gauges take the maximum (high-water semantics), and
-    histograms merge bucket-wise — associative and commutative, so
-    per-shard registries fold into one total in any order with a
-    byte-identical result. *)
+    {!merge_into} merges histograms bucket-wise and unions the event
+    names — associative and commutative, so per-shard metrics fold into
+    one total in any order with a byte-identical result. *)
 
-type t
+type t = {
+  queue_wait : Hist.t;   (** front-clock units from arrival to drain *)
+  service_opt : Exact.t; (** per-op cost of ops that took the optimized path *)
+  service_gen : Exact.t; (** per-op cost of the other ops *)
+  batch_depth : Exact.t; (** ops per non-empty drain *)
+  events : (string, Hist.t) Hashtbl.t;
+      (** dispatch time by event name; use {!event} and {!events} *)
+}
 
+(** Every histogram empty, no event names. *)
 val create : unit -> t
 
-(** Add to a counter (creating it at 0). *)
-val add : t -> string -> int -> unit
+(** The named event's dispatch-time histogram, created empty if
+    absent.  The handle is live and survives {!reset}. *)
+val event : t -> string -> Hist.t
 
-(** Set a gauge. *)
-val set_gauge : t -> string -> int -> unit
+(** Every event's histogram, sorted by name. *)
+val events : t -> (string * Hist.t) list
 
-(** Record an observation into a histogram. *)
-val observe : t -> string -> int -> unit
-
-(** Record an observation into an {!Exact} (full-resolution)
-    histogram. *)
-val observe_exact : t -> string -> int -> unit
-
-val counter : t -> string -> int
-(** 0 when absent. *)
-
-val gauge : t -> string -> int
-(** 0 when absent. *)
-
-(** The named histogram, created empty if absent.  The returned
-    handle is live: further {!observe} calls are visible through it. *)
-val histogram : t -> string -> Hist.t
-
-(** The named exact histogram, created empty if absent; live like
-    {!histogram}. *)
-val exact : t -> string -> Exact.t
-
-type value =
-  | Counter of int
-  | Gauge of int
-  | Histogram of Hist.t
-  | Exact_hist of Exact.t
-
-(** All metrics sorted by name. *)
-val to_list : t -> (string * value) list
-
-(** Merge [src] into [dst] in place (see the module preamble for the
-    per-kind rule). *)
+(** Merge [src] into [dst] in place; [src] is left untouched. *)
 val merge_into : dst:t -> t -> unit
 
-(** Fresh registry holding the merge of both arguments. *)
-val merge : t -> t -> t
-
-(** Fold a list of registries into a fresh one. *)
+(** Fold a list of metrics into a fresh one; the arguments are left
+    untouched. *)
 val merge_all : t list -> t
 
-(** Zero every counter and gauge and empty every histogram; names
-    survive. *)
+(** Empty every histogram; event names survive. *)
 val reset : t -> unit
-
-(** One ["name: value"] line per metric, sorted by name. *)
-val pp : Format.formatter -> t -> unit

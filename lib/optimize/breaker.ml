@@ -87,7 +87,6 @@ let observe t ~events ~faults =
     else Ok
 
 let is_open t = match t.state with Open _ -> true | Closed -> false
-let cooling t = match t.state with Open n -> n | Closed -> 0
 
 let trips t = t.trips
 

@@ -42,9 +42,6 @@ val observe : t -> events:int -> faults:int -> outcome
 
 val is_open : t -> bool
 
-(** Remaining cool-down batches ([0] when closed). *)
-val cooling : t -> int
-
 (** Times the breaker tripped since creation (or the last reset). *)
 val trips : t -> int
 

@@ -61,23 +61,3 @@ let install ?(passes = Pipeline.default_passes) (rt : Runtime.t) ~(event : strin
   Runtime.install_deferred rt ~event
     ~covered:(event :: List.map (fun (f, _, _) -> f) pairs)
     ~arity:arity_a ~alone pairs
-
-(* Followers worth pairing with [event], read off the (reduced) event
-   graph: successors receiving at least [min_share] of its outgoing
-   weight. *)
-let choose_followers ?(min_share = 0.25) (g : Podopt_profile.Event_graph.t)
-    ~(event : string) : string list =
-  let succs = Podopt_profile.Event_graph.successors g event in
-  let total =
-    List.fold_left (fun acc e -> acc + e.Podopt_profile.Event_graph.weight) 0 succs
-  in
-  if total = 0 then []
-  else
-    List.filter_map
-      (fun (e : Podopt_profile.Event_graph.edge) ->
-        if float_of_int e.Podopt_profile.Event_graph.weight
-           >= min_share *. float_of_int total
-        then Some e.Podopt_profile.Event_graph.dst
-        else None)
-      succs
-    |> List.sort compare

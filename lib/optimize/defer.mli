@@ -20,8 +20,3 @@ exception Not_deferrable of string
 val install :
   ?passes:Podopt_hir.Pipeline.pass list -> Runtime.t -> event:string ->
   followers:string list -> unit
-
-(** Successors receiving at least [min_share] (default 0.25) of the
-    event's outgoing weight in the (reduced) graph. *)
-val choose_followers :
-  ?min_share:float -> Podopt_profile.Event_graph.t -> event:string -> string list

@@ -147,9 +147,6 @@ let successors t name =
 let predecessors t name =
   Hashtbl.fold (fun (_, d) e acc -> if d = name then e :: acc else acc) t.edges []
 
-let out_degree t name = List.length (successors t name)
-let in_degree t name = List.length (predecessors t name)
-
 (* An edge is "purely synchronous" when every traversal raised the target
    synchronously; only such edges support merging (Sec. 3.2.1). *)
 let edge_is_sync (e : edge) = e.sync = e.weight && e.weight > 0

@@ -70,8 +70,6 @@ val total_weight : t -> int
 
 val successors : t -> string -> edge list
 val predecessors : t -> string -> edge list
-val out_degree : t -> string -> int
-val in_degree : t -> string -> int
 
 (** Every traversal was a causal synchronous raise. *)
 val edge_is_sync : edge -> bool

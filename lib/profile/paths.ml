@@ -47,25 +47,6 @@ let linear_paths (g : Event_graph.t) : path list =
       else None)
     nodes
 
-(* All simple paths up to [max_len], for exhaustive analyses in tests. *)
-let all_simple_paths ?(max_len = 8) (g : Event_graph.t) : path list =
-  let result = ref [] in
-  let rec dfs path name depth =
-    if depth < max_len then
-      List.iter
-        (fun (e : Event_graph.edge) ->
-          if not (List.mem e.dst path) then begin
-            let path' = e.dst :: path in
-            result := List.rev path' :: !result;
-            dfs path' e.dst (depth + 1)
-          end)
-        (Event_graph.successors g name)
-  in
-  List.iter
-    (fun (n : Event_graph.node) -> dfs [ n.Event_graph.name ] n.Event_graph.name 0)
-    (Event_graph.nodes g);
-  List.sort compare !result
-
 (* The minimum edge weight along a path (defined as the path's weight). *)
 let path_weight (g : Event_graph.t) (p : path) : int =
   let rec go = function

@@ -10,9 +10,6 @@ type path = string list
 (** Maximal linear paths (each of length >= 2). *)
 val linear_paths : Event_graph.t -> path list
 
-(** All simple paths up to a length bound, for exhaustive analyses. *)
-val all_simple_paths : ?max_len:int -> Event_graph.t -> path list
-
 (** Minimum edge weight along the path (0 if an edge is missing; paths
     shorter than 2 have weight 0). *)
 val path_weight : Event_graph.t -> path -> int

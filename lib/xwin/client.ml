@@ -126,13 +126,6 @@ let process_one (t : t) : bool =
 
 let rec process_all (t : t) : unit = if process_one t then process_all t
 
-(* Invoke a widget's callback list synchronously (used by widget code via
-   the runtime, and by native client code). *)
-let call_callbacks (t : t) (w : Widget.t) ~(name : string) (args : V.t list) : unit =
-  Runtime.raise_sync t.runtime
-    (callback_event_name ~widget:w.Widget.name ~callback:name)
-    args
-
 (* Xt-style timeout: run [proc] after [delay] virtual time units. *)
 let add_timeout (t : t) ~(delay : int) ~(proc : string) : unit =
   t.timeout_count <- t.timeout_count + 1;

@@ -59,9 +59,6 @@ val process_one : t -> bool
 
 val process_all : t -> unit
 
-(** Invoke a widget's callback list synchronously. *)
-val call_callbacks : t -> Widget.t -> name:string -> V.t list -> unit
-
 (** Xt-style timeout: run the procedure after a virtual-time delay. *)
 val add_timeout : t -> delay:int -> proc:string -> unit
 

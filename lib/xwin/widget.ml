@@ -69,8 +69,6 @@ let add_callback w ~name proc =
       List.map (fun (n, ps) -> if n = name then (n, ps @ [ proc ]) else (n, ps)) w.callbacks
   | None -> w.callbacks <- w.callbacks @ [ (name, [ proc ]) ]
 
-let callbacks_for w name = Option.value ~default:[] (List.assoc_opt name w.callbacks)
-
 (* absolute geometry *)
 let rec abs_origin w =
   match w.parent with

@@ -43,8 +43,6 @@ val add_event_handler : t -> Xevent.kind -> string -> unit
 (** Append a procedure to the named callback list. *)
 val add_callback : t -> name:string -> string -> unit
 
-val callbacks_for : t -> string -> string list
-
 (** Absolute screen origin. *)
 val abs_origin : t -> int * int
 

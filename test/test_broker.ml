@@ -172,14 +172,14 @@ let test_session_give_up () =
       ~ops:[| Bytes.of_string "op" |]
       ~start:0 ~interval:100 ~backoff ()
   in
-  B.Session.pump s ~now:0 ~rt ~deliver_event:"Drop";
+  B.Session.pump s ~now:0 ~rt ~deliver_event:(Link.raise_timed "Drop");
   let st = B.Session.stats s in
   Alcotest.(check int) "one first send" 1 st.B.Session.sent;
   B.Session.nack s ~seq:0 ~now:20;
   Alcotest.(check bool) "retry pending" false (B.Session.finished s);
-  B.Session.pump s ~now:40 ~rt ~deliver_event:"Drop";
+  B.Session.pump s ~now:40 ~rt ~deliver_event:(Link.raise_timed "Drop");
   B.Session.nack s ~seq:0 ~now:60;
-  B.Session.pump s ~now:120 ~rt ~deliver_event:"Drop";
+  B.Session.pump s ~now:120 ~rt ~deliver_event:(Link.raise_timed "Drop");
   B.Session.nack s ~seq:0 ~now:140;
   Alcotest.(check int) "nacks" 3 st.B.Session.nacks;
   Alcotest.(check int) "retries" 2 st.B.Session.retries;
@@ -322,6 +322,43 @@ let test_idle_shard_is_not_optimized () =
   Alcotest.(check bool) "idle row prints - not a percentage" true
     (Astring_contains.contains table "     -")
 
+(* The front door pops wires in (due, push order), and draws each wire
+   fault once per wire, drop before corrupt. *)
+let test_front_door_order () =
+  let faults =
+    match Podopt_faults.Plan.of_string "seed=3,drop=1,corrupt=1" with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  let cfg = { B.Broker.default_config with shards = 1; faults; seed = 7L } in
+  let broker = B.Broker.create cfg in
+  Fun.protect
+    ~finally:(fun () -> B.Broker.shutdown broker)
+    (fun () ->
+      let draws = ref [] in
+      B.Broker.set_fault_logger broker
+        (Some
+           (fun ~salt ~kind ~fired:_ ->
+             if salt = 0 then draws := kind :: !draws));
+      let front = B.Broker.front broker in
+      List.iteri
+        (fun seq delay ->
+          B.Broker.deliver_event front ~delay
+            (Packet.encode (pkt ~src:"s000" ~seq)))
+        [ 10; 5; 10; 5 ];
+      Alcotest.(check bool) "wires in flight" false (B.Broker.idle broker);
+      B.Broker.pump broker ~until:(B.Broker.now broker + 10);
+      let shard = (B.Broker.shards broker).(0) in
+      Alcotest.(check (list int))
+        "ingress in (due, push order)" [ 1; 3; 0; 2 ]
+        (List.map
+           (fun (_, p) -> p.Packet.seq)
+           (B.Ingress.to_list shard.B.Shard.ingress));
+      Alcotest.(check (list string))
+        "drop, then corrupt, once per wire"
+        (List.concat (List.init 4 (fun _ -> [ "drop"; "corrupt" ])))
+        (List.rev !draws))
+
 let suite =
   [
     Alcotest.test_case "shard_of stays in range" `Quick test_shard_range;
@@ -347,5 +384,7 @@ let suite =
       test_sessions_stick_to_shards;
     Alcotest.test_case "idle shard is not 100% optimized" `Quick
       test_idle_shard_is_not_optimized;
+    Alcotest.test_case "front door order and fault draws" `Quick
+      test_front_door_order;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_shard_stable; prop_remove_if_order ]

@@ -156,7 +156,7 @@ let mk_receiver () =
 let test_link_delivers_with_latency () =
   let rt = mk_receiver () in
   let link = Link.create ~latency:100 () in
-  Link.send link rt ~deliver_event:"Deliver"
+  Link.send link rt ~deliver_event:(Link.raise_timed "Deliver")
     (Packet.make ~src:"a" ~dst:"b" ~seq:1 (Bytes.of_string "x"));
   Alcotest.(check int) "queued not delivered" 0 (List.length (Runtime.emits rt));
   Runtime.run ~until:50 rt;
@@ -169,7 +169,7 @@ let test_link_loss_rate () =
   let rt = mk_receiver () in
   let link = Link.create ~latency:1 ~loss_permille:300 ~seed:9L () in
   for i = 1 to 1000 do
-    Link.send link rt ~deliver_event:"Deliver"
+    Link.send link rt ~deliver_event:(Link.raise_timed "Deliver")
       (Packet.make ~src:"a" ~dst:"b" ~seq:i (Bytes.of_string "x"))
   done;
   Runtime.run rt;
@@ -187,7 +187,7 @@ let test_link_jitter_varies_delay () =
   Trace.enable_events rt.Runtime.trace;
   let link = Link.create ~latency:10 ~jitter:50 ~seed:3L () in
   for i = 1 to 20 do
-    Link.send link rt ~deliver_event:"Deliver"
+    Link.send link rt ~deliver_event:(Link.raise_timed "Deliver")
       (Packet.make ~src:"a" ~dst:"b" ~seq:i (Bytes.of_string "x"))
   done;
   Runtime.run rt;
@@ -210,14 +210,14 @@ let test_link_logged_attempts () =
   let seen = ref [] in
   Link.set_logger link (Some (fun _ ~attempt _ -> seen := attempt :: !seen));
   for _ = 1 to 3 do
-    Link.send link rt ~deliver_event:"Deliver" (pkt 5)
+    Link.send link rt ~deliver_event:(Link.raise_timed "Deliver") (pkt 5)
   done;
   Alcotest.(check (list int)) "attempts of one seq" [ 0; 1; 2 ] (List.rev !seen)
 
 let test_link_late_logger_rejected () =
   let rt = mk_receiver () in
   let link = Link.create () in
-  Link.send link rt ~deliver_event:"Deliver" (pkt 1);
+  Link.send link rt ~deliver_event:(Link.raise_timed "Deliver") (pkt 1);
   Alcotest.check_raises "logger after a send"
     (Invalid_argument "Link.set_logger: the link has already sent") (fun () ->
       Link.set_logger link (Some (fun _ ~attempt:_ _ -> ())));
@@ -230,10 +230,10 @@ let test_link_late_logger_rejected () =
 let test_link_unlogged_constant_size () =
   let rt = mk_receiver () in
   let link = Link.create () in
-  Link.send link rt ~deliver_event:"Deliver" (pkt 0);
+  Link.send link rt ~deliver_event:(Link.raise_timed "Deliver") (pkt 0);
   let after_one = Obj.reachable_words (Obj.repr link) in
   for i = 1 to 9_999 do
-    Link.send link rt ~deliver_event:"Deliver" (pkt i)
+    Link.send link rt ~deliver_event:(Link.raise_timed "Deliver") (pkt i)
   done;
   Alcotest.(check int) "reachable words after 10,000 sends" after_one
     (Obj.reachable_words (Obj.repr link))

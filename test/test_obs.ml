@@ -1,5 +1,5 @@
 (* lib/obs tests: log-bucketed histogram boundaries and percentile
-   semantics, the metrics registry's per-kind merge rules, qcheck
+   semantics, the shard metrics record's merge and reset, qcheck
    properties that merge is associative/commutative/order-independent,
    and the end-to-end determinism surface: serve's JSON document
    (schema v3, latency histograms included) must be byte-identical at
@@ -7,6 +7,7 @@
 
 module Hist = Podopt_obs.Hist
 module Metrics = Podopt_obs.Metrics
+module Exact = Podopt_obs.Exact
 module B = Podopt_broker
 
 (* --- histogram: buckets ------------------------------------------------- *)
@@ -106,52 +107,50 @@ let test_merge_unit () =
   Alcotest.(check int) "reset empties" 0 (Hist.count dst);
   Alcotest.(check int) "reset clears max" 0 (Hist.max_value dst)
 
-(* --- metrics registry --------------------------------------------------- *)
+(* --- shard metrics record ------------------------------------------------ *)
 
-let test_registry_basics () =
-  let m = Metrics.create () in
-  Metrics.add m "ops" 3;
-  Metrics.add m "ops" 2;
-  Metrics.set_gauge m "depth" 7;
-  Metrics.observe m "wait" 5;
-  Alcotest.(check int) "counter accumulates" 5 (Metrics.counter m "ops");
-  Alcotest.(check int) "gauge reads back" 7 (Metrics.gauge m "depth");
-  Alcotest.(check int) "absent counter is 0" 0 (Metrics.counter m "nope");
-  Alcotest.(check int) "histogram handle is live" 1
-    (Hist.count (Metrics.histogram m "wait"));
-  Alcotest.(check (list string))
-    "to_list sorted by name"
-    [ "depth"; "ops"; "wait" ]
-    (List.map fst (Metrics.to_list m));
-  Alcotest.check_raises "kind clash rejected"
-    (Invalid_argument "Metrics: ops already exists with another kind")
-    (fun () -> Metrics.observe m "ops" 1)
-
-let test_registry_merge () =
+let test_metrics_record () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.add a "ops" 3;
-  Metrics.add b "ops" 4;
-  Metrics.set_gauge a "depth" 9;
-  Metrics.set_gauge b "depth" 2;
-  Metrics.observe a "wait" 1;
-  Metrics.observe b "wait" 1000;
-  Metrics.add b "only_b" 1;
-  let m = Metrics.merge a b in
-  Alcotest.(check int) "counters add" 7 (Metrics.counter m "ops");
-  Alcotest.(check int) "gauges take the max" 9 (Metrics.gauge m "depth");
-  Alcotest.(check int) "one-sided counter survives" 1
-    (Metrics.counter m "only_b");
-  Alcotest.(check int) "histograms merge" 2
-    (Hist.count (Metrics.histogram m "wait"));
-  Alcotest.(check int) "merged hist max" 1000
-    (Hist.max_value (Metrics.histogram m "wait"));
-  Alcotest.(check int) "arguments untouched" 3 (Metrics.counter a "ops");
+  Hist.observe a.Metrics.queue_wait 1;
+  Hist.observe b.Metrics.queue_wait 1000;
+  Exact.observe a.Metrics.service_opt 7;
+  Exact.observe b.Metrics.service_gen 9;
+  Exact.observe b.Metrics.batch_depth 3;
+  Hist.observe (Metrics.event a "Push") 5;
+  Hist.observe (Metrics.event b "Push") 6;
+  Hist.observe (Metrics.event b "Deliver") 2;
+  let m = Metrics.merge_all [ a; b ] in
+  Alcotest.(check int) "queue wait merges" 2 (Hist.count m.Metrics.queue_wait);
+  Alcotest.(check int) "merged max" 1000 (Hist.max_value m.Metrics.queue_wait);
+  Alcotest.(check (list int))
+    "exact histograms merge"
+    [ 1; 1; 1 ]
+    (List.map Exact.count
+       [ m.Metrics.service_opt; m.Metrics.service_gen; m.Metrics.batch_depth ]);
+  let names_counts t =
+    List.map (fun (name, h) -> (name, Hist.count h)) (Metrics.events t)
+  in
+  Alcotest.(check (list (pair string int)))
+    "events union, sorted by name"
+    [ ("Deliver", 1); ("Push", 2) ]
+    (names_counts m);
+  Alcotest.(check (list (pair string int)))
+    "arguments untouched"
+    [ ("Push", 1) ]
+    (names_counts a);
+  Alcotest.(check int) "argument histogram untouched" 1
+    (Hist.count a.Metrics.queue_wait);
   Metrics.reset m;
-  Alcotest.(check int) "reset zeroes counters" 0 (Metrics.counter m "ops");
-  Alcotest.(check (list string))
-    "names survive reset"
-    [ "depth"; "only_b"; "ops"; "wait" ]
-    (List.map fst (Metrics.to_list m))
+  Alcotest.(check (list int))
+    "reset empties every histogram"
+    [ 0; 0; 0; 0 ]
+    (Hist.count m.Metrics.queue_wait
+     :: List.map Exact.count
+          [ m.Metrics.service_opt; m.Metrics.service_gen; m.Metrics.batch_depth ]);
+  Alcotest.(check (list (pair string int)))
+    "reset keeps event names"
+    [ ("Deliver", 0); ("Push", 0) ]
+    (names_counts m)
 
 (* --- qcheck: merge is associative, commutative, order-independent ------- *)
 
@@ -220,8 +219,7 @@ let suite =
     Alcotest.test_case "observe accounting" `Quick test_observe_accounting;
     Alcotest.test_case "percentile semantics" `Quick test_percentile_semantics;
     Alcotest.test_case "merge combines exactly" `Quick test_merge_unit;
-    Alcotest.test_case "registry basics" `Quick test_registry_basics;
-    Alcotest.test_case "registry merge rules" `Quick test_registry_merge;
+    Alcotest.test_case "metrics record" `Quick test_metrics_record;
     Alcotest.test_case "serve JSON identical across domains" `Quick
       test_json_identical_across_domains;
   ]

@@ -199,9 +199,9 @@ let test_nack_latch_after_give_up () =
       ~ops:[| Bytes.of_string "op" |]
       ~start:0 ~interval:100 ~backoff ()
   in
-  B.Session.pump s ~now:0 ~rt ~deliver_event:"Drop";
+  B.Session.pump s ~now:0 ~rt ~deliver_event:(Link.raise_timed "Drop");
   B.Session.nack s ~seq:0 ~now:20;
-  B.Session.pump s ~now:40 ~rt ~deliver_event:"Drop";
+  B.Session.pump s ~now:40 ~rt ~deliver_event:(Link.raise_timed "Drop");
   B.Session.nack s ~seq:0 ~now:60;
   let st = B.Session.stats s in
   Alcotest.(check int) "gave up once" 1 st.B.Session.gave_up;
