@@ -238,13 +238,14 @@ let door t wire =
    wire's due, or the clock would leap past pending sessions and turn
    steady traffic into artificial bursts. *)
 let rec pump t ~until =
-  match Equeue.peek t.front.wires with
-  | Some (due, wire) when due <= until ->
-    ignore (Equeue.pop t.front.wires);
+  let wires = t.front.wires in
+  let due = Equeue.next_due wires in
+  if due <= until && not (Equeue.is_empty wires) then begin
+    let wire = Equeue.take wires in
     if due > now t then Vclock.set t.front.clock due;
     door t wire;
     pump t ~until
-  | _ -> ()
+  end
 
 (* Crash recovery for one killed shard, on the coordinator: wipe, load
    the last checkpoint, then redeliver the redo journal in admission

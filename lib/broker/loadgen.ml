@@ -192,12 +192,9 @@ let run ?max_ticks broker sessions =
     sess;
   let pump_due now =
     let rec collect acc =
-      match Equeue.peek wheel with
-      | Some (due, _) when due <= now ->
-        (match Equeue.pop wheel with
-         | Some (_, i) -> collect (i :: acc)
-         | None -> acc)
-      | _ -> acc
+      if Equeue.next_due wheel <= now && not (Equeue.is_empty wheel) then
+        collect (Equeue.take wheel :: acc)
+      else acc
     in
     (* ascending session index: the exact relative order the full
        List.iter scan pumped in, so the front door's push order — and

@@ -66,14 +66,10 @@ let due_of t seq =
 (* Earliest pending work: the next first-send or the earliest queued
    retry, whichever comes first.  None iff finished. *)
 let next_due t =
-  let send =
-    if t.next_op < Array.length t.ops then Some (due_of t t.next_op) else None
-  in
-  match (send, Equeue.peek t.retryq) with
-  | None, None -> None
-  | Some d, None -> Some d
-  | None, Some (d, _) -> Some d
-  | Some a, Some (b, _) -> Some (min a b)
+  let retry = Equeue.next_due t.retryq in
+  if t.next_op < Array.length t.ops then Some (min (due_of t t.next_op) retry)
+  else if Equeue.is_empty t.retryq then None
+  else Some retry
 
 let set_waker t waker = t.waker <- waker
 
@@ -88,17 +84,9 @@ let send_op t ~rt ~deliver_event ~seq ~retry =
   Link.send t.link rt ~deliver_event pkt
 
 let pump t ~now ~rt ~deliver_event =
-  let rec resend () =
-    match Equeue.peek t.retryq with
-    | Some (due, _) when due <= now ->
-      (match Equeue.pop t.retryq with
-       | Some (_, seq) ->
-         send_op t ~rt ~deliver_event ~seq ~retry:true;
-         resend ()
-       | None -> ())
-    | _ -> ()
-  in
-  resend ();
+  while Equeue.next_due t.retryq <= now && not (Equeue.is_empty t.retryq) do
+    send_op t ~rt ~deliver_event ~seq:(Equeue.take t.retryq) ~retry:true
+  done;
   while t.next_op < Array.length t.ops && due_of t t.next_op <= now do
     send_op t ~rt ~deliver_event ~seq:t.next_op ~retry:false;
     t.next_op <- t.next_op + 1

@@ -441,10 +441,10 @@ let warm_stale t = t.warm_stale
 let first_epoch_optimized t = t.stats.first_epoch_optimized
 let first_epoch_generic t = t.stats.first_epoch_generic
 
-(* The inputs of the shard's cumulative profile, taken without folding
-   the live trace: a copy of the adaptive controller's cumulative graph,
-   the live trace window by reference, and the binding signature of
-   every bound event.  [None] for generic shards. *)
+(* The inputs of the shard's cumulative profile: a copy of the adaptive
+   controller's cumulative graph with the live window merged in, and the
+   binding signature of every bound event.  [None] for generic
+   shards. *)
 let profile_inputs t =
   Option.map
     (fun a ->
@@ -460,7 +460,6 @@ let profile_inputs t =
       in
       {
         Recover.graph = Adaptive.cumulative_profile a;
-        window = rt.Runtime.trace.Trace.entries;
         trace_entries = Adaptive.profile_trace_entries a;
         dispatched = t.stats.dispatched;
         threshold = (Adaptive.policy a).Adaptive.threshold;

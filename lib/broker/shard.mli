@@ -24,7 +24,7 @@
     optimized path's fault rate (guard fallbacks + handler failures)
     trips it, the shard uninstalls its super-handlers and serves generic
     dispatch for the cool-down, after which the adaptive controller may
-    re-optimize from the live trace. *)
+    re-optimize from the live trace window. *)
 
 open Podopt_eventsys
 open Podopt_net
@@ -239,14 +239,14 @@ val breaker_trips : t -> int
 
 (** Capture the shard's full live state — named counters, runtime
     globals, ingress queue and stats, retry table, dead letters,
-    crash/spike stream positions, and the inputs of the cumulative
-    adaptive profile — as one immutable {!Podopt_recover.Recover}
-    snapshot, and count it in [recov.checkpoints].  The snapshot holds
-    its own copies of every [bytes] (global [Bytes] values, queued and
-    dead payloads) and of the controller's cumulative graph; it shares
-    only immutable data with the shard: strings, the live trace
-    window's entries.  The profile is deferred — no trace is folded,
-    no graph reduced — until {!restore} or the printed form needs it.
+    crash/spike stream positions, and the cumulative adaptive profile
+    — as one immutable {!Podopt_recover.Recover} snapshot, and count it
+    in [recov.checkpoints].  The snapshot holds its own copies of every
+    [bytes] (global [Bytes] values, queued and dead payloads) and of the
+    controller's cumulative graph with the live window's counters merged
+    in (O(distinct edges)); it shares only immutable data with the
+    shard, such as strings.  The profile is deferred — no graph reduced,
+    no chain searched — until {!restore} or the printed form needs it.
     Metrics histograms are not captured: a recovery rebuilds their
     post-checkpoint window from the journal replay, and the earlier
     window is a diagnostics loss outside the determinism invariant. *)
@@ -266,7 +266,7 @@ val kill : t -> unit
 (** Load a snapshot into a freshly {!kill}ed shard: restores counters,
     globals, queue, retries, dead letters and crash/spike stream
     positions from fresh copies (the snapshot stays intact for the next
-    kill), merges the deferred profile and warm-starts super-handlers
+    kill), absorbs the deferred profile and warm-starts super-handlers
     from it, then pins the virtual clock to the checkpointed time.
     Raises [Invalid_argument] when the snapshot belongs to another
     shard or workload kind — a broker bug. *)

@@ -81,19 +81,25 @@ let push t ~due payload =
 let is_empty t = t.size = 0
 let length t = t.size
 
+let next_due t = if t.size = 0 then max_int else t.due.(0)
+
+let take t =
+  if t.size = 0 then invalid_arg "Equeue.take: empty queue";
+  let top = t.payload.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then sift_down t 0 t.due.(last) t.seq.(last) t.payload.(last);
+  if last + 1 < Array.length t.payload then
+    t.payload.(last) <- t.payload.(last + 1);
+  top
+
 let peek t = if t.size = 0 then None else Some (t.due.(0), t.payload.(0))
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let due = t.due.(0) and top = t.payload.(0) in
-    let last = t.size - 1 in
-    t.size <- last;
-    if last > 0 then sift_down t 0 t.due.(last) t.seq.(last) t.payload.(last);
-    if last + 1 < Array.length t.payload then
-      t.payload.(last) <- t.payload.(last + 1);
-    Some (due, top)
-  end
+  else
+    let due = t.due.(0) in
+    Some (due, take t)
 
 (* Non-destructive snapshot in pop order: sort the live slots by the
    heap's own (due, seq) key.  Re-pushing the result into a fresh queue

@@ -9,6 +9,14 @@ val push : 'a t -> due:int -> 'a -> unit
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 
+(** The earliest item's due; [max_int] when the queue is empty.  With
+    {!take}, reads and removes the head without allocating. *)
+val next_due : 'a t -> int
+
+(** Remove the earliest item and return it.  Raises [Invalid_argument]
+    on an empty queue. *)
+val take : 'a t -> 'a
+
 (** Earliest item without removing it. *)
 val peek : 'a t -> (int * 'a) option
 

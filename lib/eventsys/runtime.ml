@@ -183,7 +183,7 @@ let rec raise_event t name (mode : Ast.mode) args =
    | _ ->
      (match mode with
       | Ast.Sync ->
-        Trace.record_event t.trace ~event:name ~mode ~time:(now t) ~depth:t.depth;
+        Trace.record_event t.trace ev ~mode ~time:(now t) ~depth:t.depth;
         dispatch t ev args
       | Ast.Async ->
         charge t t.costs.enqueue;
@@ -486,20 +486,17 @@ let flush_deferred t =
    due later stay queued.  When the queue drains completely, any pending
    deferral is flushed (which may schedule new activations). *)
 let rec run ?until t =
-  match Equeue.peek t.queue with
-  | None -> if flush_deferred t then run ?until t
-  | Some (due, _) ->
-    (match until with
-     | Some limit when due > limit -> ()
-     | _ ->
-       (match Equeue.pop t.queue with
-        | None -> ()
-        | Some (due, p) ->
-          if due > now t then Vclock.set t.clock due;
-          Trace.record_event t.trace ~event:p.pev.Event.name ~mode:p.pmode
-            ~time:(now t) ~depth:t.depth;
-          dispatch t p.pev p.pargs;
-          run ?until t))
+  if Equeue.is_empty t.queue then (if flush_deferred t then run ?until t)
+  else
+    let due = Equeue.next_due t.queue in
+    match until with
+    | Some limit when due > limit -> ()
+    | _ ->
+      let p = Equeue.take t.queue in
+      if due > now t then Vclock.set t.clock due;
+      Trace.record_event t.trace p.pev ~mode:p.pmode ~time:(now t) ~depth:t.depth;
+      dispatch t p.pev p.pargs;
+      run ?until t
 
 let pending t = Equeue.length t.queue
 

@@ -2,27 +2,30 @@
    optimization ... are potential extensions to this work").
 
    Instead of the paper's off-line, manual profile-then-optimize cycle,
-   this controller keeps event tracing enabled, watches the runtime's
-   fallback counter, and re-runs analyze/apply from the accumulated trace
+   this controller keeps event-level recording on, watches the runtime's
+   fallback counter, and re-runs analyze/apply from the trace window
    whenever the installed super-handlers stop matching the live bindings.
    Correctness is unaffected (the guards already ensure that); this
    merely restores the fast path automatically after reconfiguration.
+   The window is counters only (node and edge counts, Trace): the
+   controller never turns the entry log on, so on-line profiling keeps
+   no per-occurrence record.
 
-   The controller also accumulates every analyzed trace window into a
-   persistent profile graph ([cumulative_profile]): the event-graph
-   counters survive the trace clears that follow each re-optimization,
-   so a whole run's observations can be serialized into a profile store
-   and warm-start the next run ([warm_start]). *)
+   The controller also absorbs every window into a persistent profile
+   graph ([cumulative_profile]): the event-graph counters survive the
+   window resets that follow each re-optimization, so a whole run's
+   observations can be serialized into a profile store and warm-start
+   the next run ([warm_start]). *)
 
 open Podopt_eventsys
 open Podopt_profile
 
 type policy = {
   fallback_limit : int;   (* re-optimize after this many fallbacks *)
-  min_trace : int;        (* but only once the trace has this many entries *)
+  min_trace : int;        (* but only once the window has this many occurrences *)
   threshold : int;        (* analysis threshold W *)
   strategy : Plan.chain_strategy;
-  max_trace : int;        (* bound the trace to this length *)
+  max_trace : int;        (* absorb a window that grows past this *)
   compile : bool;         (* compile super-handlers (vs interpret the HIR) *)
 }
 
@@ -38,7 +41,7 @@ let default_policy =
 
 (* Inconsistent knobs used to be accepted silently: a negative
    fallback_limit re-optimized every batch, min_trace > max_trace could
-   never trigger (the bound truncates below the minimum), and a
+   never trigger (the bound resets the window below the minimum), and a
    non-positive threshold made every edge "hot".  Reject them all at
    construction. *)
 let validate_policy (p : policy) =
@@ -59,22 +62,22 @@ type t = {
   rt : Runtime.t;
   policy : policy;
   profile : Event_graph.t;
-      (* cumulative graph of every trace window already analyzed and
-         cleared; the live trace sits on top of it *)
-  mutable trace_seen : int;  (* trace entries folded into [profile] *)
+      (* cumulative graph of every window already absorbed; the live
+         window sits on top of it *)
+  mutable trace_seen : int;  (* occurrences absorbed into [profile] *)
   mutable fallbacks_at_last_opt : int;
   mutable reoptimizations : int;
   mutable warm_installed : int;  (* super-handlers installed by warm_start *)
   mutable warm_stale : int;      (* profile events warm_start rejected *)
 }
 
-(* Create the controller and enable continuous event tracing.  The
-   runtime keeps paying the (cheap) trace-recording cost; that is the
-   price of on-line profiling.  Raises [Invalid_argument] on an
+(* Create the controller and turn on event counting, without the entry
+   log.  The runtime keeps paying a few increments per occurrence; that
+   is the price of on-line profiling.  Raises [Invalid_argument] on an
    inconsistent policy. *)
 let create ?(policy = default_policy) (rt : Runtime.t) : t =
   validate_policy policy;
-  Trace.enable_events rt.Runtime.trace;
+  Trace.enable_events ~log:false rt.Runtime.trace;
   {
     rt;
     policy;
@@ -98,25 +101,24 @@ let fallbacks_since_last (t : t) =
   current - t.fallbacks_at_last_opt
 
 let should_reoptimize (t : t) : bool =
-  Trace.length t.rt.Runtime.trace >= t.policy.min_trace
+  Trace.occurrences t.rt.Runtime.trace >= t.policy.min_trace
   && ((* nothing installed yet: perform the initial optimization *)
       Runtime.optimized_events t.rt = []
      || fallbacks_since_last t >= t.policy.fallback_limit)
 
-(* Fold the live trace window into the cumulative profile.  Called just
-   before the window is cleared, so no entry is counted twice.  (Entries
-   dropped by [tick]'s truncation are lost to the profile — a bounded,
-   documented loss: the profile is a sampling aid, not an audit log.) *)
+(* Merge the live window into the cumulative profile and start a new
+   one, so no occurrence is counted twice and none is lost. *)
 let absorb_trace (t : t) =
-  let len = Trace.length t.rt.Runtime.trace in
-  if len > 0 then begin
-    Event_graph.merge_into ~into:t.profile
-      (Event_graph.of_trace t.rt.Runtime.trace);
-    t.trace_seen <- t.trace_seen + len
-  end
+  let trace = t.rt.Runtime.trace in
+  let n = Trace.occurrences trace in
+  if n > 0 then begin
+    Event_graph.merge_trace ~into:t.profile trace;
+    t.trace_seen <- t.trace_seen + n
+  end;
+  Trace.clear trace
 
-(* Re-analyze from the accumulated trace and reinstall.  Returns the
-   applied report when a re-optimization happened. *)
+(* Re-analyze from the live window and reinstall.  Returns the applied
+   report when a re-optimization happened. *)
 let reoptimize (t : t) : Driver.applied option =
   let plan =
     Driver.analyze ~threshold:t.policy.threshold ~strategy:t.policy.strategy t.rt
@@ -129,39 +131,37 @@ let reoptimize (t : t) : Driver.applied option =
       + t.rt.Runtime.stats.Runtime.segment_fallbacks;
     t.reoptimizations <- t.reoptimizations + 1;
     absorb_trace t;
-    Trace.clear t.rt.Runtime.trace;
     Some applied
   end
 
 (* Poll: call periodically (e.g. from the application's idle loop).
-   Keeps the trace bounded and re-optimizes when the policy triggers.
-   Bounding retains the newest half of the window rather than clearing:
-   dropping the whole trace would discard all profile history and stall
-   re-optimization until [min_trace] entries rebuild from scratch. *)
+   Bounds the window and re-optimizes when the policy triggers.  A window
+   past [max_trace] is absorbed whole into the cumulative profile, so
+   nothing is lost; re-optimization then waits for [min_trace] new
+   occurrences. *)
 let tick (t : t) : Driver.applied option =
-  if Trace.length t.rt.Runtime.trace > t.policy.max_trace then
-    Trace.truncate_oldest t.rt.Runtime.trace ~keep:(t.policy.max_trace / 2);
+  if Trace.occurrences t.rt.Runtime.trace > t.policy.max_trace then absorb_trace t;
   if should_reoptimize t then reoptimize t else None
 
 let reoptimizations (t : t) = t.reoptimizations
 
 (* --- the persistent-profile surface ------------------------------------ *)
 
-(* Every analyzed-and-cleared trace window, as a fresh graph.  The live
-   window is left out: a checkpoint keeps it by reference and folds it
-   only when the profile is needed. *)
+(* Every absorbed window plus the live one, as a fresh graph.  The live
+   window is merged, not shared: it is counters the runtime keeps
+   bumping, and its graph costs O(distinct edges) to build. *)
 let cumulative_profile (t : t) : Event_graph.t =
-  let g = Event_graph.create () in
-  Event_graph.merge_into ~into:g t.profile;
+  let g = Event_graph.merge_all [ t.profile ] in
+  Event_graph.merge_trace ~into:g t.rt.Runtime.trace;
   g
 
 let profile_trace_entries (t : t) =
-  t.trace_seen + Trace.length t.rt.Runtime.trace
+  t.trace_seen + Trace.occurrences t.rt.Runtime.trace
 
 (* Crash-recovery restore: fold a checkpointed profile graph back into
-   the cumulative profile, crediting the trace entries it summarizes.
+   the cumulative profile, crediting the occurrences it summarizes.
    The checkpointed graph already contains every window the dead
-   controller absorbed plus its live trace, so a freshly created
+   controller absorbed plus its live window, so a freshly created
    controller that absorbs it resumes profiling where the dead one
    stopped. *)
 let absorb_graph (t : t) ~(graph : Event_graph.t) ~trace_entries =

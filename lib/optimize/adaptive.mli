@@ -1,26 +1,29 @@
 (** On-line adaptive re-optimization (a Sec. 5 extension).
 
-    Keeps event tracing enabled, watches the runtime's fallback
-    counters, and re-runs analyze/apply from the accumulated trace when
+    Keeps event-level recording on, watches the runtime's fallback
+    counters, and re-runs analyze/apply from the trace window when
     installed super-handlers stop matching the live bindings — restoring
-    the fast path automatically after dynamic reconfiguration.
+    the fast path automatically after dynamic reconfiguration.  The
+    window is node and edge counters ({!Podopt_eventsys.Trace}); the
+    controller never turns the entry log on.
 
-    Every analyzed trace window is also folded into a cumulative profile
-    graph that survives the post-analysis trace clears; the snapshot of
-    that graph is what a {!Podopt_store} profile store persists, and
-    {!warm_start} is the inverse: install super-handlers from a stored
-    profile before the first event arrives. *)
+    Every window is merged into a cumulative profile graph when it is
+    reset, after each re-optimization and whenever it passes
+    [max_trace]; that graph is what a {!Podopt_store} profile store
+    persists, and {!warm_start} is the inverse: install super-handlers
+    from a stored profile before the first event arrives. *)
 
 open Podopt_eventsys
 
 type policy = {
   fallback_limit : int;  (** re-optimize after this many fallbacks *)
-  min_trace : int;       (** ... once the trace is this long *)
+  min_trace : int;       (** ... once the window holds this many occurrences *)
   threshold : int;
   strategy : Plan.chain_strategy;
   max_trace : int;
-      (** bound the trace to this length; past it the oldest half is
-          dropped, retaining recent history for the next analysis *)
+      (** bound the window to this many occurrences; past it {!tick}
+          merges the window into the cumulative profile and starts a
+          new one *)
   compile : bool;
       (** compile installed super-handlers to closures (default); false
           interprets the transformed HIR instead — same observable
@@ -31,7 +34,8 @@ val default_policy : policy
 
 type t
 
-(** Enables continuous event tracing on the runtime.  Raises
+(** Turns on event counting (without the entry log) on the runtime's
+    trace.  Raises
     [Invalid_argument] on inconsistent knobs: non-positive
     [fallback_limit], [min_trace], [max_trace] or [threshold], or
     [min_trace > max_trace] (re-optimization could never trigger). *)
@@ -41,31 +45,28 @@ val policy : t -> policy
 val fallbacks_since_last : t -> int
 val should_reoptimize : t -> bool
 
-(** Force a re-analysis from the accumulated trace; [None] when the
-    analysis found nothing to do. *)
+(** Force a re-analysis from the live window; [None] when the analysis
+    found nothing to do.  A re-optimization absorbs the window. *)
 val reoptimize : t -> Driver.applied option
 
-(** Poll from the application's idle loop; bounds the trace and
-    re-optimizes when the policy triggers. *)
+(** Poll from the application's idle loop; absorbs a window past
+    [max_trace] and re-optimizes when the policy triggers. *)
 val tick : t -> Driver.applied option
 
 val reoptimizations : t -> int
 
-(** The cumulative profile as a fresh event graph: every
-    analyzed-and-cleared trace window, without the live trace (read
-    that from the runtime's trace).  (Windows dropped by {!tick}'s
-    truncation are lost — the profile is a sampling aid, not an audit
-    log.) *)
+(** The cumulative profile as a fresh event graph: every absorbed
+    window plus the live one, merged.  Costs O(distinct edges), however
+    long the window. *)
 val cumulative_profile : t -> Podopt_profile.Event_graph.t
 
-(** Trace entries represented in {!cumulative_profile} plus the live
-    trace. *)
+(** Occurrences represented in {!cumulative_profile}. *)
 val profile_trace_entries : t -> int
 
-(** Fold a checkpointed profile graph (the cumulative profile with the
-    live trace merged in) back into the cumulative profile, crediting
-    [trace_entries] toward {!profile_trace_entries} — the
-    crash-recovery inverse of a checkpoint capture. *)
+(** Fold a checkpointed profile graph (a {!cumulative_profile}) back
+    into the cumulative profile, crediting [trace_entries] toward
+    {!profile_trace_entries} — the crash-recovery inverse of a
+    checkpoint capture. *)
 val absorb_graph :
   t -> graph:Podopt_profile.Event_graph.t -> trace_entries:int -> unit
 

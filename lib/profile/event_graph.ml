@@ -8,6 +8,7 @@
    event chain. *)
 
 open Podopt_hir
+module Trace = Podopt_eventsys.Trace
 
 type edge = {
   src : string;
@@ -54,17 +55,19 @@ let record_occurrence t name (mode : Ast.mode) =
    the preceding event, so it must not contribute to the edge's
    synchronous (causality-implying) count even if the raise itself was
    synchronous. *)
+(* Find-or-create an edge, and its endpoints. *)
+let edge t ~src ~dst =
+  match Hashtbl.find_opt t.edges (src, dst) with
+  | Some e -> e
+  | None ->
+    let e = { src; dst; weight = 0; sync = 0; async = 0; timed = 0 } in
+    Hashtbl.add t.edges (src, dst) e;
+    ignore (node t src);
+    ignore (node t dst);
+    e
+
 let add_edge ?(causal = true) t ~src ~dst (mode : Ast.mode) =
-  let e =
-    match Hashtbl.find_opt t.edges (src, dst) with
-    | Some e -> e
-    | None ->
-      let e = { src; dst; weight = 0; sync = 0; async = 0; timed = 0 } in
-      Hashtbl.add t.edges (src, dst) e;
-      ignore (node t src);
-      ignore (node t dst);
-      e
-  in
+  let e = edge t ~src ~dst in
   e.weight <- e.weight + 1;
   match mode with
   | Ast.Sync when causal -> e.sync <- e.sync + 1
@@ -94,8 +97,28 @@ let build_seq (sequence : (string * Ast.mode * int) list) : t =
 let build (sequence : (string * Ast.mode) list) : t =
   build_seq (List.map (fun (e, m) -> (e, m, 1)) sequence)
 
-let of_trace (trace : Podopt_eventsys.Trace.t) : t =
-  build_seq (Podopt_eventsys.Trace.event_sequence_with_depth trace)
+(* Add the trace's window counters, visiting events in order of first
+   occurrence and then edges in order of first traversal: on an empty
+   graph, the order [build_seq] inserts them when folding the same
+   occurrences. *)
+let merge_trace ~into (trace : Trace.t) =
+  Trace.iter_nodes trace (fun name (c : Trace.counts) ->
+      let n = node into name in
+      n.occurrences <- n.occurrences + c.total;
+      n.raised_sync <- n.raised_sync + c.sync;
+      n.raised_async <- n.raised_async + c.async;
+      n.raised_timed <- n.raised_timed + c.timed);
+  Trace.iter_edges trace (fun src dst (c : Trace.counts) ->
+      let e = edge into ~src ~dst in
+      e.weight <- e.weight + c.total;
+      e.sync <- e.sync + c.sync;
+      e.async <- e.async + c.async;
+      e.timed <- e.timed + c.timed)
+
+let of_trace trace =
+  let t = create () in
+  merge_trace ~into:t trace;
+  t
 
 (* Accumulate [src] into [into]: node occurrence counters and edge
    traversal counters add up.  Merging is associative and commutative in
@@ -111,17 +134,8 @@ let merge_into ~into (src : t) =
       m.raised_timed <- m.raised_timed + n.raised_timed)
     src.nodes;
   Hashtbl.iter
-    (fun key (e : edge) ->
-      let m =
-        match Hashtbl.find_opt into.edges key with
-        | Some m -> m
-        | None ->
-          let m = { src = e.src; dst = e.dst; weight = 0; sync = 0; async = 0; timed = 0 } in
-          Hashtbl.add into.edges key m;
-          ignore (node into e.src);
-          ignore (node into e.dst);
-          m
-      in
+    (fun _ (e : edge) ->
+      let m = edge into ~src:e.src ~dst:e.dst in
       m.weight <- m.weight + e.weight;
       m.sync <- m.sync + e.sync;
       m.async <- m.async + e.async;

@@ -49,7 +49,14 @@ val build_seq : (string * Ast.mode * int) list -> t
 (** GraphBuilder treating every raise as causal (tests, synthetic data). *)
 val build : (string * Ast.mode) list -> t
 
+(** The trace's window as a graph: equal to [build_seq] over the
+    window's occurrences, down to the order nodes and edges are
+    inserted. *)
 val of_trace : Podopt_eventsys.Trace.t -> t
+
+(** Add the trace's window counters into a graph: [merge_into ~into
+    (of_trace trace)], without building the window's graph. *)
+val merge_trace : into:t -> Podopt_eventsys.Trace.t -> unit
 
 (** Accumulate [src]'s node and edge counters into [into].  Counter
     addition is associative and commutative, so merging graphs from

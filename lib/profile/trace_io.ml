@@ -109,16 +109,11 @@ let to_string (trace : Trace.t) : string =
   Buffer.contents buf
 
 let of_string (s : string) : Trace.t =
-  let trace = Trace.create () in
-  let entries =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None else entry_of_line line)
-  in
-  trace.Trace.entries <- List.rev entries;
-  trace.Trace.count <- List.length entries;
-  trace
+  String.split_on_char '\n' s
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if line = "" || line.[0] = '#' then None else entry_of_line line)
+  |> Trace.of_entries
 
 let save (trace : Trace.t) ~(path : string) : unit =
   let oc = open_out path in

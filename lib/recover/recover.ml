@@ -3,18 +3,19 @@
    A [snapshot] is the full live state of one broker shard at an epoch
    boundary — virtual clock, named counters, runtime globals, the
    pending/retry/dead queues, the fault-injector stream positions, and
-   the inputs of the shard's cumulative adaptive profile.  It is an
-   immutable OCaml value that shares no mutable buffer with a live
-   shard: [make] copies every [bytes] it is given (global [Value.Bytes],
-   queued and dead payloads) and [copy] copies them out again, because
-   one snapshot is restored once per kill until the next checkpoint.
+   the shard's cumulative adaptive profile.  It is an immutable OCaml
+   value that shares no mutable buffer with a live shard: [make] copies
+   every [bytes] it is given (global [Value.Bytes], queued and dead
+   payloads) and [copy] copies them out again, because one snapshot is
+   restored once per kill until the next checkpoint.
 
    The profile is deferred: a snapshot keeps a copy of the adaptive
-   controller's cumulative graph, the live trace window by reference
-   (its entries are immutable), the trace and dispatch counts, and the
-   binding signature of every bound event.  Only a restore or the
-   printed form merges them ([merged]), so a checkpoint costs no trace
-   fold, no reduction and no chain search.
+   controller's cumulative graph with the live window's counters merged
+   in (O(distinct edges), whatever the window's length), the occurrence
+   and dispatch counts, and the binding signature of every bound event.
+   Only a restore or the printed form pairs the graph with its
+   signatures ([merged]), so a checkpoint costs no reduction and no
+   chain search.
 
    The printed form ([to_string]) is a line format whose bytes must
    stay stable, because the wall-clock benchmark times and sizes it;
@@ -46,15 +47,13 @@ module Packet = Podopt_net.Packet
 module Store = Podopt_store.Store
 module Crc32 = Podopt_crypto.Crc32
 module Value = Podopt_hir.Value
-module Trace = Podopt_eventsys.Trace
 module Event_graph = Podopt_profile.Event_graph
 module Reduce = Podopt_profile.Reduce
 module Chains = Podopt_profile.Chains
 
 type profile = {
-  graph : Event_graph.t;       (* copy of the cumulative graph *)
-  window : Trace.entry list;   (* live trace window, newest first, shared *)
-  trace_entries : int;         (* entries represented by graph + window *)
+  graph : Event_graph.t;       (* cumulative graph + live window, a copy *)
+  trace_entries : int;         (* occurrences the graph counts *)
   dispatched : int;            (* ops the shard had served *)
   threshold : int;             (* the controller's chain threshold *)
   signatures : (string * string list) list;  (* bound events, sorted *)
@@ -116,27 +115,20 @@ let make ~shard ~epoch ~kind ~clock ~sessions ~counters ~globals ~queue ~retries
 
 (* --- the deferred profile ----------------------------------------------- *)
 
-(* Everything the profile saw, as one fresh graph: the window folded
-   on top of the cumulative graph.  With it, each node's binding
-   signature ([[]] for an unbound event), nodes sorted.  [None] when
-   nothing was observed. *)
+(* Everything the profile saw — the graph, whose window was merged at
+   capture — with each node's binding signature ([[]] for an unbound
+   event), nodes sorted.  [None] when nothing was observed. *)
 let merged (p : profile) =
-  let window = Trace.create () in
-  window.Trace.entries <- p.window;
-  window.Trace.count <- List.length p.window;
-  let graph = Event_graph.create () in
-  Event_graph.merge_into ~into:graph p.graph;
-  Event_graph.merge_into ~into:graph (Event_graph.of_trace window);
-  if Event_graph.node_count graph = 0 then None
+  if Event_graph.node_count p.graph = 0 then None
   else
     let signatures =
-      Event_graph.nodes graph
+      Event_graph.nodes p.graph
       |> List.map (fun (n : Event_graph.node) -> n.Event_graph.name)
       |> List.sort compare
       |> List.map (fun ev ->
              (ev, Option.value ~default:[] (List.assoc_opt ev p.signatures)))
     in
-    Some (graph, signatures)
+    Some (p.graph, signatures)
 
 let profile_entry ~kind ~shard (p : profile) =
   Option.map

@@ -10,22 +10,24 @@
     A snapshot is an immutable value that never shares a mutable buffer
     with a live shard ({!make} copies buffers in, {!copy} copies them
     out), so the broker keeps it as is: nothing is serialized on the
-    recovery path.  {!to_string} prints it in a byte-stable line
-    format, for measuring. *)
+    recovery path.  An optimizing shard's adaptive profile travels as
+    one graph: the controller's cumulative graph with the live trace
+    window's counters merged in at capture, so no trace is kept or
+    folded.  {!to_string} prints it in a byte-stable line format, for
+    measuring. *)
 
 module Packet = Podopt_net.Packet
 module Value = Podopt_hir.Value
 
-(** The deferred adaptive profile: the inputs the shard's cumulative
-    profile is built from, kept instead of the profile itself so that a
-    capture folds no trace.  {!merged} builds it. *)
+(** The deferred adaptive profile: the shard's cumulative graph and the
+    inputs its store entry is built from, kept instead of the entry so
+    that a capture runs no reduction and no chain search.  {!merged}
+    pairs the graph with its signatures. *)
 type profile = {
   graph : Podopt_profile.Event_graph.t;
-      (** a copy of the controller's cumulative graph *)
-  window : Podopt_eventsys.Trace.entry list;
-      (** the live trace window, newest first — shared with the live
-          trace, whose entries are immutable *)
-  trace_entries : int;  (** trace entries represented by graph + window *)
+      (** a copy of the controller's cumulative graph, the live window's
+          counters merged in at capture *)
+  trace_entries : int;  (** occurrences the graph counts *)
   dispatched : int;     (** ops the shard had served *)
   threshold : int;      (** the controller's chain threshold *)
   signatures : (string * string list) list;
@@ -61,9 +63,9 @@ val make :
     a restore loads, so the live shard can mutate them. *)
 val copy : snapshot -> snapshot
 
-(** The profile as one fresh graph — the cumulative graph plus the
-    window, merged — with each node's binding signature ([[]] for an
-    unbound event), nodes sorted.  [None] when nothing was observed. *)
+(** The profile's graph (shared, not copied: nothing mutates it) with
+    each node's binding signature ([[]] for an unbound event), nodes
+    sorted.  [None] when nothing was observed. *)
 val merged :
   profile ->
   (Podopt_profile.Event_graph.t * (string * string list) list) option

@@ -69,16 +69,16 @@ let test_chat_post_allocation () =
   ignore
     (Driver.profile_and_optimize ~threshold:10 rt
        ~workload:(Chat.profile_workload rt));
-  Alcotest.(check bool) "event tracing off" false
-    rt.Runtime.trace.Trace.events_enabled;
   let msg = Chat.message ~fanout:7 ~size:64 1 in
   (* the first post resolves each global site's slot *)
   Chat.push rt msg;
   let opt0 = rt.Runtime.stats.Runtime.optimized_dispatches in
   let u0 = Runtime.now rt in
+  let seen0 = Trace.occurrences rt.Runtime.trace in
   let w0 = Gc.minor_words () in
   Chat.push rt msg;
   let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "event recording off" seen0 (Trace.occurrences rt.Runtime.trace);
   Alcotest.(check int) "one optimized dispatch" (opt0 + 1)
     rt.Runtime.stats.Runtime.optimized_dispatches;
   Alcotest.(check int) "units" 240 (Runtime.now rt - u0);

@@ -84,14 +84,32 @@ let test_vacated_slots_release () =
   done;
   Alcotest.(check bool) "drained" true (alive () <= 1)
 
+(* Reading the head's due and taking it allocates nothing, unlike
+   [peek]/[pop]'s option of a pair. *)
+let test_next_due_take_allocate_nothing () =
+  let q = Equeue.create () in
+  for i = 1 to 64 do
+    Equeue.push q ~due:(i mod 5) i
+  done;
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  while Equeue.next_due q < max_int do
+    sum := !sum + Equeue.take q
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every item taken" (64 * 65 / 2) !sum;
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* --- model-based: the heap against a (due, seq)-sorted list ----------- *)
 
-type op = Push of int * int | Pop | Peek | Remove_if of int | To_list
+type op = Push of int * int | Pop | Peek | Next_due | Take | Remove_if of int | To_list
 
 let pp_op = function
   | Push (due, v) -> Printf.sprintf "push %d %d" due v
   | Pop -> "pop"
   | Peek -> "peek"
+  | Next_due -> "next_due"
+  | Take -> "take"
   | Remove_if k -> Printf.sprintf "remove_if (mod %d)" k
   | To_list -> "to_list"
 
@@ -102,6 +120,8 @@ let gen_op =
         (6, map2 (fun due v -> Push (due, v)) (int_range 0 20) (int_range 0 99));
         (3, pure Pop);
         (1, pure Peek);
+        (1, pure Next_due);
+        (2, pure Take);
         (1, map (fun k -> Remove_if k) (int_range 2 5));
         (1, pure To_list);
       ])
@@ -131,6 +151,18 @@ let prop_model =
               (match !model with [] -> () | _ :: rest -> model := rest);
               Equeue.pop q = want
             | Peek -> Equeue.peek q = head ()
+            | Next_due ->
+              Equeue.next_due q
+              = (match head () with Some (due, _) -> due | None -> max_int)
+            | Take ->
+              (match !model with
+               | [] ->
+                 (match Equeue.take q with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)
+               | (_, _, v) :: rest ->
+                 model := rest;
+                 Equeue.take q = v)
             | Remove_if k ->
               let before = List.length !model in
               model := List.filter (fun (_, _, v) -> v mod k <> 0) !model;
@@ -150,6 +182,8 @@ let suite =
     Alcotest.test_case "growth" `Quick test_growth;
     Alcotest.test_case "remove_if" `Quick test_remove_if;
     Alcotest.test_case "peek" `Quick test_peek;
+    Alcotest.test_case "next_due and take allocate nothing" `Quick
+      test_next_due_take_allocate_nothing;
     Alcotest.test_case "vacated slots release payloads" `Quick
       test_vacated_slots_release;
     QCheck_alcotest.to_alcotest prop_model;

@@ -86,6 +86,88 @@ let test_cycle_handling () =
   let _ = Chains.find g in
   ()
 
+(* --- the trace window against GraphBuilder -------------------------------- *)
+
+type step = Occ of int * Ast.mode * int | Clear
+
+let pp_step = function
+  | Occ (e, m, d) -> Printf.sprintf "E%d %s@%d" e (Ast.mode_to_string m) d
+  | Clear -> "clear"
+
+let gen_step =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 12,
+          map3
+            (fun e m d -> Occ (e, m, d))
+            (* ten events: the window's tables (8 ids at first) grow
+               mid-window *)
+            (frequency [ (4, int_range 0 2); (1, int_range 3 9) ])
+            (oneofl [ Ast.Sync; Ast.Async; Ast.Timed 5 ])
+            (int_range 0 2) );
+        (1, pure Clear);
+      ])
+
+let graph_counts g =
+  ( List.sort compare
+      (List.map
+         (fun (n : Event_graph.node) ->
+           (n.name, n.occurrences, n.raised_sync, n.raised_async, n.raised_timed))
+         (Event_graph.nodes g)),
+    List.sort compare
+      (List.map
+         (fun (e : Event_graph.edge) -> (e.src, e.dst, e.weight, e.sync, e.async, e.timed))
+         (Event_graph.edges g)) )
+
+(* Occurrences recorded into an adaptive controller's trace, with random
+   clear points and absorbs wherever the window passes a random
+   [max_trace].  After every step: the window's graph is [build_seq] of
+   the segment since the last clear or absorb, down to the order its
+   nodes and edges iterate in; and the cumulative profile is the merge of
+   the absorbed segments' folds plus the live one's. *)
+let prop_window_is_graphbuilder =
+  QCheck2.Test.make ~name:"trace window equals graphbuilder" ~count:300
+    ~print:(fun (m, steps) ->
+      Printf.sprintf "max_trace %d: %s" m (String.concat "; " (List.map pp_step steps)))
+    QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 120) gen_step))
+    (fun (max_trace, steps) ->
+      let rt = Runtime.create () in
+      let policy =
+        (* no threshold is reachable, so [tick] never installs a plan *)
+        { Adaptive.default_policy with
+          Adaptive.min_trace = max_trace; max_trace; threshold = max_int;
+          fallback_limit = max_int }
+      in
+      let ctl = Adaptive.create ~policy rt in
+      let trace = rt.Runtime.trace in
+      let segment = ref [] and absorbed = ref [] and seen = ref 0 in
+      let fold seg = Event_graph.build_seq (List.rev seg) in
+      List.for_all
+        (fun step ->
+          (match step with
+           | Clear ->
+             Trace.clear trace;
+             segment := []
+           | Occ (e, mode, depth) ->
+             let ev = Runtime.event rt (Printf.sprintf "E%d" e) in
+             Trace.record_event trace ev ~mode ~time:0 ~depth;
+             segment := (ev.Event.name, mode, depth) :: !segment;
+             ignore (Adaptive.tick ctl);
+             if List.length !segment > max_trace then begin
+               absorbed := fold !segment :: !absorbed;
+               seen := !seen + List.length !segment;
+               segment := []
+             end);
+          let window = Event_graph.of_trace trace and want = fold !segment in
+          Event_graph.nodes window = Event_graph.nodes want
+          && Event_graph.edges window = Event_graph.edges want
+          && Trace.occurrences trace = List.length !segment
+          && graph_counts (Adaptive.cumulative_profile ctl)
+             = graph_counts (Event_graph.merge_all (want :: !absorbed))
+          && Adaptive.profile_trace_entries ctl = !seen + List.length !segment)
+        steps)
+
 let suite =
   [
     Alcotest.test_case "graphbuilder weights" `Quick test_graphbuilder_weights;
@@ -97,4 +179,5 @@ let suite =
     Alcotest.test_case "path weight" `Quick test_path_weight;
     Alcotest.test_case "path weight exact" `Quick test_path_weight_exact;
     Alcotest.test_case "cycles no hang" `Quick test_cycle_handling;
+    QCheck_alcotest.to_alcotest prop_window_is_graphbuilder;
   ]

@@ -179,27 +179,41 @@ let test_adaptive_reoptimizes_after_rebind () =
   burst ();
   Alcotest.(check int) "fast path restored" 0 rt.Runtime.stats.Runtime.fallbacks
 
-let test_adaptive_retains_trace_history () =
-  (* regression: past [max_trace] the controller cleared the whole trace,
-     discarding all profile history and stalling re-optimization until
-     [min_trace] entries rebuilt from scratch; it must retain the newest
-     half of the window instead. *)
+let test_adaptive_absorbs_overflowing_window () =
+  (* Past [max_trace], [tick] absorbs the whole window into the
+     cumulative profile and starts a new one: counters cannot drop their
+     oldest half, and no occurrence is lost. *)
   let rt = adaptive_setup () in
   let policy =
-    (* min_trace is set just above max_trace so re-optimization never
-       triggers during the overflow (create rejects min_trace > max_trace) *)
+    (* min_trace = max_trace, so re-optimization does not trigger during
+       the overflow (the raises run without ticks) *)
     { Adaptive.default_policy with
-      Adaptive.fallback_limit = max_int; min_trace = 100; max_trace = 100 }
+      Adaptive.fallback_limit = max_int; min_trace = 100; max_trace = 100; threshold = 20 }
   in
   let ctl = Adaptive.create ~policy rt in
-  for i = 1 to 120 do
-    Runtime.raise_sync rt "W" [ Value.Int i ]
+  let trace = rt.Runtime.trace in
+  let raise_w () = Runtime.raise_sync rt "W" [ Value.Int 1 ] in
+  for _ = 1 to 120 do
+    raise_w ()
   done;
-  Alcotest.(check bool) "trace overflows the bound" true
-    (Trace.length rt.Runtime.trace > 100);
+  Alcotest.(check int) "window overflows the bound" 120 (Trace.occurrences trace);
   ignore (Adaptive.tick ctl);
-  Alcotest.(check int) "retains the newest half, not nothing" 50
-    (Trace.length rt.Runtime.trace)
+  Alcotest.(check int) "window empty after tick" 0 (Trace.occurrences trace);
+  Alcotest.(check int) "profile_trace_entries" 120 (Adaptive.profile_trace_entries ctl);
+  let g = Adaptive.cumulative_profile ctl in
+  Alcotest.(check int) "every occurrence counted" 120
+    (Event_graph.node g "W").Event_graph.occurrences;
+  Alcotest.(check int) "every edge counted" 119 (Event_graph.total_weight g);
+  (* re-optimization waits for min_trace new occurrences *)
+  for _ = 1 to 99 do
+    raise_w ();
+    ignore (Adaptive.tick ctl)
+  done;
+  Alcotest.(check int) "not before min_trace" 0 (Adaptive.reoptimizations ctl);
+  raise_w ();
+  ignore (Adaptive.tick ctl);
+  Alcotest.(check int) "at min_trace" 1 (Adaptive.reoptimizations ctl);
+  Alcotest.(check int) "both windows absorbed" 220 (Adaptive.profile_trace_entries ctl)
 
 let test_adaptive_preserves_behaviour () =
   let rt1 = adaptive_setup () in
@@ -242,6 +256,6 @@ let suite =
     Alcotest.test_case "defer cheaper" `Quick test_defer_cheaper_than_generic;
     Alcotest.test_case "adaptive reoptimizes" `Quick test_adaptive_reoptimizes_after_rebind;
     Alcotest.test_case "adaptive preserves" `Quick test_adaptive_preserves_behaviour;
-    Alcotest.test_case "adaptive retains trace history" `Quick
-      test_adaptive_retains_trace_history;
+    Alcotest.test_case "adaptive absorbs overflow" `Quick
+      test_adaptive_absorbs_overflowing_window;
   ]

@@ -183,22 +183,48 @@ let test_link_loss_rate () =
     (List.length (Runtime.emits rt))
 
 let test_link_jitter_varies_delay () =
-  let rt = mk_receiver () in
-  Trace.enable_events rt.Runtime.trace;
-  let link = Link.create ~latency:10 ~jitter:50 ~seed:3L () in
+  (* free dispatch: each delivery's clock is exactly its send time (0)
+     plus the link delay *)
+  let costs =
+    {
+      Costs.registry_lookup = 0;
+      lock = 0;
+      lock_merged = 0;
+      marshal_base = 0;
+      marshal_per_byte = 0;
+      unmarshal_base = 0;
+      unmarshal_per_byte = 0;
+      indirect_call = 0;
+      direct_call = 0;
+      guard_check = 0;
+      enqueue = 0;
+      interp_step = 0;
+      compiled_step = 0;
+    }
+  in
+  let rt =
+    Runtime.create ~costs ~program:(Parse.program "handler rx(w) { emit(\"rx\", w); }") ()
+  in
+  Runtime.bind rt ~event:"Deliver" (Handler.hir' "rx");
+  let times = ref [] in
+  Runtime.on_emit rt (fun _ _ -> times := Runtime.now rt :: !times);
+  let latency = 10 and jitter = 50 in
+  let link = Link.create ~latency ~jitter ~seed:3L () in
   for i = 1 to 20 do
     Link.send link rt ~deliver_event:(Link.raise_timed "Deliver")
       (Packet.make ~src:"a" ~dst:"b" ~seq:i (Bytes.of_string "x"))
   done;
   Runtime.run rt;
-  (* with jitter, deliveries spread over distinct times *)
-  let times =
-    List.filter_map
-      (function Trace.Event_raised _ -> None | Trace.Dispatch_begin _ -> None | _ -> None)
-      (Trace.entries rt.Runtime.trace)
-  in
-  ignore times;
-  Alcotest.(check int) "all delivered" 20 (List.length (Runtime.emits rt))
+  Alcotest.(check int) "all delivered" 20 (List.length !times);
+  List.iter
+    (fun t ->
+      if t < latency || t >= latency + jitter then
+        Alcotest.failf "delivered at %d, outside [%d, %d)" t latency (latency + jitter))
+    !times;
+  let distinct = List.length (List.sort_uniq compare !times) in
+  Alcotest.(check bool)
+    (Printf.sprintf "deliveries spread over %d distinct times" distinct)
+    true (distinct >= 2)
 
 (* --- attempt counting ----------------------------------------------- *)
 

@@ -24,20 +24,19 @@ module Diff = Podopt.Replay_diff
 
 (* --- the printed form --------------------------------------------------- *)
 
-(* A deferred profile: a cumulative graph, a live window on top of it,
-   and signatures for two of its three events plus one it never saw. *)
+(* A deferred profile: a cumulative graph with a live window merged on
+   top of it, and signatures for two of its three events plus one it
+   never saw. *)
 let sample_profile () =
-  let trace = Trace.create () in
-  Trace.enable_events trace;
-  List.iteri
-    (fun i (event, mode, depth) ->
-      Trace.record_event trace ~event ~mode ~time:i ~depth)
-    [ ("EvA", Ast.Async, 0); ("EvB", Ast.Sync, 1); ("EvC", Ast.Sync, 1) ];
   {
     Recover.graph =
-      Event_graph.build
-        [ ("EvA", Ast.Async); ("EvB", Ast.Sync); ("EvA", Ast.Async); ("EvB", Ast.Sync) ];
-    window = trace.Trace.entries;
+      Event_graph.merge_all
+        [
+          Event_graph.build
+            [ ("EvA", Ast.Async); ("EvB", Ast.Sync); ("EvA", Ast.Async); ("EvB", Ast.Sync) ];
+          Event_graph.build_seq
+            [ ("EvA", Ast.Async, 0); ("EvB", Ast.Sync, 1); ("EvC", Ast.Sync, 1) ];
+        ];
     trace_entries = 7;
     dispatched = 5;
     threshold = 1;
@@ -217,17 +216,19 @@ let test_restore_twice () =
 
 (* --- the deferred profile ----------------------------------------------- *)
 
-(* A capture keeps the live trace window by reference: its allocation
-   must not grow with the window (an eager fold allocates at least 3
-   words per entry). *)
+(* A capture merges the live window's counters: its allocation must not
+   grow with the window's length (a fold over a trace list allocates at
+   least 3 words per entry). *)
 let test_capture_cost_flat () =
   let s = busy_shard () in
-  let trace = s.B.Shard.rt.Runtime.trace in
+  let rt = s.B.Shard.rt in
+  let trace = rt.Runtime.trace in
   Trace.clear trace;
+  let probe = Runtime.event rt "Probe" in
   let grow_to n =
-    while Trace.length trace < n do
-      Trace.record_event trace ~event:"Probe" ~mode:Ast.Async
-        ~time:(Trace.length trace) ~depth:0
+    while Trace.occurrences trace < n do
+      Trace.record_event trace probe ~mode:Ast.Async ~time:(Trace.occurrences trace)
+        ~depth:0
     done
   in
   let words () =
