@@ -109,7 +109,9 @@ let now t = Vclock.now t.front.clock
 let register t ~id ~nack = Hashtbl.replace t.nacks id nack
 
 (* One session lookup per packet: the router runs only for a session
-   not seen since the last reset, and its (pure) answer is cached. *)
+   not seen since the last reset, and its (pure) answer is cached.  The
+   shard's session count counts that table's entries, so, like the
+   table, it survives the shard's kills. *)
 let route t (pkt : Packet.t) =
   let src = pkt.Packet.src in
   let idx =

@@ -233,7 +233,8 @@ val checkpoints_taken : t -> int
 
 (** Post-recovery warm ramp, summed over shards: the dispatch-path
     split of the first non-empty batch of new traffic after each
-    recovery.  A warm restart shows [ramp_optimized > 0]. *)
+    recovery.  A restart reinstalls the super-handlers its checkpoint
+    recorded, so the ramp splits as the kill-free run's batches do. *)
 val ramp_optimized : t -> int
 
 val ramp_generic : t -> int

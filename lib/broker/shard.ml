@@ -325,8 +325,9 @@ let drain_batch t ~now ~batch =
     end;
     (* the post-recovery ramp observable: how the first non-empty batch
        after a supervised restart split between the dispatch paths.  A
-       warm restart (super-handlers reinstalled from the checkpointed
-       profile) serves it optimized; a cold one would serve it generic. *)
+       restart reinstalls the super-handlers the checkpoint recorded, so
+       it serves the batch as the live shard would have; a cold one
+       would serve it generic. *)
     if t.recov.ramp_pending then begin
       t.recov.ramp_pending <- false;
       t.recov.ramp_optimized <-
@@ -441,31 +442,32 @@ let warm_stale t = t.warm_stale
 let first_epoch_optimized t = t.stats.first_epoch_optimized
 let first_epoch_generic t = t.stats.first_epoch_generic
 
-(* The inputs of the shard's cumulative profile: a copy of the adaptive
-   controller's cumulative graph with the live window merged in, and the
-   binding signature of every bound event.  [None] for generic
-   shards. *)
+(* The inputs of the shard's cumulative profile: the adaptive
+   controller as [Adaptive.save] copies it (its graph, live window and
+   installed plan), a copy of the breaker, and the binding signature of
+   every bound event.  [None] for generic shards. *)
 let profile_inputs t =
-  Option.map
-    (fun a ->
-      let rt = t.rt in
-      let signatures =
-        Registry.events_with_bindings rt.Runtime.registry rt.Runtime.events
-        |> List.map (fun (ev : Event.t) ->
-               ( ev.Event.name,
-                 List.map
-                   (fun (h : Handler.t) -> h.Handler.name)
-                   (Registry.handlers rt.Runtime.registry ev) ))
-        |> List.sort compare
-      in
+  match (t.adaptive, t.breaker) with
+  | Some a, Some b ->
+    let rt = t.rt in
+    let signatures =
+      Registry.events_with_bindings rt.Runtime.registry rt.Runtime.events
+      |> List.map (fun (ev : Event.t) ->
+             ( ev.Event.name,
+               List.map
+                 (fun (h : Handler.t) -> h.Handler.name)
+                 (Registry.handlers rt.Runtime.registry ev) ))
+      |> List.sort compare
+    in
+    Some
       {
-        Recover.graph = Adaptive.cumulative_profile a;
-        trace_entries = Adaptive.profile_trace_entries a;
+        Recover.adaptive = Adaptive.save a;
+        breaker = Breaker.copy b;
         dispatched = t.stats.dispatched;
         threshold = (Adaptive.policy a).Adaptive.threshold;
         signatures;
-      })
-    t.adaptive
+      }
+  | _ -> None
 
 (* The shard's cumulative profile (the adaptive controller's graph,
    chains at the controller's own threshold, and the live binding
@@ -581,7 +583,8 @@ let checkpoint t ~epoch = Recover.to_string (capture t ~epoch)
    rebuild the core exactly as [create] wired it.  The fault injector
    survives (its crash/spike streams are rewound by [restore]; its kill
    stream belongs to the environment), and so do the recovery counters
-   — they count the kills, so the kill must not erase them. *)
+   — they count the kills, so the kill must not erase them — and the
+   session count, which counts the broker's session table. *)
 let kill t =
   let inst, rt, ingress, adaptive, breaker, metrics =
     wire_core ~kind:t.kind ~optimize:t.optimize ~compile:t.compile
@@ -605,21 +608,18 @@ let kill t =
   t.stats.first_epoch_optimized <- 0;
   t.stats.first_epoch_generic <- 0;
   t.stats.first_epoch_seen <- false;
-  t.sessions <- 0;
   t.recov.kills <- t.recov.kills + 1
 
 (* Load a checkpoint into a freshly [kill]ed shard.  The shard gets
    its own copies of the snapshot's buffers: the same snapshot is
    restored again at the next kill unless a checkpoint replaces it.
-   Ordering matters:
-
-   - counters are applied before the warm start (the adaptive
-     controller baselines its fallback counter against them) and again
-     after it (the warm start's installs may bump counters a kill-free
-     run never saw at this point);
-   - the virtual clock is pinned last, absorbing any install costs the
-     warm start charged, so the shard resumes at exactly the
-     checkpointed time. *)
+   The optimizer comes back as it was: the adaptive controller's
+   cumulative graph, live window and installed plan
+   ([Adaptive.restore]), and the breaker's window and state, so the
+   shard serves, trips and re-optimizes exactly as the live one would
+   have.  Counters are applied first, since the controller's fallback
+   baseline counts from them, and the virtual clock is pinned last, so
+   the shard resumes at exactly the checkpointed time. *)
 let restore t (snap : Recover.snapshot) =
   if snap.Recover.shard <> t.id then
     invalid_arg
@@ -631,7 +631,6 @@ let restore t (snap : Recover.snapshot) =
          snap.Recover.kind
          (Workload.kind_to_string t.kind));
   let snap = Recover.copy snap in
-  t.sessions <- snap.Recover.sessions;
   List.iter
     (fun (name, v) -> Runtime.set_global t.rt name v)
     snap.Recover.globals;
@@ -645,14 +644,10 @@ let restore t (snap : Recover.snapshot) =
    | Some inj -> Plan.set_stream_states inj snap.Recover.streams
    | None -> ());
   (match (t.adaptive, snap.Recover.profile) with
-   | Some a, Some p -> (
-     match Recover.merged p with
-     | Some (graph, signatures) ->
-       Adaptive.absorb_graph a ~graph ~trace_entries:p.Recover.trace_entries;
-       ignore (Adaptive.warm_start a ~graph ~signatures)
-     | None -> ())
+   | Some a, Some p ->
+     Adaptive.restore a p.Recover.adaptive;
+     t.breaker <- Some (Breaker.copy p.Recover.breaker)
    | _ -> ());
-  apply_counters t snap.Recover.counters;
   Vclock.set t.rt.Runtime.clock snap.Recover.clock;
   t.recov.recoveries <- t.recov.recoveries + 1
 

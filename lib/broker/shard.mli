@@ -84,7 +84,11 @@ type t = {
       (** stored-profile events the warm start rejected as stale *)
   stats : stats;
   recov : recov;
-  mutable sessions : int;  (** distinct sessions routed here *)
+  mutable sessions : int;
+      (** distinct sessions routed here: the broker counts a session on
+          its first packet, when it enters the broker's session table.
+          Like that table, the count survives kills; a reset zeroes
+          both. *)
   mutable faults : Podopt_faults.Plan.t option;
   max_failures : int;  (** consecutive failures before quarantine *)
   dead_limit : int;    (** dead-letter queue bound *)
@@ -239,14 +243,16 @@ val breaker_trips : t -> int
 
 (** Capture the shard's full live state — named counters, runtime
     globals, ingress queue and stats, retry table, dead letters,
-    crash/spike stream positions, and the cumulative adaptive profile
-    — as one immutable {!Podopt_recover.Recover} snapshot, and count it
+    crash/spike stream positions, the adaptive controller
+    ({!Podopt_optimize.Adaptive.save}: its cumulative graph, live
+    window and installed plan) and the breaker — as one immutable
+    {!Podopt_recover.Recover} snapshot, and count it
     in [recov.checkpoints].  The snapshot holds its own copies of every
-    [bytes] (global [Bytes] values, queued and dead payloads) and of the
-    controller's cumulative graph with the live window's counters merged
-    in (O(distinct edges)); it shares only immutable data with the
-    shard, such as strings.  The profile is deferred — no graph reduced,
-    no chain searched — until {!restore} or the printed form needs it.
+    [bytes] (global [Bytes] values, queued and dead payloads), of the
+    controller's graph and window (O(distinct edges)) and of the
+    breaker; it shares only immutable data with the shard, such as
+    strings.  The profile is deferred — no graph reduced, no chain
+    searched — until the printed form or a store entry needs it.
     Metrics histograms are not captured: a recovery rebuilds their
     post-checkpoint window from the journal replay, and the earlier
     window is a diagnostics loss outside the determinism invariant. *)
@@ -259,17 +265,20 @@ val checkpoint : t -> epoch:int -> string
 
 (** Simulated crash: replace the runtime, ingress queue, adaptive
     controller, breaker, and metrics with freshly wired ones and clear
-    the retry table, dead letters, counters, and session count.  The
-    fault injector and the [recov] counters survive. *)
+    the retry table, dead letters and counters.  The fault injector,
+    the [recov] counters and the session count survive. *)
 val kill : t -> unit
 
 (** Load a snapshot into a freshly {!kill}ed shard: restores counters,
     globals, queue, retries, dead letters and crash/spike stream
     positions from fresh copies (the snapshot stays intact for the next
-    kill), absorbs the deferred profile and warm-starts super-handlers
-    from it, then pins the virtual clock to the checkpointed time.
-    Raises [Invalid_argument] when the snapshot belongs to another
-    shard or workload kind — a broker bug. *)
+    kill), restores the adaptive controller
+    ({!Podopt_optimize.Adaptive.restore}: graph, live window, installed
+    plan) and a copy of the breaker, so the shard optimizes, trips and
+    re-optimizes exactly as it would have without the kill, then pins
+    the virtual clock to the checkpointed time.  Raises
+    [Invalid_argument] when the snapshot belongs to another shard or
+    workload kind — a broker bug. *)
 val restore : t -> Podopt_recover.Recover.snapshot -> unit
 
 (** Account [redelivered] journal ops and arm the ramp capture: the

@@ -220,6 +220,60 @@ let iter_edges t f =
     f t.names.(slot / t.cap) t.names.(slot mod t.cap) (counts t.edges (width * slot))
   done
 
+(* --- saving and loading the window -------------------------------------- *)
+
+type window = {
+  window_nodes : (string * counts) list;
+  window_edges : (string * string * counts) list;
+  window_prev : string option;
+  window_occurrences : int;
+}
+
+let save t =
+  let nodes = ref [] and edges = ref [] in
+  iter_nodes t (fun name c -> nodes := (name, c) :: !nodes);
+  iter_edges t (fun src dst c -> edges := (src, dst, c) :: !edges);
+  {
+    window_nodes = List.rev !nodes;
+    window_edges = List.rev !edges;
+    window_prev = (if t.prev < 0 then None else Some t.names.(t.prev));
+    window_occurrences = t.occurrences;
+  }
+
+(* Names are interned afresh: the runtime the window is loaded into may
+   have given them other ids.  Interning an id past the tables grows
+   them (moving the edges loaded so far), so an edge's slot is computed
+   only once both of its ids are covered. *)
+let load t ~intern (w : window) =
+  clear t;
+  let id name =
+    let ev : Event.t = intern name in
+    if ev.Event.id >= t.cap then grow t ev.Event.id;
+    ev
+  in
+  let set a i (c : counts) =
+    a.(i) <- c.total;
+    a.(i + 1) <- c.sync;
+    a.(i + 2) <- c.async;
+    a.(i + 3) <- c.timed
+  in
+  List.iter
+    (fun (name, c) ->
+      let ev = id name in
+      first_occurrence t ev;
+      set t.nodes (width * ev.Event.id) c)
+    w.window_nodes;
+  List.iter
+    (fun (src, dst, c) ->
+      let s = (id src).Event.id in
+      let d = (id dst).Event.id in
+      let slot = (s * t.cap) + d in
+      first_traversal t slot;
+      set t.edges (width * slot) c)
+    w.window_edges;
+  t.prev <- (match w.window_prev with Some name -> (id name).Event.id | None -> -1);
+  t.occurrences <- w.window_occurrences
+
 (* --- reading the log ---------------------------------------------------- *)
 
 (* Entries in chronological order. *)

@@ -88,6 +88,29 @@ val iter_nodes : t -> (string -> counts -> unit) -> unit
 (** The window's [(src, dst)] edges, in order of first traversal. *)
 val iter_edges : t -> (string -> string -> counts -> unit) -> unit
 
+(** {1 Saving the window} *)
+
+(** An immutable copy of the window: its counters, in the orders
+    {!iter_nodes} and {!iter_edges} visit them, its last occurrence
+    ([None] in an empty window, so the next occurrence adds no edge) and
+    its occurrence count. *)
+type window = {
+  window_nodes : (string * counts) list;
+  window_edges : (string * string * counts) list;
+  window_prev : string option;
+  window_occurrences : int;
+}
+
+(** Copy the window out: O(events and edges it saw), however many
+    occurrences it counts. *)
+val save : t -> window
+
+(** Make a saved window the live one, interning its event names with
+    [intern] (the runtime's table, whose ids may differ from the saving
+    runtime's).  The entry log is emptied, as by {!clear}.  The trace
+    then records on exactly as the saving trace would have. *)
+val load : t -> intern:(string -> Event.t) -> window -> unit
+
 (** {1 Reading the log} *)
 
 (** Entries in chronological order. *)

@@ -69,6 +69,7 @@ type t = {
   mutable reoptimizations : int;
   mutable warm_installed : int;  (* super-handlers installed by warm_start *)
   mutable warm_stale : int;      (* profile events warm_start rejected *)
+  mutable plan : Plan.t option;  (* the plan last installed *)
 }
 
 (* Create the controller and turn on event counting, without the entry
@@ -87,6 +88,7 @@ let create ?(policy = default_policy) (rt : Runtime.t) : t =
     reoptimizations = 0;
     warm_installed = 0;
     warm_stale = 0;
+    plan = None;
   }
 
 let policy (t : t) = t.policy
@@ -117,6 +119,22 @@ let absorb_trace (t : t) =
   end;
   Trace.clear trace
 
+(* Install [plan] and re-baseline the fallback counter against the
+   runtime's current one, so only fallbacks after the install count
+   toward the next re-optimization. *)
+let install (t : t) (plan : Plan.t) : Driver.applied =
+  let applied = Driver.apply ~compile:t.policy.compile t.rt plan in
+  t.fallbacks_at_last_opt <-
+    t.rt.Runtime.stats.Runtime.fallbacks
+    + t.rt.Runtime.stats.Runtime.segment_fallbacks;
+  t.plan <- Some plan;
+  applied
+
+(* The plan last installed, while anything is installed: a breaker trip
+   that uninstalled every super-handler leaves nothing to report. *)
+let installed_plan (t : t) =
+  if Runtime.optimized_events t.rt = [] then None else t.plan
+
 (* Re-analyze from the live window and reinstall.  Returns the applied
    report when a re-optimization happened. *)
 let reoptimize (t : t) : Driver.applied option =
@@ -125,10 +143,7 @@ let reoptimize (t : t) : Driver.applied option =
   in
   if plan.Plan.actions = [] then None
   else begin
-    let applied = Driver.apply ~compile:t.policy.compile t.rt plan in
-    t.fallbacks_at_last_opt <-
-      t.rt.Runtime.stats.Runtime.fallbacks
-      + t.rt.Runtime.stats.Runtime.segment_fallbacks;
+    let applied = install t plan in
     t.reoptimizations <- t.reoptimizations + 1;
     absorb_trace t;
     Some applied
@@ -145,28 +160,49 @@ let tick (t : t) : Driver.applied option =
 
 let reoptimizations (t : t) = t.reoptimizations
 
-(* --- the persistent-profile surface ------------------------------------ *)
+(* --- the persistent profile and crash recovery --------------------------- *)
 
-(* Every absorbed window plus the live one, as a fresh graph.  The live
-   window is merged, not shared: it is counters the runtime keeps
-   bumping, and its graph costs O(distinct edges) to build. *)
-let cumulative_profile (t : t) : Event_graph.t =
-  let g = Event_graph.merge_all [ t.profile ] in
-  Event_graph.merge_trace ~into:g t.rt.Runtime.trace;
-  g
+type saved = {
+  absorbed : Event_graph.t;     (* a copy of [profile] *)
+  absorbed_entries : int;       (* [trace_seen] *)
+  window : Trace.window;        (* the live window *)
+  fallback_baseline : int;      (* [fallbacks_at_last_opt] *)
+  plan : Plan.t option;         (* [installed_plan] *)
+}
+
+let save (t : t) : saved =
+  {
+    absorbed = Event_graph.merge_all [ t.profile ];
+    absorbed_entries = t.trace_seen;
+    window = Trace.save t.rt.Runtime.trace;
+    fallback_baseline = t.fallbacks_at_last_opt;
+    plan = installed_plan t;
+  }
+
+(* Every absorbed window plus the live one, merged into a fresh graph,
+   and the occurrences they count. *)
+let saved_profile (s : saved) =
+  let g = Event_graph.merge_all [ s.absorbed ] in
+  Event_graph.merge_window ~into:g s.window;
+  (g, s.absorbed_entries + s.window.Trace.window_occurrences)
+
+let cumulative_profile (t : t) = fst (saved_profile (save t))
 
 let profile_trace_entries (t : t) =
   t.trace_seen + Trace.occurrences t.rt.Runtime.trace
 
-(* Crash-recovery restore: fold a checkpointed profile graph back into
-   the cumulative profile, crediting the occurrences it summarizes.
-   The checkpointed graph already contains every window the dead
-   controller absorbed plus its live window, so a freshly created
-   controller that absorbs it resumes profiling where the dead one
-   stopped. *)
-let absorb_graph (t : t) ~(graph : Event_graph.t) ~trace_entries =
-  Event_graph.merge_into ~into:t.profile graph;
-  t.trace_seen <- t.trace_seen + Stdlib.max 0 trace_entries
+(* Put a dead controller's state into a fresh one.  Every decision the
+   controller makes reads the live window (when to re-optimize, what to
+   install) or the installed plan, so a restore that loads both decides
+   exactly as the dead controller would have; re-planning from the
+   cumulative graph would not: a graph recorded while super-handlers
+   ran no longer shows the chains they subsume. *)
+let restore (t : t) (s : saved) =
+  Event_graph.merge_into ~into:t.profile s.absorbed;
+  t.trace_seen <- t.trace_seen + s.absorbed_entries;
+  Trace.load t.rt.Runtime.trace ~intern:(Runtime.event t.rt) s.window;
+  Option.iter (fun plan -> ignore (install t plan)) s.plan;
+  t.fallbacks_at_last_opt <- s.fallback_baseline
 
 (* Ordered handler names bound to [event] right now — the binding
    signature a stored profile is checked against. *)
@@ -217,12 +253,7 @@ let warm_start (t : t) ~(graph : Event_graph.t)
   t.warm_stale <- t.warm_stale + stale_events;
   if actions = [] then { installed = 0; stale_events }
   else begin
-    let applied =
-      Driver.apply ~compile:t.policy.compile t.rt { plan with Plan.actions }
-    in
-    t.fallbacks_at_last_opt <-
-      t.rt.Runtime.stats.Runtime.fallbacks
-      + t.rt.Runtime.stats.Runtime.segment_fallbacks;
+    let applied = install t { plan with Plan.actions } in
     let installed = List.length applied.Driver.installed in
     t.warm_installed <- t.warm_installed + installed;
     { installed; stale_events }

@@ -11,7 +11,13 @@
     reset, after each re-optimization and whenever it passes
     [max_trace]; that graph is what a {!Podopt_store} profile store
     persists, and {!warm_start} is the inverse: install super-handlers
-    from a stored profile before the first event arrives. *)
+    from a stored profile before the first event arrives.
+
+    A crash-recovery checkpoint {!save}s the controller whole: the
+    cumulative graph, the live window and the plan it last installed,
+    so {!restore} brings a killed shard back in the state it was in,
+    instead of re-planning from a profile that, recorded while
+    super-handlers ran, no longer shows the chains they subsume. *)
 
 open Podopt_eventsys
 
@@ -63,12 +69,45 @@ val cumulative_profile : t -> Podopt_profile.Event_graph.t
 (** Occurrences represented in {!cumulative_profile}. *)
 val profile_trace_entries : t -> int
 
-(** Fold a checkpointed profile graph (a {!cumulative_profile}) back
-    into the cumulative profile, crediting [trace_entries] toward
-    {!profile_trace_entries} — the crash-recovery inverse of a
-    checkpoint capture. *)
-val absorb_graph :
-  t -> graph:Podopt_profile.Event_graph.t -> trace_entries:int -> unit
+(** {1 Crash recovery} *)
+
+(** A controller's state as a checkpoint keeps it.  The graph is a
+    copy, so it shares nothing mutable with the controller, and
+    {!restore} only reads it. *)
+type saved = {
+  absorbed : Podopt_profile.Event_graph.t;
+      (** a copy of every window absorbed so far *)
+  absorbed_entries : int;  (** occurrences [absorbed] counts *)
+  window : Trace.window;   (** the live window *)
+  fallback_baseline : int;
+      (** the runtime fallback count the next re-optimization counts
+          from *)
+  plan : Plan.t option;
+      (** the plan installed last, while the runtime has any
+          super-handler installed: [None] before the first install and
+          once a breaker trip has uninstalled them all.  A plan does not
+          uninstall what an earlier one installed, so after a
+          fallback-driven re-optimization entries of the earlier plan
+          can outlive it; the broker's workloads never rebind, so there
+          the plan is everything installed. *)
+}
+
+(** O(distinct events and edges), however long the window. *)
+val save : t -> saved
+
+(** The cumulative profile a saved state holds, as a fresh graph, and
+    the occurrences it counts: [saved_profile (save t)] is
+    [(cumulative_profile t, profile_trace_entries t)]. *)
+val saved_profile : saved -> Podopt_profile.Event_graph.t * int
+
+(** Load a {!save}d state into a freshly created controller on a fresh
+    runtime whose counters already hold the saved shard's: fold
+    [absorbed] into the cumulative profile, make [window] the live
+    window, reinstall [plan] and restore the fallback baseline.  The
+    controller then decides exactly as the saved one would have.  It
+    does not re-plan from the profile: a profile recorded while
+    super-handlers ran no longer shows the chains they subsume. *)
+val restore : t -> saved -> unit
 
 type warm = {
   installed : int;

@@ -93,3 +93,5 @@ let trips t = t.trips
 let reset_measurements t =
   t.trips <- 0;
   clear_window t
+
+let copy t = { t with ring = Array.copy t.ring }

@@ -49,3 +49,8 @@ val trips : t -> int
     machine position (the measurement boundary must not close an open
     breaker). *)
 val reset_measurements : t -> unit
+
+(** An independent copy: its window, state machine position and trip
+    count, none of it shared.  A checkpoint keeps one, and a restore
+    puts a copy of that back. *)
+val copy : t -> t

@@ -97,23 +97,32 @@ let build_seq (sequence : (string * Ast.mode * int) list) : t =
 let build (sequence : (string * Ast.mode) list) : t =
   build_seq (List.map (fun (e, m) -> (e, m, 1)) sequence)
 
+let add_node_counts into name (c : Trace.counts) =
+  let n = node into name in
+  n.occurrences <- n.occurrences + c.total;
+  n.raised_sync <- n.raised_sync + c.sync;
+  n.raised_async <- n.raised_async + c.async;
+  n.raised_timed <- n.raised_timed + c.timed
+
+let add_edge_counts into src dst (c : Trace.counts) =
+  let e = edge into ~src ~dst in
+  e.weight <- e.weight + c.total;
+  e.sync <- e.sync + c.sync;
+  e.async <- e.async + c.async;
+  e.timed <- e.timed + c.timed
+
 (* Add the trace's window counters, visiting events in order of first
    occurrence and then edges in order of first traversal: on an empty
    graph, the order [build_seq] inserts them when folding the same
    occurrences. *)
 let merge_trace ~into (trace : Trace.t) =
-  Trace.iter_nodes trace (fun name (c : Trace.counts) ->
-      let n = node into name in
-      n.occurrences <- n.occurrences + c.total;
-      n.raised_sync <- n.raised_sync + c.sync;
-      n.raised_async <- n.raised_async + c.async;
-      n.raised_timed <- n.raised_timed + c.timed);
-  Trace.iter_edges trace (fun src dst (c : Trace.counts) ->
-      let e = edge into ~src ~dst in
-      e.weight <- e.weight + c.total;
-      e.sync <- e.sync + c.sync;
-      e.async <- e.async + c.async;
-      e.timed <- e.timed + c.timed)
+  Trace.iter_nodes trace (add_node_counts into);
+  Trace.iter_edges trace (add_edge_counts into)
+
+(* A saved window keeps the same orders. *)
+let merge_window ~into (w : Trace.window) =
+  List.iter (fun (name, c) -> add_node_counts into name c) w.Trace.window_nodes;
+  List.iter (fun (src, dst, c) -> add_edge_counts into src dst c) w.Trace.window_edges
 
 let of_trace trace =
   let t = create () in

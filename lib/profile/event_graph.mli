@@ -58,6 +58,9 @@ val of_trace : Podopt_eventsys.Trace.t -> t
     (of_trace trace)], without building the window's graph. *)
 val merge_trace : into:t -> Podopt_eventsys.Trace.t -> unit
 
+(** {!merge_trace} of a saved window. *)
+val merge_window : into:t -> Podopt_eventsys.Trace.window -> unit
+
 (** Accumulate [src]'s node and edge counters into [into].  Counter
     addition is associative and commutative, so merging graphs from
     several runs or shards is order-independent. *)

@@ -9,13 +9,14 @@
    payloads) and [copy] copies them out again, because one snapshot is
    restored once per kill until the next checkpoint.
 
-   The profile is deferred: a snapshot keeps a copy of the adaptive
-   controller's cumulative graph with the live window's counters merged
-   in (O(distinct edges), whatever the window's length), the occurrence
-   and dispatch counts, and the binding signature of every bound event.
-   Only a restore or the printed form pairs the graph with its
-   signatures ([merged]), so a checkpoint costs no reduction and no
-   chain search.
+   The profile is deferred: a snapshot keeps the adaptive controller as
+   [Adaptive.save] copies it (the cumulative graph, the live window's
+   counters and the plan the shard had installed, O(distinct edges)
+   whatever the window's length), a copy of the breaker, the dispatch
+   count, and the binding signature of every bound event.  A restore
+   loads the controller and the breaker back as they were.  Only a store entry and the printed form merge the
+   window into the graph and pair it with its signatures ([merged]),
+   so a checkpoint costs no reduction and no chain search.
 
    The printed form ([to_string]) is a line format whose bytes must
    stay stable, because the wall-clock benchmark times and sizes it;
@@ -50,10 +51,11 @@ module Value = Podopt_hir.Value
 module Event_graph = Podopt_profile.Event_graph
 module Reduce = Podopt_profile.Reduce
 module Chains = Podopt_profile.Chains
+module Adaptive = Podopt_optimize.Adaptive
 
 type profile = {
-  graph : Event_graph.t;       (* cumulative graph + live window, a copy *)
-  trace_entries : int;         (* occurrences the graph counts *)
+  adaptive : Adaptive.saved;   (* the controller, window and plan included *)
+  breaker : Podopt_optimize.Breaker.t;  (* a copy nothing mutates *)
   dispatched : int;            (* ops the shard had served *)
   threshold : int;             (* the controller's chain threshold *)
   signatures : (string * string list) list;  (* bound events, sorted *)
@@ -64,7 +66,7 @@ type snapshot = {
   epoch : int;                  (* epoch the checkpoint was taken at *)
   kind : string;                (* workload kind, e.g. "seccomm" *)
   clock : int;                  (* shard virtual clock *)
-  sessions : int;               (* sessions routed to the shard so far *)
+  sessions : int;               (* routed so far; printed, never restored *)
   counters : (string * int) list;        (* sorted by name *)
   globals : (string * Value.t) list;     (* sorted by name *)
   queue : (int * Packet.t) list;         (* (due, op) in pop order *)
@@ -115,27 +117,29 @@ let make ~shard ~epoch ~kind ~clock ~sessions ~counters ~globals ~queue ~retries
 
 (* --- the deferred profile ----------------------------------------------- *)
 
-(* Everything the profile saw — the graph, whose window was merged at
-   capture — with each node's binding signature ([[]] for an unbound
-   event), nodes sorted.  [None] when nothing was observed. *)
+(* Everything the profile saw — the absorbed windows and the live one,
+   merged into a fresh graph — with the occurrences it counts and each
+   node's binding signature ([[]] for an unbound event), nodes sorted.
+   [None] when nothing was observed. *)
 let merged (p : profile) =
-  if Event_graph.node_count p.graph = 0 then None
+  let graph, trace_entries = Adaptive.saved_profile p.adaptive in
+  if Event_graph.node_count graph = 0 then None
   else
     let signatures =
-      Event_graph.nodes p.graph
+      Event_graph.nodes graph
       |> List.map (fun (n : Event_graph.node) -> n.Event_graph.name)
       |> List.sort compare
       |> List.map (fun ev ->
              (ev, Option.value ~default:[] (List.assoc_opt ev p.signatures)))
     in
-    Some (p.graph, signatures)
+    Some (graph, trace_entries, signatures)
 
 let profile_entry ~kind ~shard (p : profile) =
   Option.map
-    (fun (graph, handlers) ->
+    (fun (graph, trace_entries, handlers) ->
       let chains = Chains.find (Reduce.reduce graph ~threshold:p.threshold) in
-      Store.make_entry ~kind ~shard ~dispatched:p.dispatched
-        ~trace_entries:p.trace_entries ~graph ~chains ~handlers ())
+      Store.make_entry ~kind ~shard ~dispatched:p.dispatched ~trace_entries ~graph
+        ~chains ~handlers ())
     (merged p)
 
 (* --- the printed form --------------------------------------------------- *)

@@ -10,24 +10,29 @@
     A snapshot is an immutable value that never shares a mutable buffer
     with a live shard ({!make} copies buffers in, {!copy} copies them
     out), so the broker keeps it as is: nothing is serialized on the
-    recovery path.  An optimizing shard's adaptive profile travels as
-    one graph: the controller's cumulative graph with the live trace
-    window's counters merged in at capture, so no trace is kept or
-    folded.  {!to_string} prints it in a byte-stable line format, for
-    measuring. *)
+    recovery path.  An optimizing shard's adaptive controller travels
+    as {!Podopt_optimize.Adaptive.save} copies it: the cumulative
+    graph, the live trace window's counters and the optimization plan
+    the shard had installed, so no trace is kept or folded, and a
+    restore brings the controller back as it was instead of re-planning
+    from a graph that, recorded while super-handlers ran, no longer
+    shows the chains they subsume.  {!to_string} prints the snapshot in
+    a byte-stable line format, for measuring; the plan is not
+    printed. *)
 
 module Packet = Podopt_net.Packet
 module Value = Podopt_hir.Value
 
-(** The deferred adaptive profile: the shard's cumulative graph and the
-    inputs its store entry is built from, kept instead of the entry so
-    that a capture runs no reduction and no chain search.  {!merged}
-    pairs the graph with its signatures. *)
+(** The deferred adaptive profile: the shard's adaptive controller and
+    the inputs its store entry is built from, kept instead of the entry
+    so that a capture runs no reduction and no chain search. *)
 type profile = {
-  graph : Podopt_profile.Event_graph.t;
-      (** a copy of the controller's cumulative graph, the live window's
-          counters merged in at capture *)
-  trace_entries : int;  (** occurrences the graph counts *)
+  adaptive : Podopt_optimize.Adaptive.saved;
+      (** the controller's cumulative graph, live window and installed
+          plan *)
+  breaker : Podopt_optimize.Breaker.t;
+      (** a {!Podopt_optimize.Breaker.copy} of the shard's breaker; a
+          restore installs a copy of it, so nothing mutates this one *)
   dispatched : int;     (** ops the shard had served *)
   threshold : int;      (** the controller's chain threshold *)
   signatures : (string * string list) list;
@@ -39,7 +44,9 @@ type snapshot = {
   epoch : int;                  (** epoch the checkpoint was taken at *)
   kind : string;                (** workload kind, e.g. ["seccomm"] *)
   clock : int;                  (** shard virtual clock *)
-  sessions : int;               (** sessions routed to the shard so far *)
+  sessions : int;
+      (** sessions routed to the shard so far; printed only, since the
+          live count survives kills and a restore keeps it *)
   counters : (string * int) list;        (** named counters, sorted *)
   globals : (string * Value.t) list;     (** runtime globals, sorted *)
   queue : (int * Packet.t) list;         (** (due, op) in pop order *)
@@ -63,15 +70,10 @@ val make :
     a restore loads, so the live shard can mutate them. *)
 val copy : snapshot -> snapshot
 
-(** The profile's graph (shared, not copied: nothing mutates it) with
-    each node's binding signature ([[]] for an unbound event), nodes
-    sorted.  [None] when nothing was observed. *)
-val merged :
-  profile ->
-  (Podopt_profile.Event_graph.t * (string * string list) list) option
-
-(** The profile as a store entry (chains at the profile's threshold);
-    [None] when nothing was observed. *)
+(** The profile as a store entry: the cumulative graph with the window
+    merged in, chains at the profile's threshold, and each node's
+    binding signature ([[]] for an unbound event); [None] when nothing
+    was observed. *)
 val profile_entry :
   kind:string -> shard:int -> profile -> Podopt_store.Store.entry option
 

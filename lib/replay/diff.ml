@@ -4,8 +4,12 @@
    deliberately cost-model independent: the dispatch order of ops, each
    attempt's success, a CRC-32 digest of the dispatched payload, and
    every client's sent/retry/nack/gave-up accounting.  Virtual-time
-   costs (which legitimately differ between the variants) never enter
-   the comparison, so any divergence is a real behaviour difference.
+   costs (which legitimately differ between the optimizer and codegen
+   variants) never enter those comparisons, so any divergence is a real
+   behaviour difference.  The killed axis compares more: a restore puts
+   back the shard's optimizer state whole, so a killed shard must also
+   end with the kill-free shard's sessions, dispatch split, fallbacks,
+   handler time and clock.
 
    On divergence the oracle shrinks the log to a minimal reproducer:
    greedily drop sessions, then trailing measured ops, re-running both
@@ -13,6 +17,7 @@
    survives. *)
 
 module Broker = Podopt_broker.Broker
+module Shard = Podopt_broker.Shard
 module Loadgen = Podopt_broker.Loadgen
 module Session = Podopt_broker.Session
 module Packet = Podopt_net.Packet
@@ -54,6 +59,7 @@ let variant_configs axis (cfg : Broker.config) =
 type observed = {
   deliveries : string list;  (* rendered, global dispatch order, measured phase *)
   clients : string list;     (* rendered per-session outcome, session order *)
+  shards : string list;      (* rendered per-shard counters, shard order *)
 }
 
 let render_delivery ~shard ~src ~seq ~ok ~payload =
@@ -103,11 +109,23 @@ let run_side ?(tamper = false) (log : Log.t) (cfg : Broker.config) : observed =
               st.Session.gave_up)
           sessions
       in
-      { deliveries = List.rev !deliveries; clients })
+      let shards =
+        Array.to_list (Broker.shards broker)
+        |> List.map (fun s ->
+               let n = Shard.snapshot s in
+               Printf.sprintf
+                 "shard %d: sessions %d, optimized %d, generic %d, fallbacks %d, \
+                  busy %d, clock %d"
+                 n.Shard.snap_id n.Shard.snap_sessions n.Shard.snap_optimized
+                 n.Shard.snap_generic n.Shard.snap_fallbacks n.Shard.snap_busy
+                 n.Shard.snap_clock)
+      in
+      { deliveries = List.rev !deliveries; clients; shards })
 
-(* First observable difference: (what, left, right). *)
-let compare_observed (a : observed) (b : observed) : (string * string * string) option
-    =
+(* First observable difference: (what, left, right).  The per-shard
+   counters count on the killed axis only. *)
+let compare_observed axis (a : observed) (b : observed) :
+    (string * string * string) option =
   let rec first_list what n = function
     | x :: xs, y :: ys ->
       if String.equal x y then first_list what (n + 1) (xs, ys)
@@ -118,14 +136,18 @@ let compare_observed (a : observed) (b : observed) : (string * string * string) 
   in
   match first_list "delivery" 1 (a.deliveries, b.deliveries) with
   | Some d -> Some d
-  | None -> first_list "client" 1 (a.clients, b.clients)
+  | None -> (
+    match first_list "client" 1 (a.clients, b.clients) with
+    | Some d -> Some d
+    | None when axis = Killed -> first_list "shard" 1 (a.shards, b.shards)
+    | None -> None)
 
 (* Run both variants over [log] and return their first divergence. *)
 let diverges ?(tamper = false) axis (log : Log.t) =
   let cfg_a, cfg_b = variant_configs axis log.Log.config in
   let a = run_side ~tamper log cfg_a in
   let b = run_side log cfg_b in
-  compare_observed a b
+  compare_observed axis a b
 
 (* --- shrinking --------------------------------------------------------- *)
 
@@ -237,7 +259,7 @@ let run ?(tamper = false) axis (log : Log.t) : report =
   let cfg_a, cfg_b = variant_configs axis log.Log.config in
   let a = run_side ~tamper log cfg_a in
   let b = run_side log cfg_b in
-  match compare_observed a b with
+  match compare_observed axis a b with
   | None ->
     { axis; deliveries = List.length a.deliveries; divergence = None; shrink = None }
   | Some div ->

@@ -108,11 +108,13 @@ let check_emits msg expected actual =
 
 (* One broker run the way [podopt serve] makes it: the measured
    protocol ({!Podopt_broker.Loadgen.steady}), then the serve document,
-   the per-shard snapshot report and the run summary. *)
+   the per-shard snapshot report, the run summary and each shard's
+   session count. *)
 type served = {
   json : string;
   snapshots : string;
   summary : Podopt_broker.Loadgen.summary;
+  sessions : int list;
 }
 
 let serve ?warmup_ops cfg profile =
@@ -126,4 +128,6 @@ let serve ?warmup_ops cfg profile =
         json = B.Report.json ~metrics:false broker summary;
         snapshots = Fmt.str "%a" B.Report.pp_snapshots broker;
         summary;
+        sessions =
+          Array.to_list (Array.map (fun s -> s.B.Shard.sessions) (B.Broker.shards broker));
       })

@@ -88,11 +88,12 @@ let test_cycle_handling () =
 
 (* --- the trace window against GraphBuilder -------------------------------- *)
 
-type step = Occ of int * Ast.mode * int | Clear
+type step = Occ of int * Ast.mode * int | Clear | Restart
 
 let pp_step = function
   | Occ (e, m, d) -> Printf.sprintf "E%d %s@%d" e (Ast.mode_to_string m) d
   | Clear -> "clear"
+  | Restart -> "restart"
 
 let gen_step =
   QCheck2.Gen.(
@@ -107,6 +108,7 @@ let gen_step =
             (oneofl [ Ast.Sync; Ast.Async; Ast.Timed 5 ])
             (int_range 0 2) );
         (1, pure Clear);
+        (1, pure Restart);
       ])
 
 let graph_counts g =
@@ -121,10 +123,13 @@ let graph_counts g =
          (Event_graph.edges g)) )
 
 (* Occurrences recorded into an adaptive controller's trace, with random
-   clear points and absorbs wherever the window passes a random
-   [max_trace].  After every step: the window's graph is [build_seq] of
-   the segment since the last clear or absorb, down to the order its
-   nodes and edges iterate in; and the cumulative profile is the merge of
+   clear points, absorbs wherever the window passes a random
+   [max_trace], and restarts: the controller saved and restored into a
+   fresh runtime that gave some event names other ids.  After every
+   step: the window's graph is [build_seq] of the segment since the
+   last clear or absorb, down to the order its nodes and edges iterate
+   in (across a restart too, so its first occurrence adds the edge from
+   the last one before it); and the cumulative profile is the merge of
    the absorbed segments' folds plus the live one's. *)
 let prop_window_is_graphbuilder =
   QCheck2.Test.make ~name:"trace window equals graphbuilder" ~count:300
@@ -132,40 +137,50 @@ let prop_window_is_graphbuilder =
       Printf.sprintf "max_trace %d: %s" m (String.concat "; " (List.map pp_step steps)))
     QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 120) gen_step))
     (fun (max_trace, steps) ->
-      let rt = Runtime.create () in
       let policy =
         (* no threshold is reachable, so [tick] never installs a plan *)
         { Adaptive.default_policy with
           Adaptive.min_trace = max_trace; max_trace; threshold = max_int;
           fallback_limit = max_int }
       in
-      let ctl = Adaptive.create ~policy rt in
-      let trace = rt.Runtime.trace in
+      let rt = ref (Runtime.create ()) in
+      let ctl = ref (Adaptive.create ~policy !rt) in
       let segment = ref [] and absorbed = ref [] and seen = ref 0 in
       let fold seg = Event_graph.build_seq (List.rev seg) in
       List.for_all
         (fun step ->
           (match step with
            | Clear ->
-             Trace.clear trace;
+             Trace.clear !rt.Runtime.trace;
              segment := []
+           | Restart ->
+             let saved = Adaptive.save !ctl in
+             let rt' = Runtime.create () in
+             for e = 9 downto 5 do
+               ignore (Runtime.event rt' (Printf.sprintf "E%d" e))
+             done;
+             let ctl' = Adaptive.create ~policy rt' in
+             Adaptive.restore ctl' saved;
+             rt := rt';
+             ctl := ctl'
            | Occ (e, mode, depth) ->
-             let ev = Runtime.event rt (Printf.sprintf "E%d" e) in
-             Trace.record_event trace ev ~mode ~time:0 ~depth;
+             let ev = Runtime.event !rt (Printf.sprintf "E%d" e) in
+             Trace.record_event !rt.Runtime.trace ev ~mode ~time:0 ~depth;
              segment := (ev.Event.name, mode, depth) :: !segment;
-             ignore (Adaptive.tick ctl);
+             ignore (Adaptive.tick !ctl);
              if List.length !segment > max_trace then begin
                absorbed := fold !segment :: !absorbed;
                seen := !seen + List.length !segment;
                segment := []
              end);
+          let trace = !rt.Runtime.trace in
           let window = Event_graph.of_trace trace and want = fold !segment in
           Event_graph.nodes window = Event_graph.nodes want
           && Event_graph.edges window = Event_graph.edges want
           && Trace.occurrences trace = List.length !segment
-          && graph_counts (Adaptive.cumulative_profile ctl)
+          && graph_counts (Adaptive.cumulative_profile !ctl)
              = graph_counts (Event_graph.merge_all (want :: !absorbed))
-          && Adaptive.profile_trace_entries ctl = !seen + List.length !segment)
+          && Adaptive.profile_trace_entries !ctl = !seen + List.length !segment)
         steps)
 
 let suite =

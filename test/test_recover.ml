@@ -17,6 +17,7 @@ module Value = Podopt_hir.Value
 module Ast = Podopt_hir.Ast
 module Prim = Podopt_hir.Prim
 module Runtime = Podopt_eventsys.Runtime
+module Event = Podopt_eventsys.Event
 module Trace = Podopt_eventsys.Trace
 module Adaptive = Podopt_optimize.Adaptive
 module Record = Podopt.Record
@@ -24,20 +25,29 @@ module Diff = Podopt.Replay_diff
 
 (* --- the printed form --------------------------------------------------- *)
 
-(* A deferred profile: a cumulative graph with a live window merged on
-   top of it, and signatures for two of its three events plus one it
-   never saw. *)
+(* A deferred profile: a cumulative graph and a live window on top of
+   it, and signatures for two of its three events plus one it never
+   saw. *)
 let sample_profile () =
+  let window = Trace.create () in
+  let events = Event.create_table () in
+  Trace.enable_events ~log:false window;
+  List.iter
+    (fun (name, mode, depth) ->
+      Trace.record_event window (Event.intern events name) ~mode ~time:0 ~depth)
+    [ ("EvA", Ast.Async, 0); ("EvB", Ast.Sync, 1); ("EvC", Ast.Sync, 1) ];
   {
-    Recover.graph =
-      Event_graph.merge_all
-        [
+    Recover.adaptive =
+      {
+        Adaptive.absorbed =
           Event_graph.build
             [ ("EvA", Ast.Async); ("EvB", Ast.Sync); ("EvA", Ast.Async); ("EvB", Ast.Sync) ];
-          Event_graph.build_seq
-            [ ("EvA", Ast.Async, 0); ("EvB", Ast.Sync, 1); ("EvC", Ast.Sync, 1) ];
-        ];
-    trace_entries = 7;
+        absorbed_entries = 4;
+        window = Trace.save window;
+        fallback_baseline = 0;
+        plan = None;
+      };
+    breaker = Podopt_optimize.Breaker.create ();
     dispatched = 5;
     threshold = 1;
     signatures = [ ("EvA", [ "h1"; "h2" ]); ("EvB", [ "h3" ]); ("EvZ", [ "h9" ]) ];
@@ -109,17 +119,17 @@ let test_printed_form_pinned () =
 
 let kind = B.Workload.Seccomm
 
-let shard () =
-  B.Shard.create ~id:0 ~kind ~optimize:true ~queue_limit:64
+let shard ?(kind = kind) ?faults ?breaker () =
+  B.Shard.create ?faults ?breaker ~id:0 ~kind ~optimize:true ~queue_limit:64
     ~policy:B.Policy.Drop_newest ()
 
-let op ?(session = 0) seq =
+let op ?(kind = kind) ?(session = 0) seq =
   Packet.make ~src:(Printf.sprintf "s%03d" session) ~dst:"shard" ~seq
     (B.Workload.op_payload kind ~session ~seq)
 
-let feed s ~from ~n =
+let feed ?kind s ~from ~n =
   for seq = from to from + n - 1 do
-    ignore (B.Shard.offer s ~now:seq (op seq))
+    ignore (B.Shard.offer s ~now:seq (op ?kind seq))
   done
 
 let drain s = while B.Shard.drain_batch s ~now:0 ~batch:16 > 0 do () done
@@ -213,6 +223,75 @@ let test_restore_twice () =
   Alcotest.(check string) "equal printed forms" printed1 printed2;
   Alcotest.(check int) "every op delivered" 28 (List.length seen1);
   Alcotest.(check bool) "equal deliveries" true (seen1 = seen2)
+
+(* --- the installed plan ------------------------------------------------- *)
+
+let optimized_names (s : B.Shard.t) =
+  let rt = s.B.Shard.rt in
+  List.sort compare
+    (List.map
+       (fun id -> (Option.get (Event.of_id rt.Runtime.events id)).Event.name)
+       (Runtime.optimized_events rt))
+
+(* A restore puts back the super-handlers the shard had.  A chat shard
+   optimized before a capture records a profile in which its
+   super-handlers subsume the ChatMsg chain, so re-planning from that
+   profile would leave ChatMsg, the event every op raises, generic. *)
+let test_restore_reinstalls_plan () =
+  let kind = B.Workload.Chat in
+  let s = shard ~kind () in
+  feed ~kind s ~from:0 ~n:16;
+  drain s;
+  Alcotest.(check bool) "force_reoptimize installs" true (B.Shard.force_reoptimize s);
+  (* profile the optimized path, so the graph loses the subsumed chain *)
+  feed ~kind s ~from:16 ~n:32;
+  drain s;
+  let before = optimized_names s in
+  Alcotest.(check bool) "ChatMsg optimized before the kill" true
+    (List.mem "ChatMsg" before);
+  let snap = B.Shard.capture s ~epoch:1 in
+  B.Shard.kill s;
+  Alcotest.(check (list string)) "a kill uninstalls everything" [] (optimized_names s);
+  B.Shard.restore s snap;
+  Alcotest.(check (list string)) "restored super-handlers" before (optimized_names s);
+  B.Shard.recovery_complete s ~redelivered:0;
+  feed ~kind s ~from:48 ~n:8;
+  drain s;
+  let r = B.Shard.recovery s in
+  Alcotest.(check int) "ramp all optimized: generic" 0 r.B.Shard.ramp_generic;
+  Alcotest.(check bool) "ramp all optimized: optimized" true
+    (r.B.Shard.ramp_optimized > 0)
+
+(* A shard killed while its breaker cools comes back cooling, with its
+   trips counted: a fresh breaker would let the controller re-optimize
+   at once, where the live shard serves generic until the cool-down
+   ends. *)
+let test_restore_keeps_breaker () =
+  let kind = B.Workload.Chat in
+  let s =
+    shard ~kind
+      ~faults:{ Plan.none with Plan.seed = 3L; crash_permille = 400 }
+      ~breaker:
+        { Podopt_optimize.Breaker.window = 4; trip_permille = 150; min_events = 4;
+          cooldown = 64 }
+      ()
+  in
+  feed ~kind s ~from:0 ~n:16;
+  drain s;
+  Alcotest.(check bool) "force_reoptimize installs" true (B.Shard.force_reoptimize s);
+  let rounds = ref 0 in
+  while (not (B.Shard.breaker_open s)) && !rounds < 50 do
+    feed ~kind s ~from:(16 + (4 * !rounds)) ~n:4;
+    drain s;
+    incr rounds
+  done;
+  Alcotest.(check bool) "the breaker tripped" true (B.Shard.breaker_open s);
+  let trips = B.Shard.breaker_trips s in
+  let snap = B.Shard.capture s ~epoch:1 in
+  B.Shard.kill s;
+  B.Shard.restore s snap;
+  Alcotest.(check bool) "restored breaker still cooling" true (B.Shard.breaker_open s);
+  Alcotest.(check int) "restored breaker trips" trips (B.Shard.breaker_trips s)
 
 (* --- the deferred profile ----------------------------------------------- *)
 
@@ -362,7 +441,9 @@ let test_restore_behind_broker_time () =
 
 (* The workload the cheap checkpoints speed up: a chat flash crowd with
    handler crashes and shard kills, checkpointed every epoch and every
-   fourth. *)
+   fourth.  A restore reinstalls the plan the shard had, so the killed
+   run's dispatch split and handler time equal the kill-free run's, and
+   sessions first routed after the last checkpoint stay counted. *)
 let test_chat_flash_kills ~checkpoint_every () =
   let cfg =
     {
@@ -388,7 +469,20 @@ let test_chat_flash_kills ~checkpoint_every () =
   Alcotest.(check bool) "kills actually drawn" true
     (r1.Helpers.summary.B.Loadgen.kills > 0);
   Alcotest.(check string) "killed serve JSON byte-identical at domains 1 vs 2"
-    r1.Helpers.json r2.Helpers.json
+    r1.Helpers.json r2.Helpers.json;
+  let free =
+    Helpers.serve ~warmup_ops:12
+      { cfg with B.Broker.faults = { cfg.B.Broker.faults with Plan.kill_permille = 0 } }
+      profile
+  in
+  let dispatch (r : Helpers.served) =
+    let s = r.Helpers.summary in
+    [ s.B.Loadgen.optimized; s.B.Loadgen.generic; s.B.Loadgen.busy; s.B.Loadgen.makespan ]
+  in
+  Alcotest.(check (list int)) "optimized, generic, busy, makespan as kill-free"
+    (dispatch free) (dispatch r1);
+  Alcotest.(check (list int)) "per-shard sessions as kill-free"
+    free.Helpers.sessions r1.Helpers.sessions
 
 let suite =
   [
@@ -398,6 +492,10 @@ let suite =
       test_capture_shares_nothing;
     Alcotest.test_case "one snapshot restores twice alike" `Quick
       test_restore_twice;
+    Alcotest.test_case "restore reinstalls the installed plan" `Quick
+      test_restore_reinstalls_plan;
+    Alcotest.test_case "restore keeps the breaker's state" `Quick
+      test_restore_keeps_breaker;
     Alcotest.test_case "capture cost is flat in the trace length" `Quick
       test_capture_cost_flat;
     Alcotest.test_case "journal high-water mark drops nothing" `Quick
