@@ -137,7 +137,7 @@ let optimize app threshold strategy spec =
   Fmt.pr "%a@." Runtime.pp_stats rt.Runtime.stats;
   0
 
-(* --- serve ----------------------------------------------------------------- *)
+(* --- the run spec ---------------------------------------------------------- *)
 
 (* Load a profile store for [--profile-in], mapping failures to a
    message (the caller exits 1: a corrupt or missing profile is an
@@ -145,72 +145,87 @@ let optimize app threshold strategy spec =
 let load_profile = function
   | None -> Ok None
   | Some path ->
-    (match Podopt.Profile_store.load path with
+    (match Profile_store.of_string (Lines.load path) with
      | store -> Ok (Some store)
-     | exception Podopt.Profile_store.Format_error msg ->
+     | exception Lines.Format_error msg ->
        Error (Printf.sprintf "bad profile %s: %s" path msg)
      | exception Sys_error msg -> Error msg)
 
-let serve kind sessions shards batch queue_limit ops interval latency jitter
-    policy seed generic warmup domains route faults checkpoint_every
-    arrivals max_ticks metrics json show_dead redrain_dead
-    profile_in profile_out =
+(* What [serve] and [record] run: the broker config, the session load
+   and the warm-up ops per session. *)
+type run = { cfg : B.Broker.config; profile : B.Loadgen.profile; warmup : int }
+
+(* The flags [serve] and [record] share, as a [run].  Every size flag
+   must be positive, and so must each [(value, flag)] of [extra], a
+   command's own; then the [--profile-in] store loads.  An error
+   carries the exit code: 2 for a bad flag, 1 for a bad profile. *)
+let make_run kind sessions shards batch queue_limit ops interval latency jitter
+    policy seed generic warmup domains route faults checkpoint_every arrivals
+    profile_in extra =
   match
     List.find_opt
       (fun (v, _) -> v <= 0)
-      [
-        (sessions, "--sessions");
-        (shards, "--shards");
-        (batch, "--batch");
-        (queue_limit, "--queue-limit");
-        (ops, "--ops");
-        (domains, "--domains");
-        (checkpoint_every, "--checkpoint-every");
-        (Option.value max_ticks ~default:1, "--max-ticks");
-      ]
+      ([
+         (sessions, "--sessions");
+         (shards, "--shards");
+         (batch, "--batch");
+         (queue_limit, "--queue-limit");
+         (ops, "--ops");
+         (interval, "--interval");
+         (domains, "--domains");
+         (checkpoint_every, "--checkpoint-every");
+       ]
+      @ extra)
   with
-  | Some (_, flag) ->
-    Fmt.epr "podopt: %s must be positive@." flag;
-    2
-  | None ->
-  match load_profile profile_in with
-  | Error msg ->
+  | Some (_, flag) -> Error (2, flag ^ " must be positive")
+  | None -> (
+    match load_profile profile_in with
+    | Error msg -> Error (1, msg)
+    | Ok profile_in ->
+      Ok
+        {
+          cfg =
+            {
+              B.Broker.default_config with
+              B.Broker.shards;
+              batch;
+              queue_limit;
+              policy;
+              kind;
+              optimize = not generic;
+              seed = Int64.of_int seed;
+              domains;
+              route;
+              faults;
+              profile_in;
+              checkpoint_every;
+              arrivals;
+            };
+          profile =
+            {
+              B.Loadgen.default_profile with
+              B.Loadgen.sessions;
+              ops;
+              interval;
+              latency;
+              jitter;
+            };
+          warmup;
+        })
+
+(* --- serve ----------------------------------------------------------------- *)
+
+let serve run max_ticks metrics json show_dead redrain_dead profile_out =
+  match run [ (Option.value max_ticks ~default:1, "--max-ticks") ] with
+  | Error (code, msg) ->
     Fmt.epr "podopt: %s@." msg;
-    1
-  | Ok profile_in ->
-  let cfg =
-    {
-      B.Broker.default_config with
-      B.Broker.shards;
-      batch;
-      queue_limit;
-      policy;
-      kind;
-      optimize = not generic;
-      seed = Int64.of_int seed;
-      domains;
-      route;
-      faults;
-      profile_in;
-      checkpoint_every;
-      arrivals;
-    }
-  in
+    code
+  | Ok { cfg; profile; warmup } ->
   let broker = B.Broker.create cfg in
   let summary, saved, redrained =
     Fun.protect
       ~finally:(fun () -> B.Broker.shutdown broker)
       (fun () ->
-        let profile =
-          {
-            B.Loadgen.default_profile with
-            B.Loadgen.sessions;
-            ops;
-            interval;
-            latency;
-            jitter;
-          }
-        in
         let summary =
           B.Loadgen.steady ~warmup_ops:warmup ?max_ticks broker profile
         in
@@ -219,8 +234,8 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
           | None -> None
           | Some path ->
             let store = B.Broker.profile_store broker in
-            Podopt.Profile_store.save path store;
-            Some (path, List.length (Podopt.Profile_store.entries store))
+            Lines.save path (Profile_store.to_string store);
+            Some (path, List.length (Profile_store.entries store))
         in
         (* Put the dead letters back through the mill: refill every
            ingress queue with a fresh retry budget, then drain the
@@ -247,14 +262,14 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
   else begin
     Fmt.pr
       "serving %s: %d sessions -> %d shards (batch %d, queue limit %d, \
-       policy %s, %s, seed %d, domains %d, faults %s, arrivals %s)@.@."
-      (B.Workload.kind_to_string kind)
-      sessions shards batch queue_limit
-      (B.Policy.shed_to_string policy)
-      (if generic then "generic" else "optimized")
-      seed domains
-      (Podopt.Faults.to_string faults)
-      (B.Arrivals.to_string arrivals);
+       policy %s, %s, seed %Ld, domains %d, faults %s, arrivals %s)@.@."
+      (B.Workload.kind_to_string cfg.B.Broker.kind)
+      profile.B.Loadgen.sessions cfg.shards cfg.batch cfg.queue_limit
+      (B.Policy.shed_to_string cfg.policy)
+      (if cfg.optimize then "optimized" else "generic")
+      cfg.seed cfg.domains
+      (Podopt.Faults.to_string cfg.faults)
+      (B.Arrivals.to_string cfg.arrivals);
     if B.Broker.warm_start broker then
       Fmt.pr "warm start: %d super-handlers installed before the first packet \
               (%d stale events dropped)@.@."
@@ -281,7 +296,7 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
               (fun (pkt : Podopt_net.Packet.t) ->
                 Fmt.pr "  shard %d: %s#%d %s@." i pkt.Podopt_net.Packet.src
                   pkt.Podopt_net.Packet.seq
-                  (B.Workload.path kind pkt.Podopt_net.Packet.payload))
+                  (B.Workload.path cfg.B.Broker.kind pkt.Podopt_net.Packet.payload))
               (B.Shard.dead_letters s))
           shards_arr
     end;
@@ -296,68 +311,32 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
 
 (* --- record / replay / diff ----------------------------------------------- *)
 
-let record_run kind sessions shards batch queue_limit ops interval latency
-    jitter policy seed generic warmup domains route faults checkpoint_every
-    arrivals metrics profile_in out =
-  match
-    List.find_opt
-      (fun (v, _) -> v <= 0)
-      [
-        (sessions, "--sessions");
-        (shards, "--shards");
-        (batch, "--batch");
-        (queue_limit, "--queue-limit");
-        (ops, "--ops");
-        (domains, "--domains");
-        (checkpoint_every, "--checkpoint-every");
-      ]
-  with
-  | Some (_, flag) ->
-    Fmt.epr "podopt: %s must be positive@." flag;
-    2
-  | None ->
-  match load_profile profile_in with
-  | Error msg ->
+let record_run run metrics out =
+  match run [] with
+  | Error (code, msg) ->
     Fmt.epr "podopt: %s@." msg;
-    1
-  | Ok profile_in ->
-    let cfg =
-      {
-        B.Broker.default_config with
-        B.Broker.shards;
-        batch;
-        queue_limit;
-        policy;
-        kind;
-        optimize = not generic;
-        seed = Int64.of_int seed;
-        domains;
-        route;
-        faults;
-        profile_in;
-        checkpoint_every;
-        arrivals;
-      }
-    in
-    let profile =
-      {
-        B.Loadgen.default_profile with
-        B.Loadgen.sessions;
-        ops;
-        interval;
-        latency;
-        jitter;
-      }
-    in
+    code
+  | Ok { cfg; profile; warmup } ->
     let log = Record.run ~warmup_ops:warmup ~metrics cfg profile in
-    Replay_log.save out log;
+    Lines.save out (Replay_log.to_string log);
     Fmt.pr "recorded %s run -> %s (%d sessions, %d arrivals, %d fault streams)@."
-      (B.Workload.kind_to_string kind)
+      (B.Workload.kind_to_string cfg.B.Broker.kind)
       out
       (List.length log.Replay_log.sessions)
       (List.length log.Replay_log.arrivals)
       (List.length log.Replay_log.fault_draws);
     0
+
+(* Run [k] on the replay log [file], or say why it is not one and exit 1. *)
+let with_log file k =
+  match Replay_log.of_string (Lines.load file) with
+  | exception Lines.Format_error msg ->
+    Fmt.epr "bad replay log: %s@." msg;
+    1
+  | exception Sys_error msg ->
+    Fmt.epr "podopt: %s@." msg;
+    1
+  | log -> k log
 
 let replay_run file domains json =
   match domains with
@@ -365,65 +344,51 @@ let replay_run file domains json =
     Fmt.epr "podopt: --domains must be positive@.";
     2
   | _ ->
-    (match Replay_log.load file with
-     | exception Replay_log.Format_error msg ->
-       Fmt.epr "bad replay log: %s@." msg;
-       1
-     | exception Sys_error msg ->
-       Fmt.epr "podopt: %s@." msg;
-       1
-     | log ->
-       let outcome = Replay.run ?domains log in
-       if json then print_string outcome.Replay.json;
-       let ok = ref true in
-       (match Replay.first_diff log.Replay_log.json outcome.Replay.json with
-        | None ->
-          if not json then
-            Fmt.pr "replay OK: document byte-identical to the recording (%d lines)@."
-              (max 0 (List.length (String.split_on_char '\n' log.Replay_log.json) - 1))
-        | Some (n, recorded, replayed) ->
+    with_log file (fun log ->
+        let outcome = Replay.run ?domains log in
+        if json then print_string outcome.Replay.json;
+        let ok = ref true in
+        (match Replay.first_diff log.Replay_log.json outcome.Replay.json with
+         | None ->
+           if not json then
+             Fmt.pr "replay OK: document byte-identical to the recording (%d lines)@."
+               (max 0 (List.length (String.split_on_char '\n' log.Replay_log.json) - 1))
+         | Some (n, recorded, replayed) ->
+           ok := false;
+           Fmt.epr "replay DIVERGED at line %d:@.  recorded: %s@.  replayed: %s@." n
+             recorded replayed);
+        if outcome.Replay.fault_mismatches > 0 then begin
           ok := false;
-          Fmt.epr "replay DIVERGED at line %d:@.  recorded: %s@.  replayed: %s@." n
-            recorded replayed);
-       if outcome.Replay.fault_mismatches > 0 then begin
-         ok := false;
-         Fmt.epr "%d fault draws differed from the recording@."
-           outcome.Replay.fault_mismatches
-       end;
-       if !ok then 0 else 1)
+          Fmt.epr "%d fault draws differed from the recording@."
+            outcome.Replay.fault_mismatches
+        end;
+        if !ok then 0 else 1)
 
 let diff_run file variant tamper out =
-  match Replay_log.load file with
-  | exception Replay_log.Format_error msg ->
-    Fmt.epr "bad replay log: %s@." msg;
-    1
-  | exception Sys_error msg ->
-    Fmt.epr "podopt: %s@." msg;
-    1
-  | log ->
-    let axes =
-      match variant with
-      | "default" -> [ Replay_diff.Optimizer; Replay_diff.Codegen ]
-      | "optimizer" -> [ Replay_diff.Optimizer ]
-      | "codegen" -> [ Replay_diff.Codegen ]
-      | "killed" -> [ Replay_diff.Killed ]
-      | "all" ->
-        [ Replay_diff.Optimizer; Replay_diff.Codegen; Replay_diff.Killed ]
-      | _ -> assert false (* the conv below rejects anything else *)
-    in
-    let reports = List.map (fun axis -> Replay_diff.run ~tamper axis log) axes in
-    List.iteri
-      (fun i r ->
-        if i > 0 then Fmt.pr "@.";
-        Fmt.pr "%a" Replay_diff.pp_report r)
-      reports;
-    let diverged = List.filter_map (fun r -> r.Replay_diff.shrink) reports in
-    (match (out, diverged) with
-     | Some path, s :: _ ->
-       Replay_log.save path s.Replay_diff.minimal;
-       Fmt.pr "wrote minimal reproducer -> %s@." path
-     | _ -> ());
-    if diverged = [] then 0 else 1
+  with_log file (fun log ->
+      let axes =
+        match variant with
+        | "default" -> [ Replay_diff.Optimizer; Replay_diff.Codegen ]
+        | "optimizer" -> [ Replay_diff.Optimizer ]
+        | "codegen" -> [ Replay_diff.Codegen ]
+        | "killed" -> [ Replay_diff.Killed ]
+        | "all" ->
+          [ Replay_diff.Optimizer; Replay_diff.Codegen; Replay_diff.Killed ]
+        | _ -> assert false (* the conv below rejects anything else *)
+      in
+      let reports = List.map (fun axis -> Replay_diff.run ~tamper axis log) axes in
+      List.iteri
+        (fun i r ->
+          if i > 0 then Fmt.pr "@.";
+          Fmt.pr "%a" Replay_diff.pp_report r)
+        reports;
+      let diverged = List.filter_map (fun r -> r.Replay_diff.shrink) reports in
+      (match (out, diverged) with
+       | Some path, s :: _ ->
+         Lines.save path (Replay_log.to_string s.Replay_diff.minimal);
+         Fmt.pr "wrote minimal reproducer -> %s@." path
+       | _ -> ());
+      if diverged = [] then 0 else 1)
 
 (* --- profile merge / show ------------------------------------------------- *)
 
@@ -441,10 +406,10 @@ let profile_merge out files =
     Fmt.epr "podopt: %s@." msg;
     1
   | Ok stores ->
-    let merged = Podopt.Profile_store.merge_all stores in
-    Podopt.Profile_store.save out merged;
+    let merged = Profile_store.merge_all stores in
+    Lines.save out (Profile_store.to_string merged);
     Fmt.pr "merged %d profiles -> %s (%d entries)@." (List.length files) out
-      (List.length (Podopt.Profile_store.entries merged));
+      (List.length (Profile_store.entries merged));
     0
 
 let profile_show file =
@@ -454,7 +419,7 @@ let profile_show file =
     1
   | Ok None -> assert false
   | Ok (Some store) ->
-    Fmt.pr "%a" Podopt.Profile_store.pp store;
+    Fmt.pr "%a" Profile_store.pp store;
     0
 
 (* --- trace / analyze ------------------------------------------------------ *)
@@ -473,13 +438,13 @@ let trace_cmd_run app output handler_level =
     Trace.enable_handlers rt.Runtime.trace hot
   end;
   workload ();
-  Trace_io.save rt.Runtime.trace ~path:output;
+  Lines.save output (Trace_io.to_string rt.Runtime.trace);
   Fmt.pr "wrote %d trace entries to %s@." (Trace.length rt.Runtime.trace) output;
   0
 
 let analyze_cmd_run path threshold =
-  match Trace_io.load ~path with
-  | exception Trace_io.Format_error msg ->
+  match Trace_io.of_string (Lines.load path) with
+  | exception Lines.Format_error msg ->
     Fmt.epr "bad trace file: %s@." msg;
     1
   | trace ->
@@ -599,13 +564,13 @@ let hir_cmd_t =
 
 (* Broker flags shared by [serve] and [record]. *)
 
-let kind_conv =
+(* The command-line spelling of a library spec type. *)
+let spec_conv of_string to_string =
   Arg.conv
-    ( (fun s ->
-        match B.Workload.kind_of_string s with
-        | Ok k -> Ok k
-        | Error msg -> Error (`Msg msg)),
-      fun ppf k -> Fmt.string ppf (B.Workload.kind_to_string k) )
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (of_string s)),
+      fun ppf v -> Fmt.string ppf (to_string v) )
+
+let kind_conv = spec_conv B.Workload.kind_of_string B.Workload.kind_to_string
 
 (* The workload can arrive positionally (the historical spelling) or
    via --workload; the named flag wins when both are given. *)
@@ -632,16 +597,8 @@ let kind_arg =
              `Error (true, "missing workload: pass WORKLOAD or --workload"))
       $ pos $ named))
 
-let arrivals_conv =
-  Arg.conv
-    ( (fun s ->
-        match B.Arrivals.of_string s with
-        | Ok a -> Ok a
-        | Error msg -> Error (`Msg msg)),
-      fun ppf a -> Fmt.string ppf (B.Arrivals.to_string a) )
-
 let arrivals_arg =
-  Arg.(value & opt arrivals_conv B.Arrivals.Periodic
+  Arg.(value & opt (spec_conv B.Arrivals.of_string B.Arrivals.to_string) B.Arrivals.Periodic
        & info [ "arrivals" ] ~docv:"SPEC"
            ~doc:"Per-session op arrival process: $(b,periodic) (default, the \
                  closed-loop grid), $(b,uniform) (seeded uniform gaps around \
@@ -658,28 +615,16 @@ let max_ticks_arg =
                with the load; a run that still hits the budget is reported \
                truncated and exits 1.")
 
-let policy_conv =
-  Arg.conv
-    ( (fun s ->
-        match B.Policy.shed_of_string s with
-        | Ok p -> Ok p
-        | Error msg -> Error (`Msg msg)),
-      fun ppf p -> Fmt.string ppf (B.Policy.shed_to_string p) )
-
 let policy_arg =
-  Arg.(value & opt policy_conv B.Policy.Drop_newest & info [ "policy" ] ~docv:"P"
+  Arg.(value
+       & opt (spec_conv B.Policy.shed_of_string B.Policy.shed_to_string) B.Policy.Drop_newest
+       & info [ "policy" ] ~docv:"P"
          ~doc:"Shed policy when an ingress queue is full: newest or oldest.")
 
-let faults_conv =
-  Arg.conv
-    ( (fun s ->
-        match Podopt.Faults.of_string s with
-        | Ok spec -> Ok spec
-        | Error msg -> Error (`Msg msg)),
-      fun ppf spec -> Fmt.string ppf (Podopt.Faults.to_string spec) )
-
 let faults_arg =
-  Arg.(value & opt faults_conv Podopt.Faults.none & info [ "faults" ] ~docv:"SPEC"
+  Arg.(value
+       & opt (spec_conv Podopt.Faults.of_string Podopt.Faults.to_string) Podopt.Faults.none
+       & info [ "faults" ] ~docv:"SPEC"
          ~doc:"Deterministic fault plan: comma-separated key=value pairs \
                with keys seed (stream seed), crash, spike (optionally \
                rate:cost), corrupt, drop, kill (permille rates, 0..1000); \
@@ -691,16 +636,10 @@ let faults_arg =
 
 let intopt name v doc = Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
 
-let route_conv =
-  Arg.conv
-    ( (fun s ->
-        match B.Shard_map.route_of_string s with
-        | Ok r -> Ok r
-        | Error msg -> Error (`Msg msg)),
-      fun ppf r -> Fmt.string ppf (B.Shard_map.route_to_string r) )
-
 let route_arg =
-  Arg.(value & opt route_conv B.Broker.default_config.B.Broker.route
+  Arg.(value
+       & opt (spec_conv B.Shard_map.route_of_string B.Shard_map.route_to_string)
+           B.Broker.default_config.B.Broker.route
        & info [ "route" ] ~docv:"R"
            ~doc:"Session-to-shard routing: $(b,hash) (default, uniform) or \
                  $(b,zipf:S) (Zipf-skewed with exponent S > 0; shard 0 \
@@ -731,31 +670,40 @@ let profile_in_arg =
                stale profile (bindings changed since it was recorded) \
                degrades safely to generic dispatch.")
 
+(* The [run] term: the 19 flags [serve] and [record] share.  Only the
+   --domains text differs between the two. *)
+let run_term ~domains_doc =
+  Term.(
+    const make_run $ kind_arg
+    $ intopt "sessions" 8 "Concurrent client sessions."
+    $ intopt "shards" 2 "Broker shards (one runtime each)."
+    $ intopt "batch" 16 "Max events dispatched per shard per tick."
+    $ intopt "queue-limit" 64 "Per-shard ingress queue bound."
+    $ intopt "ops" 8 "Events per session."
+    $ intopt "interval" 200 "Virtual units between a session's events."
+    $ intopt "latency" 50 "Link latency in virtual units."
+    $ intopt "jitter" 0 "Link jitter bound in virtual units."
+    $ policy_arg
+    $ intopt "seed" 42 "Deterministic seed for the session links."
+    $ generic_flag
+    $ intopt "warmup" 12 "Warm-up ops per session before measurement."
+    $ intopt "domains" 1 domains_doc
+    $ route_arg
+    $ faults_arg
+    $ checkpoint_every_arg
+    $ arrivals_arg
+    $ profile_in_arg)
+
 let serve_cmd =
   let doc = "Serve a workload through the sharded event broker." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const serve $ kind_arg
-      $ intopt "sessions" 8 "Concurrent client sessions."
-      $ intopt "shards" 2 "Broker shards (one runtime each)."
-      $ intopt "batch" 16 "Max events dispatched per shard per tick."
-      $ intopt "queue-limit" 64 "Per-shard ingress queue bound."
-      $ intopt "ops" 8 "Events per session."
-      $ intopt "interval" 200 "Virtual units between a session's events."
-      $ intopt "latency" 50 "Link latency in virtual units."
-      $ intopt "jitter" 0 "Link jitter bound in virtual units."
-      $ policy_arg
-      $ intopt "seed" 42 "Deterministic seed for the session links."
-      $ generic_flag
-      $ intopt "warmup" 12 "Warm-up ops per session before measurement."
-      $ intopt "domains" 1
-          "Domains draining the shards, this one included (1 = drain on \
-           the coordinator alone; results are identical at any domain \
-           count)."
-      $ route_arg
-      $ faults_arg
-      $ checkpoint_every_arg
-      $ arrivals_arg
+      const serve
+      $ run_term
+          ~domains_doc:
+            "Domains draining the shards, this one included (1 = drain on \
+             the coordinator alone; results are identical at any domain \
+             count)."
       $ max_ticks_arg
       $ metrics_flag
       $ Arg.(value & flag & info [ "json" ]
@@ -769,7 +717,6 @@ let serve_cmd =
                ~doc:"After the run, move every dead-letter op back into its \
                      shard's ingress queue with a fresh retry budget and \
                      drain the broker to idle again.")
-      $ profile_in_arg
       $ Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE"
                ~doc:"After the run, write every shard's accumulated profile \
                      to the store $(docv) (merge stores across runs with \
@@ -783,29 +730,13 @@ let record_cmd =
   in
   Cmd.v (Cmd.info "record" ~doc)
     Term.(
-      const record_run $ kind_arg
-      $ intopt "sessions" 8 "Concurrent client sessions."
-      $ intopt "shards" 2 "Broker shards (one runtime each)."
-      $ intopt "batch" 16 "Max events dispatched per shard per tick."
-      $ intopt "queue-limit" 64 "Per-shard ingress queue bound."
-      $ intopt "ops" 8 "Events per session."
-      $ intopt "interval" 200 "Virtual units between a session's events."
-      $ intopt "latency" 50 "Link latency in virtual units."
-      $ intopt "jitter" 0 "Link jitter bound in virtual units."
-      $ policy_arg
-      $ intopt "seed" 42 "Deterministic seed for the session links."
-      $ generic_flag
-      $ intopt "warmup" 12 "Warm-up ops per session before measurement."
-      $ intopt "domains" 1
-          "Draining domains recorded in the log (the replayed document is \
-           identical at any domain count)."
-      $ route_arg
-      $ faults_arg
-      $ checkpoint_every_arg
-      $ arrivals_arg
+      const record_run
+      $ run_term
+          ~domains_doc:
+            "Draining domains recorded in the log (the replayed document is \
+             identical at any domain count)."
       $ Arg.(value & flag & info [ "metrics" ]
                ~doc:"Record the document with the latency metrics section.")
-      $ profile_in_arg
       $ out)
 
 let replay_cmd =

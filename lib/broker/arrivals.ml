@@ -15,7 +15,7 @@ type spec =
 let to_string = function
   | Periodic -> "periodic"
   | Uniform -> "uniform"
-  | Pareto a -> Printf.sprintf "pareto:%g" a
+  | Pareto a -> "pareto:" ^ Podopt_codec.Lines.float_to_string a
   | Flash (t, m) -> Printf.sprintf "flash:%d:%d" t m
 
 let grammar = "periodic|uniform|pareto:ALPHA|flash:T:MULT"

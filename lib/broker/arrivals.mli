@@ -28,6 +28,9 @@ type spec =
   | Pareto of float       (** shape ALPHA, > 1 and finite *)
   | Flash of int * int    (** cycle length T, burst multiplier MULT *)
 
+(** The spec in the grammar above; [ALPHA] prints as
+    {!Podopt_codec.Lines.float_to_string} does, so {!of_string} reads it
+    back to the same float. *)
 val to_string : spec -> string
 
 (** Parse a spec; rejects malformed or out-of-range fields with a

@@ -150,7 +150,8 @@ val drain : t -> int
 
 val domains : t -> int
 
-(** Join the pool's helper domains.  Call when done with the broker;
+(** Hand the pool's helper domains back for the next broker's pool
+    ({!Podopt_exec.Pool.shutdown}).  Call when done with the broker;
     using {!drain} afterwards raises.  Idempotent. *)
 val shutdown : t -> unit
 

@@ -442,40 +442,36 @@ let warm_stale t = t.warm_stale
 let first_epoch_optimized t = t.stats.first_epoch_optimized
 let first_epoch_generic t = t.stats.first_epoch_generic
 
-(* The inputs of the shard's cumulative profile: the adaptive
-   controller as [Adaptive.save] copies it (its graph, live window and
-   installed plan), a copy of the breaker, and the binding signature of
-   every bound event.  [None] for generic shards. *)
-let profile_inputs t =
-  match (t.adaptive, t.breaker) with
-  | Some a, Some b ->
-    let rt = t.rt in
-    let signatures =
-      Registry.events_with_bindings rt.Runtime.registry rt.Runtime.events
+(* The shard's profile as one store entry, from a saved controller: its
+   cumulative graph with the live window merged in, chains at the
+   controller's own threshold, and each node's binding signature ([[]]
+   for an unbound event), nodes sorted.  [None] for generic shards and
+   when nothing was observed. *)
+let store_entry t (saved : Adaptive.saved) =
+  let graph, trace_entries = Adaptive.saved_profile saved in
+  match t.adaptive with
+  | Some a when Podopt_profile.Event_graph.node_count graph > 0 ->
+    let reg = t.rt.Runtime.registry in
+    let bound =
+      Registry.events_with_bindings reg t.rt.Runtime.events
       |> List.map (fun (ev : Event.t) ->
              ( ev.Event.name,
-               List.map
-                 (fun (h : Handler.t) -> h.Handler.name)
-                 (Registry.handlers rt.Runtime.registry ev) ))
-      |> List.sort compare
+               List.map (fun (h : Handler.t) -> h.Handler.name) (Registry.handlers reg ev) ))
     in
+    let handlers =
+      Podopt_profile.Event_graph.nodes graph
+      |> List.map (fun (n : Podopt_profile.Event_graph.node) -> n.name)
+      |> List.sort compare
+      |> List.map (fun ev -> (ev, Option.value ~default:[] (List.assoc_opt ev bound)))
+    in
+    let threshold = (Adaptive.policy a).Adaptive.threshold in
+    let chains = Podopt_profile.(Chains.find (Reduce.reduce graph ~threshold)) in
     Some
-      {
-        Recover.adaptive = Adaptive.save a;
-        breaker = Breaker.copy b;
-        dispatched = t.stats.dispatched;
-        threshold = (Adaptive.policy a).Adaptive.threshold;
-        signatures;
-      }
+      (Podopt_store.Store.make_entry ~kind:(Workload.kind_to_string t.kind) ~shard:t.id
+         ~dispatched:t.stats.dispatched ~trace_entries ~graph ~chains ~handlers ())
   | _ -> None
 
-(* The shard's cumulative profile (the adaptive controller's graph,
-   chains at the controller's own threshold, and the live binding
-   signatures) as one store entry.  [None] for generic shards and for
-   optimizing shards that observed nothing. *)
-let profile_entry t =
-  Option.bind (profile_inputs t)
-    (Recover.profile_entry ~kind:(Workload.kind_to_string t.kind) ~shard:t.id)
+let profile_entry t = Option.bind t.adaptive (fun a -> store_entry t (Adaptive.save a))
 
 (* --- crash recovery ----------------------------------------------------- *)
 
@@ -572,12 +568,26 @@ let capture t ~epoch =
       ~queue:(Ingress.to_list t.ingress)
       ~retries:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.retry [])
       ~dead:(List.of_seq (Queue.to_seq t.dead))
-      ~streams ~profile:(profile_inputs t) ()
+      ~streams
+      ~profile:
+        (match (t.adaptive, t.breaker) with
+         | Some a, Some b ->
+           Some { Recover.adaptive = Adaptive.save a; breaker = Breaker.copy b }
+         | _ -> None)
+      ()
   in
   t.recov.checkpoints <- t.recov.checkpoints + 1;
   snap
 
-let checkpoint t ~epoch = Recover.to_string (capture t ~epoch)
+(* The store entry comes from the snapshot's own saved controller, so a
+   checkpoint saves the controller once. *)
+let checkpoint t ~epoch =
+  let snap = capture t ~epoch in
+  Recover.to_string snap
+    ~store:
+      (match Option.bind snap.Recover.profile (fun p -> store_entry t p.Recover.adaptive) with
+       | Some e -> Podopt_store.Store.to_string [ e ]
+       | None -> "")
 
 (* Simulated crash: throw away every piece of live shard state and
    rebuild the core exactly as [create] wired it.  The fault injector

@@ -251,14 +251,15 @@ val breaker_trips : t -> int
     [bytes] (global [Bytes] values, queued and dead payloads), of the
     controller's graph and window (O(distinct edges)) and of the
     breaker; it shares only immutable data with the shard, such as
-    strings.  The profile is deferred — no graph reduced, no chain
-    searched — until the printed form or a store entry needs it.
+    strings.  No graph is reduced and no chain searched: only the
+    printed form and {!profile_entry} build a store entry.
     Metrics histograms are not captured: a recovery rebuilds their
     post-checkpoint window from the journal replay, and the earlier
     window is a diagnostics loss outside the determinism invariant. *)
 val capture : t -> epoch:int -> Podopt_recover.Recover.snapshot
 
-(** [Recover.to_string] of a {!capture}: the checkpoint in its printed
+(** [Recover.to_string] of a {!capture}, with the store entry built
+    from the capture's saved controller: the checkpoint in its printed
     line format, which the wall-clock benchmark times and sizes.
     Nothing parses it. *)
 val checkpoint : t -> epoch:int -> string

@@ -72,7 +72,7 @@ let route_shard ~route ~shards id = router ~route ~shards id
 
 let route_to_string = function
   | Hash -> "hash"
-  | Zipf s -> Printf.sprintf "zipf:%g" s
+  | Zipf s -> "zipf:" ^ Podopt_codec.Lines.float_to_string s
 
 let route_of_string str =
   match str with

@@ -28,6 +28,8 @@ val route_shard : route:route -> shards:int -> string -> int
 
 val route_to_string : route -> string
 (** ["hash"] or ["zipf:S"] — a single whitespace-free token, stable for
-    replay logs and CLI round-trips. *)
+    replay logs and CLI round-trips: [S] prints as
+    {!Podopt_codec.Lines.float_to_string} does, so it reads back to the
+    same float. *)
 
 val route_of_string : string -> (route, string) result

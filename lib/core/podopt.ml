@@ -71,6 +71,7 @@ module Dominators = Podopt_profile.Dominators
 module Dot = Podopt_profile.Dot
 module Report = Podopt_profile.Report
 module Trace_io = Podopt_profile.Trace_io
+module Lines = Podopt_codec.Lines
 
 (* Optimization *)
 module Plan = Podopt_optimize.Plan

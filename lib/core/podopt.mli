@@ -57,6 +57,10 @@ module Dot = Podopt_profile.Dot
 module Report = Podopt_profile.Report
 module Trace_io = Podopt_profile.Trace_io
 
+(** The line codec that the trace, profile-store and replay-log formats
+    share: its one [Format_error], and [save]/[load] for their files. *)
+module Lines = Podopt_codec.Lines
+
 (** {1 Optimization} *)
 
 module Plan = Podopt_optimize.Plan

@@ -10,16 +10,52 @@
    fetch-and-add each — the whole steal protocol: every slot is claimed
    by exactly one lane, and an idle lane "steals" simply by claiming the
    next slot first, so a lane stuck on a heavy item no longer
-   serializes the epoch. *)
+   serializes the epoch.
+
+   Helper domains outlive the pools that borrow them: [shutdown] counts
+   its helpers idle, and [create] lends its lane loops to idle helpers
+   before it spawns new ones.  A joined domain's heap is orphaned and
+   adopted by whichever domain next starts a major GC cycle, at a
+   moment that depends on GC timing: a process that built broker after
+   broker saw its peak heap jump, now and then, by a dead helper's
+   heap. *)
 
 type t = {
   barrier : Barrier.t;
   mutable body : int -> unit;  (* this epoch's work, run by every lane *)
   failure : exn option Atomic.t;
   suppressed : int Atomic.t;  (* item failures beyond the latched one *)
-  mutable helpers : unit Domain.t array;
   mutable alive : bool;
 }
+
+(* Helper domains between pools wait for a lane loop on [pending];
+   [idle] counts those that no pool has borrowed. *)
+let pending : (unit -> unit) Queue.t = Queue.create ()
+let idle = ref 0
+let lock = Mutex.create ()
+let posted = Condition.create ()
+
+let rec serve () =
+  Mutex.lock lock;
+  while Queue.is_empty pending do
+    Condition.wait posted lock
+  done;
+  let job = Queue.pop pending in
+  Mutex.unlock lock;
+  job ();
+  serve ()
+
+(* Run [job] on an idle helper, or on a new one. *)
+let lend job =
+  Mutex.lock lock;
+  Queue.push job pending;
+  let spawn = !idle = 0 in
+  if not spawn then begin
+    decr idle;
+    Condition.signal posted
+  end;
+  Mutex.unlock lock;
+  if spawn then ignore (Domain.spawn serve : unit Domain.t)
 
 exception Epoch_failures of exn * int
 
@@ -36,7 +72,8 @@ let latch t exn =
     Atomic.incr t.suppressed
 
 (* A helper waits on the start barrier between epochs; passing it
-   with the pool shut down is its signal to exit. *)
+   with the pool shut down is its signal to count itself idle, which it
+   confirms at one last barrier. *)
 let helper t lane =
   let rec loop () =
     Barrier.await t.barrier;
@@ -46,7 +83,11 @@ let helper t lane =
       loop ()
     end
   in
-  loop ()
+  loop ();
+  Mutex.lock lock;
+  incr idle;
+  Mutex.unlock lock;
+  Barrier.await t.barrier
 
 let create ~domains =
   if domains <= 0 then invalid_arg "Pool.create: domains <= 0";
@@ -56,12 +97,12 @@ let create ~domains =
       body = ignore;
       failure = Atomic.make None;
       suppressed = Atomic.make 0;
-      helpers = [||];
       alive = true;
     }
   in
-  t.helpers <-
-    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> helper t (i + 1)));
+  for i = 1 to domains - 1 do
+    lend (fun () -> helper t i)
+  done;
   t
 
 let size t = Barrier.parties t.barrier
@@ -95,5 +136,6 @@ let shutdown t =
   if t.alive then begin
     t.alive <- false;
     Barrier.await t.barrier;
-    Array.iter Domain.join t.helpers
+    (* the helpers are back on the idle list *)
+    Barrier.await t.barrier
   end

@@ -1,7 +1,7 @@
 (** Fixed pool of domains driven in epochs, with the caller as one of
     the lanes.
 
-    {!create} spawns [domains - 1] helper domains; the caller is lane
+    {!create} borrows [domains - 1] helper domains; the caller is lane
     [0] and the helpers are lanes [1 .. domains-1].  Between epochs the
     helpers wait on a {!Barrier} (spinning briefly, then parked).  One
     epoch ({!run_steal}) wakes every helper, drains the epoch's run
@@ -29,9 +29,11 @@ type t
     the number of further failures whose exceptions were dropped. *)
 exception Epoch_failures of exn * int
 
-(** Spawn the [domains - 1] helper domains ([domains = 1] spawns none:
-    every epoch runs on the caller alone).  Raises [Invalid_argument]
-    when [domains <= 0]. *)
+(** Borrow [domains - 1] idle helper domains, spawning only those the
+    process lacks ([domains = 1] borrows none: every epoch runs on the
+    caller alone).  Helpers are never joined: the helpers of a
+    {!shutdown} pool wait, parked, for the next pool.  Raises
+    [Invalid_argument] when [domains <= 0]. *)
 val create : domains:int -> t
 
 (** Number of lanes, caller included. *)
@@ -49,5 +51,6 @@ val size : t -> int
     Raises [Invalid_argument] after {!shutdown}. *)
 val run_steal : t -> 'a array -> (worker:int -> slot:int -> 'a -> unit) -> unit
 
-(** Release and join the helper domains.  Idempotent. *)
+(** Hand the helper domains back, idle, for the next pool; when it
+    returns they no longer touch this one.  Idempotent. *)
 val shutdown : t -> unit

@@ -38,6 +38,10 @@ val node : t -> string -> node
 
 val record_occurrence : t -> string -> Ast.mode -> unit
 
+(** Find-or-create an edge, with zero counters when new, and its
+    endpoint nodes. *)
+val edge : t -> src:string -> dst:string -> edge
+
 (** Add one traversal.  [causal] is false when the destination raise came
     from outside any handler (depth 0): it cannot have been caused by the
     preceding event, so it never counts as synchronous-causal. *)

@@ -13,22 +13,12 @@
      HE <time> <depth> <event> <handler>        handler end
 
    with <mode> = S | A | T<delay>.  Names must be whitespace-free (all
-   event/handler names in this system are). *)
+   event/handler names in this system are).  The framing, comments and
+   errors are Podopt_codec.Lines's; this format has no [V] line. *)
 
 open Podopt_hir
 open Podopt_eventsys
-
-exception Format_error of string
-
-let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-
-let check_name what name =
-  String.iter
-    (fun c ->
-      if c = ' ' || c = '\t' || c = '\n' then
-        format_error "%s name %S contains whitespace" what name)
-    name;
-  if name = "" then format_error "empty %s name" what
+module Lines = Podopt_codec.Lines
 
 let mode_to_token = function
   | Ast.Sync -> "S"
@@ -41,35 +31,30 @@ let mode_of_token = function
   | tok when String.length tok > 1 && tok.[0] = 'T' ->
     (match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
      | Some d -> Ast.Timed d
-     | None -> format_error "bad timed mode %S" tok)
-  | tok -> format_error "bad mode %S" tok
+     | None -> Lines.error "bad timed mode %S" tok)
+  | tok -> Lines.error "bad mode %S" tok
 
 let entry_to_line = function
   | Trace.Event_raised { event; mode; time; depth } ->
-    check_name "event" event;
+    Lines.check_name "event" event;
     Printf.sprintf "E %d %d %s %s" time depth (mode_to_token mode) event
   | Trace.Dispatch_begin { event; time; depth } ->
-    check_name "event" event;
+    Lines.check_name "event" event;
     Printf.sprintf "DB %d %d %s" time depth event
   | Trace.Dispatch_end { event; time; depth } ->
-    check_name "event" event;
+    Lines.check_name "event" event;
     Printf.sprintf "DE %d %d %s" time depth event
   | Trace.Handler_begin { event; handler; time; depth } ->
-    check_name "event" event;
-    check_name "handler" handler;
+    Lines.check_name "event" event;
+    Lines.check_name "handler" handler;
     Printf.sprintf "HB %d %d %s %s" time depth event handler
   | Trace.Handler_end { event; handler; time; depth } ->
-    check_name "event" event;
-    check_name "handler" handler;
+    Lines.check_name "event" event;
+    Lines.check_name "handler" handler;
     Printf.sprintf "HE %d %d %s %s" time depth event handler
 
-let entry_of_line line =
-  let fields = String.split_on_char ' ' line |> List.filter (( <> ) "") in
-  let int_field what s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> format_error "bad %s %S in line %S" what s line
-  in
+let entry_of_fields line fields =
+  let int_field what s = Lines.int ~line what s in
   match fields with
   | [] -> None
   | [ "E"; time; depth; mode; event ] ->
@@ -97,7 +82,9 @@ let entry_of_line line =
     Some
       (Trace.Handler_end
          { event; handler; time = int_field "time" time; depth = int_field "depth" depth })
-  | tag :: _ -> format_error "bad entry tag %S in line %S" tag line
+  | tag :: _ -> Lines.error "bad entry tag %S in line %S" tag line
+
+let entry_of_line line = entry_of_fields line (Lines.fields line)
 
 let to_string (trace : Trace.t) : string =
   let buf = Buffer.create 4096 in
@@ -109,22 +96,9 @@ let to_string (trace : Trace.t) : string =
   Buffer.contents buf
 
 let of_string (s : string) : Trace.t =
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None else entry_of_line line)
-  |> Trace.of_entries
-
-let save (trace : Trace.t) ~(path : string) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string trace))
-
-let load ~(path : string) : Trace.t =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
+  let entries = ref [] in
+  Lines.iter
+    (fun line fields ->
+      Option.iter (fun e -> entries := e :: !entries) (entry_of_fields line fields))
+    s;
+  Trace.of_entries (List.rev !entries)

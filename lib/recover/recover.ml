@@ -9,14 +9,12 @@
    payloads) and [copy] copies them out again, because one snapshot is
    restored once per kill until the next checkpoint.
 
-   The profile is deferred: a snapshot keeps the adaptive controller as
+   An optimizing shard's profile is the adaptive controller as
    [Adaptive.save] copies it (the cumulative graph, the live window's
    counters and the plan the shard had installed, O(distinct edges)
-   whatever the window's length), a copy of the breaker, the dispatch
-   count, and the binding signature of every bound event.  A restore
-   loads the controller and the breaker back as they were.  Only a store entry and the printed form merge the
-   window into the graph and pair it with its signatures ([merged]),
-   so a checkpoint costs no reduction and no chain search.
+   whatever the window's length) and a copy of the breaker: what a
+   restore loads back.  A checkpoint runs no reduction and no chain
+   search; the shard builds the store entry only for the printed form.
 
    The printed form ([to_string]) is a line format whose bytes must
    stay stable, because the wall-clock benchmark times and sizes it;
@@ -33,7 +31,9 @@
      P <kind> <state>                                   fault-stream position (int64)
      F <line>                                           embedded profile store line
 
-   [id] is the CRC-32 of the body (every line after the id field).
+   [id] is the CRC-32 of the body (every line after the id field), and
+   hex is Podopt_codec.Lines's ([-] for no bytes).  The [F] lines carry
+   the store the caller prints for the shard's profile.
 
    The redo [journal] is the coordinator-side log of everything a shard
    was fed since its last checkpoint: each admitted op ([Offer]) and
@@ -45,20 +45,12 @@
    epoch boundary, which empties the journal. *)
 
 module Packet = Podopt_net.Packet
-module Store = Podopt_store.Store
-module Crc32 = Podopt_crypto.Crc32
 module Value = Podopt_hir.Value
-module Event_graph = Podopt_profile.Event_graph
-module Reduce = Podopt_profile.Reduce
-module Chains = Podopt_profile.Chains
-module Adaptive = Podopt_optimize.Adaptive
+module Lines = Podopt_codec.Lines
 
 type profile = {
-  adaptive : Adaptive.saved;   (* the controller, window and plan included *)
+  adaptive : Podopt_optimize.Adaptive.saved;  (* controller, window and plan *)
   breaker : Podopt_optimize.Breaker.t;  (* a copy nothing mutates *)
-  dispatched : int;            (* ops the shard had served *)
-  threshold : int;             (* the controller's chain threshold *)
-  signatures : (string * string list) list;  (* bound events, sorted *)
 }
 
 type snapshot = {
@@ -115,42 +107,15 @@ let make ~shard ~epoch ~kind ~clock ~sessions ~counters ~globals ~queue ~retries
       profile;
     }
 
-(* --- the deferred profile ----------------------------------------------- *)
-
-(* Everything the profile saw — the absorbed windows and the live one,
-   merged into a fresh graph — with the occurrences it counts and each
-   node's binding signature ([[]] for an unbound event), nodes sorted.
-   [None] when nothing was observed. *)
-let merged (p : profile) =
-  let graph, trace_entries = Adaptive.saved_profile p.adaptive in
-  if Event_graph.node_count graph = 0 then None
-  else
-    let signatures =
-      Event_graph.nodes graph
-      |> List.map (fun (n : Event_graph.node) -> n.Event_graph.name)
-      |> List.sort compare
-      |> List.map (fun ev ->
-             (ev, Option.value ~default:[] (List.assoc_opt ev p.signatures)))
-    in
-    Some (graph, trace_entries, signatures)
-
-let profile_entry ~kind ~shard (p : profile) =
-  Option.map
-    (fun (graph, trace_entries, handlers) ->
-      let chains = Chains.find (Reduce.reduce graph ~threshold:p.threshold) in
-      Store.make_entry ~kind ~shard ~dispatched:p.dispatched ~trace_entries ~graph
-        ~chains ~handlers ())
-    (merged p)
-
 (* --- the printed form --------------------------------------------------- *)
 
-let add_hex buf s = Buffer.add_string buf (if s = "" then "-" else Value.to_hex s)
+let add_hex buf s = Buffer.add_string buf (Lines.hex s)
 
 let add_packet buf pkt = add_hex buf (Bytes.unsafe_to_string (Packet.encode pkt))
 
 (* The body: the header minus the id field, then every record line, one
    '\n' between lines. *)
-let body (s : snapshot) =
+let body (s : snapshot) ~store =
   let buf = Buffer.create 4096 in
   let line fmt =
     Buffer.add_char buf '\n';
@@ -175,16 +140,13 @@ let body (s : snapshot) =
       add_packet buf pkt)
     s.dead;
   List.iter (fun (kind, state) -> line "P %s %Ld" kind state) s.streams;
-  Option.iter
-    (fun e ->
-      String.split_on_char '\n' (Store.to_string [ e ])
-      |> List.iter (fun l -> if l <> "" then line "F %s" l))
-    (Option.bind s.profile (profile_entry ~kind:s.kind ~shard:s.shard));
+  String.split_on_char '\n' store
+  |> List.iter (fun l -> if l <> "" then line "F %s" l);
   Buffer.contents buf
 
-let to_string (s : snapshot) : string =
-  let body = body s in
-  Printf.sprintf "# podopt shard checkpoint\nV 1\nS %08x%s\n" (Crc32.of_string body)
+let to_string (s : snapshot) ~store : string =
+  let body = body s ~store in
+  Printf.sprintf "# podopt shard checkpoint\nV 1\nS %s%s\n" (Lines.digest body)
     (String.sub body 1 (String.length body - 1))
 
 (* --- the redo journal --------------------------------------------------- *)

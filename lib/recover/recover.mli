@@ -16,16 +16,16 @@
     the shard had installed, so no trace is kept or folded, and a
     restore brings the controller back as it was instead of re-planning
     from a graph that, recorded while super-handlers ran, no longer
-    shows the chains they subsume.  {!to_string} prints the snapshot in
-    a byte-stable line format, for measuring; the plan is not
-    printed. *)
+    shows the chains they subsume.  {!to_string} prints the snapshot,
+    with the store entry the shard builds for it, in a byte-stable line
+    format for measuring.  Its hex and CRC-32 are
+    {!Podopt_codec.Lines}'s, and the plan is not printed. *)
 
 module Packet = Podopt_net.Packet
 module Value = Podopt_hir.Value
 
-(** The deferred adaptive profile: the shard's adaptive controller and
-    the inputs its store entry is built from, kept instead of the entry
-    so that a capture runs no reduction and no chain search. *)
+(** The optimizer state a restore loads back, kept as is so that a
+    capture runs no reduction and no chain search. *)
 type profile = {
   adaptive : Podopt_optimize.Adaptive.saved;
       (** the controller's cumulative graph, live window and installed
@@ -33,10 +33,6 @@ type profile = {
   breaker : Podopt_optimize.Breaker.t;
       (** a {!Podopt_optimize.Breaker.copy} of the shard's breaker; a
           restore installs a copy of it, so nothing mutates this one *)
-  dispatched : int;     (** ops the shard had served *)
-  threshold : int;      (** the controller's chain threshold *)
-  signatures : (string * string list) list;
-      (** ordered handler names of every bound event, sorted by event *)
 }
 
 type snapshot = {
@@ -70,17 +66,12 @@ val make :
     a restore loads, so the live shard can mutate them. *)
 val copy : snapshot -> snapshot
 
-(** The profile as a store entry: the cumulative graph with the window
-    merged in, chains at the profile's threshold, and each node's
-    binding signature ([[]] for an unbound event); [None] when nothing
-    was observed. *)
-val profile_entry :
-  kind:string -> shard:int -> profile -> Podopt_store.Store.entry option
-
 (** The printed form: a [V 1] line-format document whose [S] line
-    carries the CRC-32 (hex) of the body, with the profile as embedded
-    store-entry lines.  Nothing reads it back. *)
-val to_string : snapshot -> string
+    carries the CRC-32 (hex) of the body, with the shard's profile
+    embedded as [F] lines: [store] is that profile as a printed store
+    ([""] for none).  Hex and digest are {!Podopt_codec.Lines}'s.
+    Nothing reads it back. *)
+val to_string : snapshot -> store:string -> string
 
 (** {1 The redo journal} *)
 

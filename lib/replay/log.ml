@@ -1,8 +1,8 @@
 (* The on-disk run log: everything a broker run consumes, serialized so
    the run can be reconstructed offline — the replay analogue of
-   Podopt_profile.Trace_io, and the same framing conventions (one
-   record per line, whitespace-separated fields, [#] comments, a
-   [Format_error] on anything malformed).
+   Podopt_profile.Trace_io.  The framing is Podopt_codec.Lines's (one
+   record per line, whitespace-separated fields, [#] comments, verbatim
+   [D] and [J] documents, a [Lines.Format_error] on anything malformed).
 
    Format (version 8; any other version is refused):
 
@@ -50,11 +50,8 @@ module Policy = Podopt_broker.Policy
 module Workload = Podopt_broker.Workload
 
 module Store = Podopt_store.Store
-module Crc32 = Podopt_crypto.Crc32
+module Lines = Podopt_codec.Lines
 
-exception Format_error of string
-
-let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
 let version = 8
 
 type sess = {
@@ -90,31 +87,6 @@ type t = {
 
 (* --- small codecs ------------------------------------------------------ *)
 
-let to_hex (b : bytes) : string =
-  if Bytes.length b = 0 then "-"
-  else
-    let digits = "0123456789abcdef" in
-    String.init
-      (2 * Bytes.length b)
-      (fun i ->
-        let c = Char.code (Bytes.get b (i / 2)) in
-        digits.[if i mod 2 = 0 then c lsr 4 else c land 15])
-
-let of_hex (s : string) : bytes =
-  if s = "-" then Bytes.create 0
-  else begin
-    if String.length s mod 2 <> 0 then format_error "odd-length hex %S" s;
-    let v c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | _ -> format_error "bad hex digit %C in %S" c s
-    in
-    Bytes.init
-      (String.length s / 2)
-      (fun i -> Char.chr ((v s.[2 * i] * 16) + v s.[(2 * i) + 1]))
-  end
-
 let bits_of_bools = function
   | [] -> "-"
   | bs -> String.concat "" (List.map (fun b -> if b then "1" else "0") bs)
@@ -126,21 +98,11 @@ let bools_of_bits = function
         match s.[i] with
         | '1' -> true
         | '0' -> false
-        | c -> format_error "bad draw bit %C in %S" c s)
+        | c -> Lines.error "bad draw bit %C in %S" c s)
 
 let check_phase = function
   | ("w" | "m") as p -> p
-  | p -> format_error "bad phase %S (expected w or m)" p
-
-let int_field what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> format_error "bad %s %S" what s
-
-let bool_field what s =
-  match bool_of_string_opt s with
-  | Some b -> b
-  | None -> format_error "bad %s %S (expected true or false)" what s
+  | p -> Lines.error "bad phase %S (expected w or m)" p
 
 (* --- encode ------------------------------------------------------------ *)
 
@@ -166,12 +128,8 @@ let to_string (t : t) : string =
      (* the profile is this run's identity: embed it verbatim and pin
         its digest, so a swapped profile is caught at load time *)
      let body = Store.to_string store in
-     let slines = String.split_on_char '\n' body in
-     let slines =
-       match List.rev slines with "" :: rev -> List.rev rev | _ -> slines
-     in
-     List.iter (fun l -> if l = "" then line "D" else line "D %s" l) slines;
-     line "Y %08x" (Crc32.of_string body));
+     Lines.add_doc buf 'D' body;
+     line "Y %s" (Lines.digest body));
   line "P %d %d %d %d %d %d %d %b" p.Loadgen.sessions p.Loadgen.ops
     p.Loadgen.interval p.Loadgen.spread p.Loadgen.latency p.Loadgen.jitter
     t.warmup_ops t.metrics;
@@ -179,7 +137,10 @@ let to_string (t : t) : string =
     (fun s ->
       line "S %s %s %d %d %d" s.s_phase s.s_id s.s_start s.s_interval
         (Array.length s.s_ops);
-      Array.iteri (fun seq op -> line "O %s %s %d %s" s.s_phase s.s_id seq (to_hex op)) s.s_ops)
+      Array.iteri
+        (fun seq op ->
+          line "O %s %s %d %s" s.s_phase s.s_id seq (Lines.hex (Bytes.unsafe_to_string op)))
+        s.s_ops)
     t.sessions;
   List.iter
     (fun a -> line "A %s %s %d %d %d" a.a_phase a.a_sid a.a_seq a.a_attempt a.a_outcome)
@@ -191,14 +152,7 @@ let to_string (t : t) : string =
     (fun (epoch, shard, from_w, to_w) ->
       line "M %d %d %d %d" epoch shard from_w to_w)
     t.migrations;
-  if t.json <> "" then begin
-    let jlines = String.split_on_char '\n' t.json in
-    (* the document is newline-terminated: drop the final empty element *)
-    let jlines =
-      match List.rev jlines with "" :: rev -> List.rev rev | _ -> jlines
-    in
-    List.iter (fun l -> if l = "" then line "J" else line "J %s" l) jlines
-  end;
+  Lines.add_doc buf 'J' t.json;
   Buffer.contents buf
 
 (* --- decode ------------------------------------------------------------ *)
@@ -208,34 +162,33 @@ let config_of_fields fields =
   | [ shards; batch; queue_limit; policy; kind; optimize; compile; seed; tick;
       domains; faults; checkpoint_every; route; arrivals ] ->
     let parsed what of_string s =
-      match of_string s with Ok v -> v | Error e -> format_error "bad %s: %s" what e
+      match of_string s with Ok v -> v | Error e -> Lines.error "bad %s: %s" what e
     in
     let seed =
       match Int64.of_string_opt seed with
       | Some s -> s
-      | None -> format_error "bad seed %S" seed
+      | None -> Lines.error "bad seed %S" seed
     in
     {
-      Broker.shards = int_field "shards" shards;
-      batch = int_field "batch" batch;
-      queue_limit = int_field "queue_limit" queue_limit;
+      Broker.shards = Lines.int "shards" shards;
+      batch = Lines.int "batch" batch;
+      queue_limit = Lines.int "queue_limit" queue_limit;
       policy = parsed "policy" Policy.shed_of_string policy;
       kind = parsed "kind" Workload.kind_of_string kind;
-      optimize = bool_field "optimize" optimize;
-      compile = bool_field "compile" compile;
+      optimize = Lines.bool "optimize" optimize;
+      compile = Lines.bool "compile" compile;
       seed;
-      tick = int_field "tick" tick;
-      domains = int_field "domains" domains;
+      tick = Lines.int "tick" tick;
+      domains = Lines.int "domains" domains;
       faults = parsed "faults spec" Plan.of_string faults;
       profile_in = None;  (* filled in from the D lines, if any *)
-      checkpoint_every = int_field "checkpoint-every" checkpoint_every;
+      checkpoint_every = Lines.int "checkpoint-every" checkpoint_every;
       route = parsed "route" Podopt_broker.Shard_map.route_of_string route;
       arrivals = parsed "arrivals" Podopt_broker.Arrivals.of_string arrivals;
     }
-  | _ -> format_error "bad C line (%d fields, expected 14)" (List.length fields)
+  | _ -> Lines.error "bad C line (%d fields, expected 14)" (List.length fields)
 
 let of_string (s : string) : t =
-  let saw_version = ref false in
   let config = ref None in
   let profile = ref None in
   let warmup_ops = ref 0 in
@@ -245,36 +198,30 @@ let of_string (s : string) : t =
   let arrivals = ref [] in
   let faults = ref [] in
   let migrations = ref [] in
-  let jlines = ref [] in
-  let dlines = ref [] in
+  let json = ref "" in
+  let embedded = ref "" in
   let ydigest = ref None in
-  let dispatch line =
-    let fields = String.split_on_char ' ' line |> List.filter (( <> ) "") in
+  let record line fields =
     match fields with
     | [] -> ()
-    | [ "V"; v ] ->
-      let v = int_field "version" v in
-      if v <> version then
-        format_error "unsupported log version %d (expected %d)" v version;
-      saw_version := true
     | "C" :: rest -> config := Some (config_of_fields rest)
     | [ "P"; sessions'; ops'; interval; spread; latency; jitter; warmup; metrics' ] ->
       profile :=
         Some
           {
-            Loadgen.sessions = int_field "sessions" sessions';
-            ops = int_field "ops" ops';
-            interval = int_field "interval" interval;
-            spread = int_field "spread" spread;
-            latency = int_field "latency" latency;
-            jitter = int_field "jitter" jitter;
+            Loadgen.sessions = Lines.int "sessions" sessions';
+            ops = Lines.int "ops" ops';
+            interval = Lines.int "interval" interval;
+            spread = Lines.int "spread" spread;
+            latency = Lines.int "latency" latency;
+            jitter = Lines.int "jitter" jitter;
           };
-      warmup_ops := int_field "warmup_ops" warmup;
-      metrics := bool_field "metrics" metrics'
+      warmup_ops := Lines.int "warmup_ops" warmup;
+      metrics := Lines.bool "metrics" metrics'
     | [ "S"; phase; id; start; interval; nops ] ->
       sessions :=
-        ( check_phase phase, id, int_field "start" start,
-          int_field "interval" interval, int_field "nops" nops )
+        ( check_phase phase, id, Lines.int "start" start,
+          Lines.int "interval" interval, Lines.int "nops" nops )
         :: !sessions
     | [ "O"; phase; id; seq; hex ] ->
       let key = (check_phase phase, id) in
@@ -286,43 +233,33 @@ let of_string (s : string) : t =
           Hashtbl.add ops key c;
           c
       in
-      cell := (int_field "seq" seq, of_hex hex) :: !cell
+      cell := (Lines.int "seq" seq, Lines.of_hex hex) :: !cell
     | [ "A"; phase; sid; seq; attempt; outcome ] ->
       arrivals :=
         {
           a_phase = check_phase phase;
           a_sid = sid;
-          a_seq = int_field "seq" seq;
-          a_attempt = int_field "attempt" attempt;
-          a_outcome = int_field "outcome" outcome;
+          a_seq = Lines.int "seq" seq;
+          a_attempt = Lines.int "attempt" attempt;
+          a_outcome = Lines.int "outcome" outcome;
         }
         :: !arrivals
     | [ "F"; salt; kind; bits ] ->
-      faults := ((int_field "salt" salt, kind), bools_of_bits bits) :: !faults
+      faults := ((Lines.int "salt" salt, kind), bools_of_bits bits) :: !faults
     | [ "M"; epoch; shard; from_w; to_w ] ->
       migrations :=
-        ( int_field "epoch" epoch, int_field "shard" shard,
-          int_field "from" from_w, int_field "to" to_w )
+        ( Lines.int "epoch" epoch, Lines.int "shard" shard,
+          Lines.int "from" from_w, Lines.int "to" to_w )
         :: !migrations
     | [ "Y"; digest ] -> ydigest := Some digest
-    | tag :: _ -> format_error "bad record tag %S in line %S" tag line
+    | tag :: _ -> Lines.error "bad record tag %S in line %S" tag line
   in
-  List.iter
-    (fun raw ->
-      (* J and D lines carry their documents verbatim (spaces included) *)
-      if raw = "J" then jlines := "" :: !jlines
-      else if String.length raw >= 2 && raw.[0] = 'J' && raw.[1] = ' ' then
-        jlines := String.sub raw 2 (String.length raw - 2) :: !jlines
-      else if raw = "D" then dlines := "" :: !dlines
-      else if String.length raw >= 2 && raw.[0] = 'D' && raw.[1] = ' ' then
-        dlines := String.sub raw 2 (String.length raw - 2) :: !dlines
-      else
-        let line = String.trim raw in
-        if line = "" || line.[0] = '#' then () else dispatch line)
-    (String.split_on_char '\n' s);
-  if not !saw_version then format_error "missing V line";
-  let config = match !config with Some c -> c | None -> format_error "missing C line" in
-  let profile = match !profile with Some p -> p | None -> format_error "missing P line" in
+  (* D and J lines carry their documents verbatim (spaces included) *)
+  Lines.iter ~version:("log", version)
+    ~docs:[ ('D', ( := ) embedded); ('J', ( := ) json) ]
+    record s;
+  let config = match !config with Some c -> c | None -> Lines.error "missing C line" in
+  let profile = match !profile with Some p -> p | None -> Lines.error "missing P line" in
   let sessions =
     List.rev_map
       (fun (phase, id, start, interval, nops) ->
@@ -334,44 +271,38 @@ let of_string (s : string) : t =
         List.iter
           (fun (seq, payload) ->
             if seq < 0 || seq >= nops then
-              format_error "op seq %d out of range for session %s/%s" seq phase id;
+              Lines.error "op seq %d out of range for session %s/%s" seq phase id;
             arr.(seq) <- payload;
             seen.(seq) <- true)
           collected;
         Array.iteri
           (fun seq ok ->
-            if not ok then format_error "missing op %d for session %s/%s" seq phase id)
+            if not ok then Lines.error "missing op %d for session %s/%s" seq phase id)
           seen;
         { s_phase = phase; s_id = id; s_start = start; s_interval = interval; s_ops = arr })
       !sessions
   in
   let profile_in =
-    match List.rev !dlines with
-    | [] ->
+    match !embedded with
+    | "" ->
       if !ydigest <> None then
-        format_error "Y digest line without an embedded profile";
+        Lines.error "Y digest line without an embedded profile";
       None
-    | lines ->
-      let body = String.concat "\n" lines ^ "\n" in
+    | body ->
       (match !ydigest with
-       | None -> format_error "embedded profile is missing its Y digest line"
+       | None -> Lines.error "embedded profile is missing its Y digest line"
        | Some d ->
-         let actual = Printf.sprintf "%08x" (Crc32.of_string body) in
+         let actual = Lines.digest body in
          if not (String.equal d actual) then
-           format_error
+           Lines.error
              "embedded profile digest mismatch (log says %s, content is %s): \
               the profile was altered after recording" d actual);
       (match Store.of_string body with
        | store -> Some store
-       | exception Store.Format_error e ->
-         format_error "bad embedded profile: %s" e)
+       | exception Lines.Format_error e ->
+         Lines.error "bad embedded profile: %s" e)
   in
   let config = { config with Broker.profile_in } in
-  let json =
-    match List.rev !jlines with
-    | [] -> ""
-    | lines -> String.concat "\n" lines ^ "\n"
-  in
   {
     config;
     profile;
@@ -381,22 +312,8 @@ let of_string (s : string) : t =
     arrivals = List.rev !arrivals;
     fault_draws = List.sort compare (List.rev !faults);
     migrations = List.rev !migrations;
-    json;
+    json = !json;
   }
-
-let save (path : string) (t : t) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-let load (path : string) : t =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
 
 (* Sessions of one phase, in creation order. *)
 let phase_sessions t phase = List.filter (fun s -> s.s_phase = phase) t.sessions

@@ -7,15 +7,15 @@
     decisions — plus the run's [serve --json] document, so a replay
     can be checked for byte-identity.
 
-    The format is line-oriented text with the same conventions as
-    {!Podopt_profile.Trace_io}: one record per line, whitespace-
-    separated fields, [#] comments, and a {!Format_error} on anything
-    malformed.  See [log.ml] for the exact grammar. *)
+    The format is line-oriented text framed by {!Podopt_codec.Lines}:
+    one record per line, whitespace-separated fields, [#] comments, the
+    embedded profile store and JSON document carried verbatim, and a
+    {!Podopt_codec.Lines.Format_error} on anything malformed.  Files are
+    written and read with {!Podopt_codec.Lines.save} and
+    {!Podopt_codec.Lines.load}.  See [log.ml] for the exact grammar. *)
 
 module Broker = Podopt_broker.Broker
 module Loadgen = Podopt_broker.Loadgen
-
-exception Format_error of string
 
 (** The current (and only) format version, written as the [V] line. *)
 val version : int
@@ -55,17 +55,9 @@ type t = {
 
 val to_string : t -> string
 
-(** Raises {!Format_error} on malformed input or a [V] line naming a
-    version other than {!version}. *)
+(** Raises {!Podopt_codec.Lines.Format_error} on malformed input or a
+    [V] line naming a version other than {!version}. *)
 val of_string : string -> t
-
-val save : string -> t -> unit
-val load : string -> t
 
 (** Sessions of phase ["w"] or ["m"], in creation order. *)
 val phase_sessions : t -> string -> sess list
-
-(**/**)
-
-val to_hex : bytes -> string
-val of_hex : string -> bytes

@@ -2,9 +2,10 @@
    one run's profile can warm-start the next — the off-line half of the
    paper's collect/analyze/optimize cycle, made durable.
 
-   Same framing conventions as Podopt_profile.Trace_io and
-   Podopt_replay.Log: one record per line, whitespace-separated fields,
-   [#] comments, a [Format_error] on anything malformed.
+   The framing is Podopt_codec.Lines's, as for Podopt_profile.Trace_io
+   and Podopt_replay.Log: one record per line, whitespace-separated
+   fields, [#] comments, a [V] line, a [Lines.Format_error] on anything
+   malformed.
 
    Format (version 3; any other version is refused):
 
@@ -29,11 +30,8 @@
    path). *)
 
 open Podopt_profile
-module Crc32 = Podopt_crypto.Crc32
+module Lines = Podopt_codec.Lines
 
-exception Format_error of string
-
-let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
 let version = 3
 
 type entry = {
@@ -54,19 +52,11 @@ let entries (t : t) = t
 
 (* --- canonical rendering ----------------------------------------------- *)
 
-let check_name what name =
-  if name = "" then format_error "empty %s name" what;
-  String.iter
-    (fun c ->
-      if c = ' ' || c = '\t' || c = '\n' then
-        format_error "%s name %S contains whitespace" what name)
-    name
-
 (* The canonical body: deterministic line order regardless of hashtable
    iteration or capture order, so equal observations render equal bytes
    (and therefore equal ids). *)
 let body_lines (e : entry) : string list =
-  check_name "kind" e.kind;
+  Lines.check_name "kind" e.kind;
   let header =
     Printf.sprintf "E %s %d %d %d" e.kind e.shard e.dispatched e.trace_entries
   in
@@ -74,7 +64,7 @@ let body_lines (e : entry) : string list =
     Event_graph.nodes e.graph
     |> List.sort (fun (a : Event_graph.node) b -> compare a.Event_graph.name b.Event_graph.name)
     |> List.map (fun (n : Event_graph.node) ->
-           check_name "event" n.Event_graph.name;
+           Lines.check_name "event" n.Event_graph.name;
            Printf.sprintf "N %s %d %d %d %d" n.Event_graph.name n.occurrences
              n.raised_sync n.raised_async n.raised_timed)
   in
@@ -83,30 +73,29 @@ let body_lines (e : entry) : string list =
     |> List.sort (fun (a : Event_graph.edge) b ->
            compare (a.Event_graph.src, a.Event_graph.dst) (b.Event_graph.src, b.Event_graph.dst))
     |> List.map (fun (ed : Event_graph.edge) ->
-           check_name "event" ed.Event_graph.src;
-           check_name "event" ed.Event_graph.dst;
+           Lines.check_name "event" ed.Event_graph.src;
+           Lines.check_name "event" ed.Event_graph.dst;
            Printf.sprintf "G %s %s %d %d %d %d" ed.Event_graph.src ed.Event_graph.dst
              ed.weight ed.sync ed.async ed.timed)
   in
   let chains =
     List.sort compare e.chains
     |> List.map (fun chain ->
-           if chain = [] then format_error "empty chain";
-           List.iter (check_name "event") chain;
+           if chain = [] then Lines.error "empty chain";
+           List.iter (Lines.check_name "event") chain;
            "C " ^ String.concat " " chain)
   in
   let handlers =
     List.sort compare e.handlers
     |> List.map (fun (event, hs) ->
-           check_name "event" event;
-           List.iter (check_name "handler") hs;
+           Lines.check_name "event" event;
+           List.iter (Lines.check_name "handler") hs;
            if hs = [] then Printf.sprintf "H %s" event
            else Printf.sprintf "H %s %s" event (String.concat " " hs))
   in
   (header :: nodes) @ edges @ chains @ handlers
 
-let digest_of_lines lines =
-  Printf.sprintf "%08x" (Crc32.of_string (String.concat "\n" lines))
+let digest_of_lines lines = Lines.digest (String.concat "\n" lines)
 
 (* Build an entry, computing its content id. *)
 let make_entry ~kind ~shard ~dispatched ~trace_entries ~graph ~chains
@@ -154,150 +143,72 @@ let to_string (t : t) : string =
 
 (* --- decode ------------------------------------------------------------ *)
 
-let int_field what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> format_error "bad %s %S" what s
-
-(* Raw parsed entry, before graph reconstruction. *)
-type partial = {
-  p_id : string;
-  p_kind : string;
-  p_shard : int;
-  p_dispatched : int;
-  p_trace : int;
-  mutable p_nodes : (string * int * int * int * int) list;
-  mutable p_edges : (string * string * int * int * int * int) list;
-  mutable p_chains : string list list;
-  mutable p_handlers : (string * string list) list;
-}
-
-let finish (p : partial) : entry =
-  let graph = Event_graph.create () in
-  List.iter
-    (fun (name, occ, s, a, ti) ->
-      let n = Event_graph.node graph name in
-      n.Event_graph.occurrences <- occ;
-      n.raised_sync <- s;
-      n.raised_async <- a;
-      n.raised_timed <- ti)
-    (List.rev p.p_nodes);
-  List.iter
-    (fun (src, dst, w, s, a, ti) ->
-      (* materialize the edge with its stored counters *)
-      Event_graph.add_edge graph ~src ~dst Podopt_hir.Ast.Sync;
-      match Event_graph.find_edge graph ~src ~dst with
-      | None -> assert false
-      | Some e ->
-        e.Event_graph.weight <- w;
-        e.sync <- s;
-        e.async <- a;
-        e.timed <- ti)
-    (List.rev p.p_edges);
-  (* add_edge bumped occurrence-less node creation only; restore counters
-     happened above, but add_edge also created src/dst nodes with zero
-     counters when the N lines were missing — acceptable: the id check
-     below rejects any disagreement with the stored content *)
-  let e =
-    {
-      id = p.p_id;
-      kind = p.p_kind;
-      shard = p.p_shard;
-      dispatched = p.p_dispatched;
-      trace_entries = p.p_trace;
-      graph;
-      chains = List.rev p.p_chains;
-      handlers = List.rev p.p_handlers;
-    }
-  in
+(* Every entry's stored id must be the one its content derives. *)
+let check_id (e : entry) =
   let derived = digest_of_lines (body_lines e) in
-  if derived <> p.p_id then
-    format_error "entry id %s does not match its content (computed %s)" p.p_id derived;
+  if derived <> e.id then
+    Lines.error "entry id %s does not match its content (computed %s)" e.id derived;
   e
 
+(* N and G lines go straight into the open entry's graph; its chains
+   and handlers collect in reverse until the entry closes. *)
 let of_string (s : string) : t =
-  let saw_version = ref false in
-  let current : partial option ref = ref None in
+  let current : entry option ref = ref None in
   let finished = ref [] in
   let close () =
-    match !current with
-    | Some p ->
-      finished := finish p :: !finished;
-      current := None
-    | None -> ()
+    Option.iter
+      (fun e ->
+        finished :=
+          check_id { e with chains = List.rev e.chains; handlers = List.rev e.handlers }
+          :: !finished)
+      !current;
+    current := None
   in
   let in_entry what =
     match !current with
-    | Some p -> p
-    | None -> format_error "%s line outside any entry" what
+    | Some e -> e
+    | None -> Lines.error "%s line outside any entry" what
   in
-  let dispatch line =
-    let fields = String.split_on_char ' ' line |> List.filter (( <> ) "") in
+  let record line fields =
     match fields with
     | [] -> ()
-    | [ "V"; v ] ->
-      let v = int_field "version" v in
-      if v <> version then
-        format_error "unsupported store version %d (expected %d)" v version;
-      saw_version := true
     | [ "E"; id; kind; shard; dispatched; trace ] ->
-      if not !saw_version then format_error "E line before V line";
       close ();
       current :=
         Some
           {
-            p_id = id;
-            p_kind = kind;
-            p_shard = int_field "shard" shard;
-            p_dispatched = int_field "dispatched" dispatched;
-            p_trace = int_field "trace_entries" trace;
-            p_nodes = [];
-            p_edges = [];
-            p_chains = [];
-            p_handlers = [];
+            id;
+            kind;
+            shard = Lines.int "shard" shard;
+            dispatched = Lines.int "dispatched" dispatched;
+            trace_entries = Lines.int "trace_entries" trace;
+            graph = Event_graph.create ();
+            chains = [];
+            handlers = [];
           }
     | [ "N"; name; occ; sync; async; timed ] ->
-      let p = in_entry "N" in
-      p.p_nodes <-
-        (name, int_field "occurrences" occ, int_field "sync" sync,
-         int_field "async" async, int_field "timed" timed)
-        :: p.p_nodes
+      let n = Event_graph.node (in_entry "N").graph name in
+      n.Event_graph.occurrences <- Lines.int "occurrences" occ;
+      n.raised_sync <- Lines.int "sync" sync;
+      n.raised_async <- Lines.int "async" async;
+      n.raised_timed <- Lines.int "timed" timed
     | [ "G"; src; dst; w; sync; async; timed ] ->
-      let p = in_entry "G" in
-      p.p_edges <-
-        (src, dst, int_field "weight" w, int_field "sync" sync,
-         int_field "async" async, int_field "timed" timed)
-        :: p.p_edges
+      let e = Event_graph.edge (in_entry "G").graph ~src ~dst in
+      e.Event_graph.weight <- Lines.int "weight" w;
+      e.sync <- Lines.int "sync" sync;
+      e.async <- Lines.int "async" async;
+      e.timed <- Lines.int "timed" timed
     | "C" :: (_ :: _ as events) ->
-      let p = in_entry "C" in
-      p.p_chains <- events :: p.p_chains
+      let e = in_entry "C" in
+      current := Some { e with chains = events :: e.chains }
     | "H" :: event :: handlers ->
-      let p = in_entry "H" in
-      p.p_handlers <- (event, handlers) :: p.p_handlers
-    | tag :: _ -> format_error "bad record tag %S in line %S" tag line
+      let e = in_entry "H" in
+      current := Some { e with handlers = (event, handlers) :: e.handlers }
+    | tag :: _ -> Lines.error "bad record tag %S in line %S" tag line
   in
-  List.iter
-    (fun raw ->
-      let line = String.trim raw in
-      if line = "" || line.[0] = '#' then () else dispatch line)
-    (String.split_on_char '\n' s);
-  if not !saw_version then format_error "missing V line";
+  Lines.iter ~version:("store", version) record s;
   close ();
   of_entries (List.rev !finished)
-
-let save (path : string) (t : t) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-let load (path : string) : t =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
 
 (* --- aggregation (warm-start input) ------------------------------------ *)
 

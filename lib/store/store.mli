@@ -7,11 +7,13 @@
     of its canonical content, so {!merge} is a set union — associative,
     commutative, idempotent, and byte-identical under any merge order.
     Counter summation across entries happens at warm-start time, in
-    {!aggregate}. *)
+    {!aggregate}.
+
+    The framing is {!Podopt_codec.Lines}'s: anything malformed raises
+    {!Podopt_codec.Lines.Format_error}, and files are written and read
+    with {!Podopt_codec.Lines.save} and {!Podopt_codec.Lines.load}. *)
 
 open Podopt_profile
-
-exception Format_error of string
 
 (** The current (and only accepted) format version, written as the
     [V] line. *)
@@ -35,8 +37,9 @@ type t = entry list
 
 val entries : t -> entry list
 
-(** Build an entry, deriving its content id.  Raises {!Format_error} on
-    names containing whitespace (no such names exist in this system). *)
+(** Build an entry, deriving its content id.  Raises
+    {!Podopt_codec.Lines.Format_error} on names containing whitespace
+    (no such names exist in this system). *)
 val make_entry :
   kind:string -> shard:int -> dispatched:int -> trace_entries:int ->
   graph:Event_graph.t -> chains:string list list ->
@@ -53,12 +56,10 @@ val merge_all : t list -> t
 val to_string : t -> string
 
 (** Parse a store; every entry's stored id is re-derived from its
-    content and must match.  Raises {!Format_error} on malformed input,
-    a version other than {!version}, or id/content mismatches. *)
+    content and must match.  Raises {!Podopt_codec.Lines.Format_error}
+    on malformed input, a version other than {!version}, or id/content
+    mismatches. *)
 val of_string : string -> t
-
-val save : string -> t -> unit
-val load : string -> t
 
 type aggregate = {
   agg_graph : Event_graph.t;

@@ -264,6 +264,29 @@ let test_pool_shutdown () =
     (Invalid_argument "Pool.run_steal: pool is shut down") (fun () ->
       Pool.run_steal pool (items 1) (fun ~worker:_ ~slot:_ _ -> ()))
 
+let test_pool_reuses_helpers () =
+  (* helpers are never joined: once a pool has handed its helpers back,
+     later pools borrow them and spawn none (a spawned domain's id is
+     above every earlier domain's) *)
+  let helper_ids domains =
+    let pool = Pool.create ~domains in
+    let all_claimed = Barrier.create ~parties:domains in
+    let ids = Array.make domains 0 in
+    Pool.run_steal pool (items domains) (fun ~worker ~slot:_ _ ->
+        ids.(worker) <- (Domain.self () :> int);
+        Barrier.await all_claimed);
+    Pool.shutdown pool;
+    List.tl (Array.to_list ids)
+  in
+  ignore (helper_ids 3);
+  let fresh = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  for _ = 1 to 5 do
+    List.iter
+      (fun id ->
+        Alcotest.(check bool) (Printf.sprintf "helper %d spawned earlier" id) true (id < fresh))
+      (helper_ids 3)
+  done
+
 let test_pool_partition_sum () =
   (* the broker's exact usage: each item owns one cell, mutated by
      whichever lane claims it and summed after the join *)
@@ -300,6 +323,8 @@ let suite =
     Alcotest.test_case "pool: one domain runs on the caller alone" `Quick
       test_pool_single_domain;
     Alcotest.test_case "pool: shutdown" `Quick test_pool_shutdown;
+    Alcotest.test_case "pool: later pools reuse the helpers" `Quick
+      test_pool_reuses_helpers;
     Alcotest.test_case "pool: partitioned mutation" `Quick
       test_pool_partition_sum;
   ]

@@ -25,9 +25,8 @@ module Diff = Podopt.Replay_diff
 
 (* --- the printed form --------------------------------------------------- *)
 
-(* A deferred profile: a cumulative graph and a live window on top of
-   it, and signatures for two of its three events plus one it never
-   saw. *)
+(* A saved controller: a cumulative graph and a live window on top of
+   it. *)
 let sample_profile () =
   let window = Trace.create () in
   let events = Event.create_table () in
@@ -48,10 +47,19 @@ let sample_profile () =
         plan = None;
       };
     breaker = Podopt_optimize.Breaker.create ();
-    dispatched = 5;
-    threshold = 1;
-    signatures = [ ("EvA", [ "h1"; "h2" ]); ("EvB", [ "h3" ]); ("EvZ", [ "h9" ]) ];
   }
+
+(* The profile's store entry, as a shard with 5 ops served, chain
+   threshold 1 and handlers bound to EvA and EvB prints it. *)
+let sample_store (p : Recover.profile) =
+  let graph, trace_entries = Adaptive.saved_profile p.Recover.adaptive in
+  Podopt.Profile_store.to_string
+    [
+      Podopt.Profile_store.make_entry ~kind:"seccomm" ~shard:1 ~dispatched:5 ~trace_entries
+        ~graph ~chains:[ [ "EvA"; "EvB" ] ]
+        ~handlers:[ ("EvA", [ "h1"; "h2" ]); ("EvB", [ "h3" ]); ("EvC", []) ]
+        ();
+    ]
 
 let sample_snapshot ?profile () =
   Recover.make ~shard:1 ~epoch:42 ~kind:"seccomm" ~clock:9000 ~sessions:4
@@ -111,9 +119,10 @@ F H EvC
 
 let test_printed_form_pinned () =
   Alcotest.(check string) "printed form" sample_text
-    (Recover.to_string (sample_snapshot ()));
+    (Recover.to_string (sample_snapshot ()) ~store:"");
+  let profile = sample_profile () in
   Alcotest.(check string) "printed form with a profile" sample_text_with_profile
-    (Recover.to_string (sample_snapshot ~profile:(sample_profile ()) ()))
+    (Recover.to_string (sample_snapshot ~profile ()) ~store:(sample_store profile))
 
 (* --- aliasing ----------------------------------------------------------- *)
 

@@ -264,7 +264,7 @@ let test_replay_profile_tamper () =
     (String.equal text tampered);
   (match RL.of_string tampered with
    | _ -> Alcotest.fail "tampered profile loaded"
-   | exception RL.Format_error msg ->
+   | exception Podopt.Lines.Format_error msg ->
      Alcotest.(check bool)
        (Printf.sprintf "error names the digest (%s)" msg)
        true
@@ -293,7 +293,7 @@ let test_previous_version_refused () =
   in
   match RL.of_string v7 with
   | _ -> Alcotest.fail "a version-7 log loaded"
-  | exception RL.Format_error msg ->
+  | exception Podopt.Lines.Format_error msg ->
     Alcotest.(check string) "error names the version"
       "unsupported log version 7 (expected 8)" msg
 

@@ -130,7 +130,7 @@ let test_load_rejects_tamper () =
   Alcotest.(check bool) "tamper changed the text" false (String.equal text tampered);
   (match Store.of_string tampered with
    | _ -> Alcotest.fail "tampered store loaded"
-   | exception Store.Format_error _ -> ());
+   | exception Podopt.Lines.Format_error _ -> ());
   (* the pristine text still loads *)
   ignore (Store.of_string text)
 
@@ -144,7 +144,7 @@ let test_previous_version_refused () =
   in
   match Store.of_string v2 with
   | _ -> Alcotest.fail "a version-2 store loaded"
-  | exception Store.Format_error msg ->
+  | exception Podopt.Lines.Format_error msg ->
     Alcotest.(check string) "error names the version"
       "unsupported store version 2 (expected 3)" msg
 

@@ -40,7 +40,7 @@ let test_rejects_garbage () =
       try
         ignore (Trace_io.of_string s);
         Alcotest.failf "expected Format_error for %S" s
-      with Trace_io.Format_error _ -> ())
+      with Lines.Format_error _ -> ())
     [ "X 1 0 S Foo"; "E one 0 S Foo"; "E 1 0 Q Foo"; "E 1 0" ]
 
 let test_rejects_whitespace_names () =
@@ -50,7 +50,7 @@ let test_rejects_whitespace_names () =
   try
     ignore (Trace_io.entry_to_line entry);
     Alcotest.fail "expected Format_error"
-  with Trace_io.Format_error _ -> ()
+  with Lines.Format_error _ -> ()
 
 let test_offline_analysis_matches () =
   let rt = Ctp.create () in
@@ -91,8 +91,8 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace_io.save rt.Runtime.trace ~path;
-      let back = Trace_io.load ~path in
+      Lines.save path (Trace_io.to_string rt.Runtime.trace);
+      let back = Trace_io.of_string (Lines.load path) in
       Alcotest.(check int) "file roundtrip" (Trace.length rt.Runtime.trace)
         (Trace.length back))
 
