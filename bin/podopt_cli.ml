@@ -139,17 +139,17 @@ let optimize app threshold strategy spec =
 
 (* --- the run spec ---------------------------------------------------------- *)
 
-(* Load a profile store for [--profile-in], mapping failures to a
-   message (the caller exits 1: a corrupt or missing profile is an
-   input error, not a crash). *)
+(* Load a profile store for [--profile-in], mapping a malformed one to
+   a message (the caller exits 1: a corrupt profile is an input error,
+   not a crash; a missing one raises [Sys_error], which the handler at
+   the end of this file maps the same way). *)
 let load_profile = function
   | None -> Ok None
   | Some path ->
     (match Profile_store.of_string (Lines.load path) with
      | store -> Ok (Some store)
      | exception Lines.Format_error msg ->
-       Error (Printf.sprintf "bad profile %s: %s" path msg)
-     | exception Sys_error msg -> Error msg)
+       Error (Printf.sprintf "bad profile %s: %s" path msg))
 
 (* What [serve] and [record] run: the broker config, the session load
    and the warm-up ops per session. *)
@@ -239,7 +239,8 @@ let serve run max_ticks metrics json show_dead redrain_dead profile_out =
         in
         (* Put the dead letters back through the mill: refill every
            ingress queue with a fresh retry budget, then drain the
-           broker to idle so the dump below shows what survived. *)
+           broker to idle (a run with no sessions) so the dump below
+           shows what survived. *)
         let redrained =
           if not redrain_dead then None
           else begin
@@ -248,11 +249,7 @@ let serve run max_ticks metrics json show_dead redrain_dead profile_out =
                 (fun acc s -> acc + B.Shard.redrain_dead s)
                 0 (B.Broker.shards broker)
             in
-            while not (B.Broker.idle broker) do
-              B.Broker.pump broker ~until:(B.Broker.now broker);
-              ignore (B.Broker.drain broker);
-              B.Broker.advance_to broker (B.Broker.now broker + cfg.B.Broker.tick)
-            done;
+            ignore (B.Loadgen.run broker []);
             Some n
           end
         in
@@ -319,11 +316,10 @@ let record_run run metrics out =
   | Ok { cfg; profile; warmup } ->
     let log = Record.run ~warmup_ops:warmup ~metrics cfg profile in
     Lines.save out (Replay_log.to_string log);
-    Fmt.pr "recorded %s run -> %s (%d sessions, %d arrivals, %d fault streams)@."
+    Fmt.pr "recorded %s run -> %s (%d sessions, %d fault streams)@."
       (B.Workload.kind_to_string cfg.B.Broker.kind)
       out
       (List.length log.Replay_log.sessions)
-      (List.length log.Replay_log.arrivals)
       (List.length log.Replay_log.fault_draws);
     0
 
@@ -332,9 +328,6 @@ let with_log file k =
   match Replay_log.of_string (Lines.load file) with
   | exception Lines.Format_error msg ->
     Fmt.epr "bad replay log: %s@." msg;
-    1
-  | exception Sys_error msg ->
-    Fmt.epr "podopt: %s@." msg;
     1
   | log -> k log
 
@@ -840,11 +833,24 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const analyze_cmd_run $ file $ threshold_arg)
 
+(* A file that cannot be read or written is an input error like any
+   other, whichever command met it: one [podopt:] line and exit 1.  Any
+   other exception is a bug, reported as cmdliner reports one. *)
 let () =
   let doc = "profile-directed optimization of event-based programs" in
   let info = Cmd.info "podopt" ~version:"1.0.0" ~doc in
+  let main =
+    Cmd.group info
+      [ report_cmd; graph_cmd; optimize_cmd; serve_cmd; record_cmd; replay_cmd;
+        diff_cmd; profile_cmd; trace_cmd; analyze_cmd; hir_cmd_t ]
+  in
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [ report_cmd; graph_cmd; optimize_cmd; serve_cmd; record_cmd; replay_cmd;
-            diff_cmd; profile_cmd; trace_cmd; analyze_cmd; hir_cmd_t ]))
+    (match Cmd.eval' ~catch:false main with
+     | code -> code
+     | exception Sys_error msg ->
+       Fmt.epr "podopt: %s@." msg;
+       1
+     | exception e ->
+       Fmt.epr "podopt: internal error, uncaught exception:@\n%s@."
+         (Printexc.to_string e);
+       Cmd.Exit.internal_error)

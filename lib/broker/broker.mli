@@ -76,7 +76,7 @@ type config = {
       (** [--arrivals]: the sessions' op arrival process — [Periodic]
           (the closed-loop grid, default) or one of the open-loop
           processes ([Uniform] / [Pareto] / [Flash]), applied by
-          {!Loadgen.make_sessions} via {!Arrivals.schedule}.  Changes
+          {!Loadgen.session} via {!Arrivals.schedule}.  Changes
           when ops are sent, so it IS observable; like the route, it
           is byte-identical at any domain count for a fixed spec. *)
 }

@@ -66,38 +66,39 @@ let opt_share ~optimized ~generic =
 
 let opt_pct s = opt_share ~optimized:s.optimized ~generic:s.generic
 
-let make_sessions broker profile =
+let session broker (profile : profile) ~index ~id ~ops ~start ~interval =
   let cfg = Broker.config broker in
+  let seed = Int64.add cfg.Broker.seed (Int64.of_int (index + 1)) in
+  let link =
+    Link.create ~latency:profile.latency ~jitter:profile.jitter ~seed ()
+  in
+  (* Open-loop arrivals replace the closed-loop grid with a seeded
+     schedule — same per-session seed as the link (Arrivals salts its
+     stream, so the draws stay uncorrelated). *)
+  let schedule =
+    match cfg.Broker.arrivals with
+    | Arrivals.Periodic -> None
+    | spec ->
+      Some
+        (Arrivals.schedule spec ~seed ~start ~interval ~ops:(Array.length ops))
+  in
+  let s =
+    Session.create ~id ~link ~ops ~start ~interval ?schedule
+      ~backoff:Policy.default_backoff ()
+  in
+  Broker.register broker ~id ~nack:(fun seq now -> Session.nack s ~seq ~now);
+  s
+
+let make_sessions broker profile =
+  let kind = (Broker.config broker).Broker.kind in
   let start0 = Broker.now broker in
   List.init profile.sessions (fun i ->
-      let id = Printf.sprintf "s%03d" i in
-      let seed = Int64.add cfg.Broker.seed (Int64.of_int (i + 1)) in
-      let link =
-        Link.create ~latency:profile.latency ~jitter:profile.jitter ~seed ()
-      in
-      let ops =
-        Array.init profile.ops (fun k ->
-            Workload.op_payload cfg.Broker.kind ~session:i ~seq:k)
-      in
-      let start = start0 + (i * profile.spread) in
-      (* Open-loop arrivals replace the closed-loop grid with a seeded
-         schedule — same per-session seed as the link (Arrivals salts
-         its stream, so the draws stay uncorrelated), so the replayer
-         can re-derive the schedule from the config alone. *)
-      let schedule =
-        match cfg.Broker.arrivals with
-        | Arrivals.Periodic -> None
-        | spec ->
-          Some
-            (Arrivals.schedule spec ~seed ~start ~interval:profile.interval
-               ~ops:profile.ops)
-      in
-      let s =
-        Session.create ~id ~link ~ops ~start ~interval:profile.interval
-          ?schedule ~backoff:Policy.default_backoff ()
-      in
-      Broker.register broker ~id ~nack:(fun seq now -> Session.nack s ~seq ~now);
-      s)
+      session broker profile ~index:i ~id:(Printf.sprintf "s%03d" i)
+        ~ops:
+          (Array.init profile.ops (fun k ->
+               Workload.op_payload kind ~session:i ~seq:k))
+        ~start:(start0 + (i * profile.spread))
+        ~interval:profile.interval)
 
 let summarize ?(truncated = false) broker sessions ~elapsed =
   let shards = Broker.shards broker in
@@ -233,12 +234,13 @@ let run ?max_ticks broker sessions =
   in
   summarize ~truncated broker sessions ~elapsed:(Broker.now broker - t0)
 
-let steady ?(warmup_ops = 12) ?max_ticks broker profile =
+let steady ?(warmup_ops = 12) ?max_ticks ?make broker profile =
+  let make =
+    match make with Some f -> f | None -> fun _ p -> make_sessions broker p
+  in
   if warmup_ops > 0 then begin
-    let warm = make_sessions broker { profile with ops = warmup_ops } in
-    ignore (run broker warm);
+    ignore (run broker (make "w" { profile with ops = warmup_ops }));
     if (Broker.config broker).Broker.optimize then Broker.force_reoptimize broker
   end;
   Broker.reset_measurements broker;
-  let sessions = make_sessions broker profile in
-  run ?max_ticks broker sessions
+  run ?max_ticks broker (make "m" profile)

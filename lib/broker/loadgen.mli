@@ -1,9 +1,11 @@
 (** Load generator: replays an application workload as many concurrent
     client sessions and drives the broker simulation to completion.
 
-    Session links are seeded from the broker seed plus the session
-    index, so a whole run — arrival times, routing, shedding, retries,
-    and every stats counter — is reproducible bit-for-bit. *)
+    Every session is built by {!session}, which seeds its link and
+    open-loop schedule from the broker seed plus the session index, so
+    a whole run — arrival times, link delays, routing, shedding,
+    retries, and every stats counter — is reproducible bit-for-bit, and
+    the replayer rebuilds a recorded session from its index alone. *)
 
 type profile = {
   sessions : int;
@@ -86,13 +88,23 @@ val opt_share : optimized:int -> generic:int -> float
 (** {!opt_share} of a run's totals. *)
 val opt_pct : summary -> float
 
-(** Build the sessions for a profile and register their nack callbacks
-    with the broker.  Ids are ["s000"], ["s001"], ... (stable across
+(** [session broker profile ~index ~id ~ops ~start ~interval] builds
+    one session and registers its nack callback with the broker
+    (re-registering an [id] replaces the previous phase's callback —
+    see {!Broker.register}).  Its link has the profile's latency and
+    jitter; with an open-loop [arrivals] spec on the broker config, an
+    {!Arrivals.schedule} of [ops] replaces the closed-loop grid from
+    [start] every [interval] units.  Both are seeded from the broker
+    seed plus [index + 1]. *)
+val session :
+  Broker.t -> profile -> index:int -> id:string -> ops:bytes array ->
+  start:int -> interval:int -> Session.t
+
+(** The sessions of a profile: session [i] is {!session} with index
+    [i], id ["s%03d"], the workload's payloads, and a start staggered
+    [i * spread] after the broker's clock.  Ids are stable across
     phases, so a warm-up reaches exactly the shards the steady phase
-    will use; re-registering replaces the previous phase's callbacks —
-    see {!Broker.register}).  With an open-loop [arrivals] spec on the
-    broker config, each session gets an {!Arrivals.schedule} in place
-    of the closed-loop grid, seeded like its link. *)
+    will use. *)
 val make_sessions : Broker.t -> profile -> Session.t list
 
 (** Drive sessions + broker until every session finished and the broker
@@ -109,6 +121,12 @@ val run : ?max_ticks:int -> Broker.t -> Session.t list -> summary
     session (letting each shard's adaptive optimizer install its
     super-handlers), force the analysis on any shard the warm-up left
     generic, reset all measurements, then run and measure the steady
-    phase.  [max_ticks] overrides the measured phase's computed tick
-    budget (the warm-up always uses the computed default). *)
-val steady : ?warmup_ops:int -> ?max_ticks:int -> Broker.t -> profile -> summary
+    phase.  [make phase p] builds a phase's sessions from its profile
+    [p] (the warm-up's has [warmup_ops] ops): [phase] is ["w"] for the
+    warm-up and ["m"] for the measured phase, the phase tags of a
+    replay log, and the default is [make_sessions broker p].
+    [max_ticks] overrides the measured phase's computed tick budget
+    (the warm-up always uses the computed default). *)
+val steady :
+  ?warmup_ops:int -> ?max_ticks:int ->
+  ?make:(string -> profile -> Session.t list) -> Broker.t -> profile -> summary

@@ -51,7 +51,6 @@ let create ~id ~link ~ops ?(start = 0) ?(interval = 200) ?schedule ~backoff () =
   }
 
 let id t = t.id
-let link t = t.link
 let ops t = t.ops
 let start t = t.start
 let interval t = t.interval

@@ -31,10 +31,6 @@ val create :
 
 val id : t -> string
 
-(** The session's outbound link (the recorder hangs its send logger
-    here, the replayer its arrival script). *)
-val link : t -> Link.t
-
 (** The op payloads, indexed by seq. *)
 val ops : t -> bytes array
 

@@ -120,8 +120,8 @@ module Loadgen = Podopt_broker.Loadgen
 
 (** {1 Record/replay}
 
-    Deterministic run logs: {!Record} serializes everything a broker
-    run consumes into a {!Replay_log.t}, {!Replay} reconstructs and
+    Deterministic run logs: {!Record} serializes the workload a broker
+    run is given into a {!Replay_log.t}, {!Replay} reconstructs and
     re-runs it (byte-identical document at any domain count), and
     {!Replay_diff} is the differential oracle over a recorded log
     (optimizer on vs off, compiled vs interpreted handlers), with

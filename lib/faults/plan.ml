@@ -203,14 +203,11 @@ let kill t = log t ~kind:"kill" (Prng.bool t.kill_rng ~permille:t.spec.kill_perm
    its checkpoint-time position, so re-dispatching the journaled ops
    re-draws the exact same fault decisions. *)
 
+let kinds = [ "crash"; "spike"; "corrupt"; "drop"; "kill" ]
+
 let streams t =
-  [
-    ("crash", t.crash_rng);
-    ("spike", t.spike_rng);
-    ("corrupt", t.corrupt_rng);
-    ("drop", t.drop_rng);
-    ("kill", t.kill_rng);
-  ]
+  List.combine kinds
+    [ t.crash_rng; t.spike_rng; t.corrupt_rng; t.drop_rng; t.kill_rng ]
 
 let stream_states t =
   List.map (fun (kind, rng) -> (kind, Prng.state rng)) (streams t)

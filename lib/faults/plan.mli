@@ -47,6 +47,10 @@ val to_string : spec -> string
 (** A live injector: spec + per-fault-kind PRNG streams. *)
 type t
 
+(** The fault kinds an injector draws under, each with its own stream:
+    ["crash"], ["spike"], ["corrupt"], ["drop"], ["kill"]. *)
+val kinds : string list
+
 (** [create ?salt spec] derives the injector's streams from
     [spec.seed] and [salt] (use the shard id; the broker front uses the
     default 0). *)
@@ -59,7 +63,7 @@ val salt : t -> int
 
 (** Install (or remove, with [None]) a draw-decision logger: called
     once per actual stream advance with the injector's salt, the fault
-    kind ([crash]/[spike]/[corrupt]/[drop]), and whether the fault
+    kind (one of {!kinds}), and whether the fault
     fired.  The record/replay layer uses this to capture — and on
     replay, verify — the exact fault-draw sequence of a run.  The
     logger must not itself draw from the injector. *)

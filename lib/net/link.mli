@@ -2,7 +2,12 @@
     probabilistic loss.  Delivery hands the encoded packet and its delay
     to the receiving endpoint; a runtime endpoint ({!raise_timed})
     raises it as a timed event — how external stimuli enter the paper's
-    event model (implicitly raised events, Sec. 2.2). *)
+    event model (implicitly raised events, Sec. 2.2).
+
+    Every loss and jitter draw comes from the link's own seeded PRNG,
+    so two links created alike deliver the same sequence of sends with
+    the same delays: the replayer rebuilds a recorded run's links from
+    their seeds instead of logging their outcomes. *)
 
 open Podopt_eventsys
 
@@ -18,24 +23,6 @@ type t
 (** Defaults: latency 50 units, no jitter, no loss, seed 42. *)
 val create :
   ?latency:int -> ?jitter:int -> ?loss_permille:int -> ?seed:int64 -> unit -> t
-
-(** Replace the link's loss/jitter draws with a scripted outcome
-    source: called per send with the packet and its per-seq attempt
-    index (0 for the first send of that seq); [None] loses the packet,
-    [Some delay] delivers after [delay] units.  While a script is
-    installed the link's PRNG is never advanced.  [None] restores the
-    probabilistic behaviour.  The replay layer uses this to re-impose a
-    recorded arrival schedule.  Attempts are counted only while a script
-    or logger is installed, so installing either after the link's first
-    send raises [Invalid_argument]. *)
-val set_script : t -> (Packet.t -> attempt:int -> int option) option -> unit
-
-(** Observe every send's outcome ([None] lost, [Some delay] delivered)
-    together with the packet and its per-seq attempt index; scripted
-    and probabilistic outcomes both pass through.  The run recorder
-    captures the arrival schedule here.  Like {!set_script}, it must be
-    installed before the first send. *)
-val set_logger : t -> (Packet.t -> attempt:int -> int option -> unit) option -> unit
 
 (** [send t dst ~deliver_event packet]: on (probabilistic) delivery,
     [deliver_event dst ~delay wire] receives the encoded packet and its

@@ -80,26 +80,31 @@ let break_handler (p : Packet.t) =
   else payload
 
 (* One variant execution over the log: replay the warm-up untouched,
-   then observe (and optionally tamper) the measured phase. *)
+   then observe (and optionally tamper) the measured phase.  Its
+   sessions are made after the measurement reset, so the hooks go in
+   with them. *)
 let run_side ?(tamper = false) (log : Log.t) (cfg : Broker.config) : observed =
   let broker = Broker.create cfg in
   Fun.protect
     ~finally:(fun () -> Broker.shutdown broker)
     (fun () ->
-      let table = Replay.arrival_table log in
-      if log.Log.warmup_ops > 0 then begin
-        ignore (Loadgen.run broker (Replay.make_sessions broker log table "w"));
-        if cfg.Broker.optimize then Broker.force_reoptimize broker
-      end;
-      Broker.reset_measurements broker;
-      let deliveries = ref [] in
-      Broker.set_delivery_hook broker
-        (Some
-           (fun ~shard ~src ~seq ~ok ~payload ->
-             deliveries := render_delivery ~shard ~src ~seq ~ok ~payload :: !deliveries));
-      if tamper then Broker.set_tamper broker (Some break_handler);
-      let sessions = Replay.make_sessions broker log table "m" in
-      ignore (Loadgen.run broker sessions);
+      let deliveries = ref [] and sessions = ref [] in
+      let make phase _ =
+        let made = Replay.make_sessions broker log phase in
+        if phase = "m" then begin
+          sessions := made;
+          Broker.set_delivery_hook broker
+            (Some
+               (fun ~shard ~src ~seq ~ok ~payload ->
+                 deliveries :=
+                   render_delivery ~shard ~src ~seq ~ok ~payload :: !deliveries));
+          if tamper then Broker.set_tamper broker (Some break_handler)
+        end;
+        made
+      in
+      ignore
+        (Loadgen.steady ~warmup_ops:log.Log.warmup_ops ~make broker
+           log.Log.profile);
       let clients =
         List.map
           (fun s ->
@@ -107,7 +112,7 @@ let run_side ?(tamper = false) (log : Log.t) (cfg : Broker.config) : observed =
             Printf.sprintf "%s: sent %d, retries %d, nacks %d, gave_up %d"
               (Session.id s) st.Session.sent st.Session.retries st.Session.nacks
               st.Session.gave_up)
-          sessions
+          !sessions
       in
       let shards =
         Array.to_list (Broker.shards broker)
@@ -166,12 +171,6 @@ let shrink_log (log : Log.t) ~keep ~ops_cap : Log.t =
         else Some s)
       log.Log.sessions
   in
-  let arrivals =
-    List.filter
-      (fun (a : Log.arrival) ->
-        kept a.Log.a_sid && (a.Log.a_phase = "w" || a.a_seq < ops_cap))
-      log.Log.arrivals
-  in
   {
     log with
     Log.profile =
@@ -181,7 +180,6 @@ let shrink_log (log : Log.t) ~keep ~ops_cap : Log.t =
         ops = ops_cap;
       };
     sessions;
-    arrivals;
     fault_draws = [];
     migrations = [];
     json = "";

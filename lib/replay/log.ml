@@ -1,10 +1,10 @@
-(* The on-disk run log: everything a broker run consumes, serialized so
-   the run can be reconstructed offline — the replay analogue of
+(* The on-disk run log: the workload a broker run was given, serialized
+   so the run can be reconstructed offline — the replay analogue of
    Podopt_profile.Trace_io.  The framing is Podopt_codec.Lines's (one
    record per line, whitespace-separated fields, [#] comments, verbatim
    [D] and [J] documents, a [Lines.Format_error] on anything malformed).
 
-   Format (version 8; any other version is refused):
+   Format (version 9; any other version is refused):
 
      V <version>
      C <shards> <batch> <queue_limit> <policy> <kind> <optimize>
@@ -14,17 +14,17 @@
      Y <crc32-hex>                                 digest of the D lines
      P <sessions> <ops> <interval> <spread> <latency> <jitter>
        <warmup_ops> <metrics>
-     S <phase> <id> <start> <interval> <nops>      one per session
+     S <phase> <id> <index> <start> <interval> <nops>  one per session
      O <phase> <id> <seq> <payload-hex>            one per op payload
-     A <phase> <id> <seq> <attempt> <outcome>      arrival schedule
      F <salt> <kind> <bits>                        fault-draw decisions
      M <epoch> <shard> <from> <to>                 migration plan, in order
      J <verbatim line>                             the original JSON doc
 
-   [phase] is [w] (warm-up) or [m] (measured).  An arrival [outcome]
-   is the link delivery delay, or [-1] for a lost packet.  [F] bits
-   are the per-(salt, kind) draw stream in draw order, [1] = fired
-   ([-] = no draws).  Payload hex uses [-] for empty payloads.
+   [phase] is [w] (warm-up) or [m] (measured).  [index] is the
+   session's index in the load generator, the salt of its seeds; it and
+   [nops] are non-negative.  [F] bits are the per-(salt, kind) draw
+   stream in draw order, [1] = fired ([-] = no draws).  Payload hex uses
+   [-] for empty payloads.
 
    A warm-started run's config carries its profile store; the [D] lines
    embed that store verbatim (the run's profile identity), and [Y] pins
@@ -35,13 +35,14 @@
    [checkpoint-every] is the crash-recovery supervisor's checkpoint
    interval, [route] the routing discipline, and [arrivals] the
    sessions' op arrival process ([periodic] or an open-loop spec, see
-   {!Podopt_broker.Arrivals}).  The per-session schedules are not
-   recorded: they are a pure function of (spec, seed, session index),
-   so replay re-derives them from the config.  [M] lines record the
-   measured phase's hot-shard migration plan, in decision order: the
-   plan is a pure function of recorded state too, so a replay at the
-   recorded domain count must re-derive it exactly — replay verifies
-   this. *)
+   {!Podopt_broker.Arrivals}).  What the config's seeds draw is not
+   recorded: a session's link delays and open-loop schedule are a pure
+   function of (config, session index, start, interval, op count), and
+   the fault streams of (spec, salt), so replay re-derives them.  [M]
+   lines record the measured phase's hot-shard migration plan, in
+   decision order: the plan is a pure function of recorded state too,
+   so a replay at the recorded domain count must re-derive it exactly —
+   replay verifies this. *)
 
 module Plan = Podopt_faults.Plan
 module Broker = Podopt_broker.Broker
@@ -52,22 +53,15 @@ module Workload = Podopt_broker.Workload
 module Store = Podopt_store.Store
 module Lines = Podopt_codec.Lines
 
-let version = 8
+let version = 9
 
 type sess = {
   s_phase : string;  (* "w" | "m" *)
   s_id : string;
+  s_index : int;     (* the load generator's session index *)
   s_start : int;
   s_interval : int;
   s_ops : bytes array;
-}
-
-type arrival = {
-  a_phase : string;
-  a_sid : string;
-  a_seq : int;
-  a_attempt : int;
-  a_outcome : int;  (* -1 = lost, else delivery delay *)
 }
 
 type t = {
@@ -76,7 +70,6 @@ type t = {
   warmup_ops : int;
   metrics : bool;
   sessions : sess list;    (* creation order: warm-up phase, then measured *)
-  arrivals : arrival list; (* send order *)
   fault_draws : ((int * string) * bool list) list;
       (* (salt, kind) -> fired bits in draw order; sorted by key *)
   migrations : (int * int * int * int) list;
@@ -103,6 +96,12 @@ let bools_of_bits = function
 let check_phase = function
   | ("w" | "m") as p -> p
   | p -> Lines.error "bad phase %S (expected w or m)" p
+
+(* A count or index: an int that is not negative. *)
+let count what s =
+  let n = Lines.int what s in
+  if n < 0 then Lines.error "bad %s %d (negative)" what n;
+  n
 
 (* --- encode ------------------------------------------------------------ *)
 
@@ -135,16 +134,13 @@ let to_string (t : t) : string =
     t.warmup_ops t.metrics;
   List.iter
     (fun s ->
-      line "S %s %s %d %d %d" s.s_phase s.s_id s.s_start s.s_interval
-        (Array.length s.s_ops);
+      line "S %s %s %d %d %d %d" s.s_phase s.s_id s.s_index s.s_start
+        s.s_interval (Array.length s.s_ops);
       Array.iteri
         (fun seq op ->
           line "O %s %s %d %s" s.s_phase s.s_id seq (Lines.hex (Bytes.unsafe_to_string op)))
         s.s_ops)
     t.sessions;
-  List.iter
-    (fun a -> line "A %s %s %d %d %d" a.a_phase a.a_sid a.a_seq a.a_attempt a.a_outcome)
-    t.arrivals;
   List.iter
     (fun ((salt, kind), bits) -> line "F %d %s %s" salt kind (bits_of_bools bits))
     (List.sort compare t.fault_draws);
@@ -193,9 +189,8 @@ let of_string (s : string) : t =
   let profile = ref None in
   let warmup_ops = ref 0 in
   let metrics = ref false in
-  let sessions = ref [] in  (* (phase, id, start, interval, nops) rev *)
+  let sessions = ref [] in  (* (phase, id, index, start, interval, nops) rev *)
   let ops : (string * string, (int * bytes) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let arrivals = ref [] in
   let faults = ref [] in
   let migrations = ref [] in
   let json = ref "" in
@@ -218,10 +213,10 @@ let of_string (s : string) : t =
           };
       warmup_ops := Lines.int "warmup_ops" warmup;
       metrics := Lines.bool "metrics" metrics'
-    | [ "S"; phase; id; start; interval; nops ] ->
+    | [ "S"; phase; id; index; start; interval; nops ] ->
       sessions :=
-        ( check_phase phase, id, Lines.int "start" start,
-          Lines.int "interval" interval, Lines.int "nops" nops )
+        ( check_phase phase, id, count "index" index, Lines.int "start" start,
+          Lines.int "interval" interval, count "nops" nops )
         :: !sessions
     | [ "O"; phase; id; seq; hex ] ->
       let key = (check_phase phase, id) in
@@ -234,16 +229,6 @@ let of_string (s : string) : t =
           c
       in
       cell := (Lines.int "seq" seq, Lines.of_hex hex) :: !cell
-    | [ "A"; phase; sid; seq; attempt; outcome ] ->
-      arrivals :=
-        {
-          a_phase = check_phase phase;
-          a_sid = sid;
-          a_seq = Lines.int "seq" seq;
-          a_attempt = Lines.int "attempt" attempt;
-          a_outcome = Lines.int "outcome" outcome;
-        }
-        :: !arrivals
     | [ "F"; salt; kind; bits ] ->
       faults := ((Lines.int "salt" salt, kind), bools_of_bits bits) :: !faults
     | [ "M"; epoch; shard; from_w; to_w ] ->
@@ -262,7 +247,7 @@ let of_string (s : string) : t =
   let profile = match !profile with Some p -> p | None -> Lines.error "missing P line" in
   let sessions =
     List.rev_map
-      (fun (phase, id, start, interval, nops) ->
+      (fun (phase, id, index, start, interval, nops) ->
         let collected =
           match Hashtbl.find_opt ops (phase, id) with Some c -> !c | None -> []
         in
@@ -279,7 +264,8 @@ let of_string (s : string) : t =
           (fun seq ok ->
             if not ok then Lines.error "missing op %d for session %s/%s" seq phase id)
           seen;
-        { s_phase = phase; s_id = id; s_start = start; s_interval = interval; s_ops = arr })
+        { s_phase = phase; s_id = id; s_index = index; s_start = start;
+          s_interval = interval; s_ops = arr })
       !sessions
   in
   let profile_in =
@@ -309,7 +295,6 @@ let of_string (s : string) : t =
     warmup_ops = !warmup_ops;
     metrics = !metrics;
     sessions;
-    arrivals = List.rev !arrivals;
     fault_draws = List.sort compare (List.rev !faults);
     migrations = List.rev !migrations;
     json = !json;

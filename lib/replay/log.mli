@@ -1,11 +1,12 @@
 (** Versioned on-disk run log for deterministic record/replay.
 
-    A log captures everything a broker run consumes — the broker
-    configuration, the workload profile, every session's op payloads
-    and schedule (per phase: [w]arm-up and [m]easured), the packet
-    arrival schedule the links produced, and the fault plan's draw
-    decisions — plus the run's [serve --json] document, so a replay
-    can be checked for byte-identity.
+    A log holds the workload a broker run was given — the broker
+    configuration, the workload profile, and every session's index, op
+    payloads, start and interval (per phase: [w]arm-up and [m]easured)
+    — plus, for verification, the fault plan's draw decisions, the
+    migration plan and the run's [serve --json] document.  What the
+    config's seeds draw (link delays, open-loop schedules, fault
+    streams) is re-derived on replay, not logged.
 
     The format is line-oriented text framed by {!Podopt_codec.Lines}:
     one record per line, whitespace-separated fields, [#] comments, the
@@ -23,17 +24,12 @@ val version : int
 type sess = {
   s_phase : string;  (** ["w"] warm-up or ["m"] measured *)
   s_id : string;
+  s_index : int;
+      (** the session's index in {!Podopt_broker.Loadgen}, which seeds
+          its link and schedule; kept when a shrink drops sessions *)
   s_start : int;     (** absolute front-clock time of the first op *)
   s_interval : int;
   s_ops : bytes array;
-}
-
-type arrival = {
-  a_phase : string;
-  a_sid : string;
-  a_seq : int;
-  a_attempt : int;  (** per-seq send attempt, 0 = first *)
-  a_outcome : int;  (** link delivery delay, or [-1] for a lost packet *)
 }
 
 type t = {
@@ -42,7 +38,6 @@ type t = {
   warmup_ops : int;
   metrics : bool;          (** the recorded document included metrics *)
   sessions : sess list;    (** creation order, warm-up phase first *)
-  arrivals : arrival list; (** send order *)
   fault_draws : ((int * string) * bool list) list;
       (** (salt, fault kind) -> fired bits in draw order, key-sorted *)
   migrations : (int * int * int * int) list;
@@ -55,8 +50,9 @@ type t = {
 
 val to_string : t -> string
 
-(** Raises {!Podopt_codec.Lines.Format_error} on malformed input or a
-    [V] line naming a version other than {!version}. *)
+(** Raises {!Podopt_codec.Lines.Format_error} on malformed input
+    (including a negative session index or op count) or a [V] line
+    naming a version other than {!version}. *)
 val of_string : string -> t
 
 (** Sessions of phase ["w"] or ["m"], in creation order. *)

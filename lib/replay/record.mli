@@ -1,17 +1,12 @@
 (** The run recorder.
 
-    [run cfg profile] executes the measured broker protocol (warm-up,
-    forced re-optimization, measurement reset, steady phase — exactly
-    {!Podopt_broker.Loadgen.steady}) while capturing every input the
-    run consumed, and returns the {!Log.t} bundling those inputs with
-    the run's JSON document.  The recorded run produces the same
-    document as an uninstrumented [serve --json] of the same
-    configuration: the logging hooks spend no virtual time and draw
-    from no stream. *)
-
-(** The fault-kind tokens a {!Podopt_faults.Plan} injector can draw:
-    ["crash"], ["spike"], ["corrupt"], ["drop"]. *)
-val fault_kinds : string list
+    [run cfg profile] executes the measured broker protocol
+    ({!Podopt_broker.Loadgen.steady} itself, with a session maker that
+    notes each phase's sessions) while capturing every fault draw, and
+    returns the {!Log.t} bundling the run's workload with its JSON
+    document.  The recorded run produces the same document as an
+    uninstrumented [serve --json] of the same configuration: the
+    logging hooks spend no virtual time and draw from no stream. *)
 
 val run :
   ?warmup_ops:int (** default 12 *) ->

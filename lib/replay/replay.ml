@@ -1,24 +1,20 @@
-(* The replayer: rebuild a recorded run entirely from its log — the
-   broker from the logged config, each phase's sessions from the
-   logged payloads and schedules, and the packet arrivals from the
-   logged outcomes (scripted onto each session's link, so no PRNG is
-   consulted) — then re-run the measured protocol.  The regenerated
-   JSON document must equal the recorded one byte-for-byte, at any
-   domain count.
+(* The replayer: rebuild a recorded run from its log — the broker from
+   the logged config, each phase's sessions with Loadgen.session from
+   the logged indices, payloads, starts and intervals — then re-run
+   Loadgen.steady.  Each session's link delays and open-loop schedule
+   are seeded from its index exactly as in the recorded run, so the
+   replay runs the live code path.  The regenerated JSON document must
+   equal the recorded one byte-for-byte, at any domain count.
 
-   Fault draws are not scripted: the injectors are rebuilt from the
-   same spec, so their streams reproduce by construction.  Instead the
-   replay *verifies* each draw against the log, which turns any PRNG
+   Fault draws are not scripted either: the injectors are rebuilt from
+   the same spec, so their streams reproduce by construction.  Instead
+   the replay *verifies* each draw against the log, which turns any PRNG
    or fault-plan regression into a loud mismatch count rather than a
    silently different run. *)
 
 module Broker = Podopt_broker.Broker
 module Loadgen = Podopt_broker.Loadgen
-module Session = Podopt_broker.Session
-module Policy = Podopt_broker.Policy
 module Report = Podopt_broker.Report
-module Link = Podopt_net.Link
-module Packet = Podopt_net.Packet
 
 type outcome = {
   json : string;            (* the regenerated document *)
@@ -30,57 +26,14 @@ type outcome = {
   summary : Loadgen.summary;
 }
 
-(* (phase, sid, seq, attempt) -> recorded link outcome *)
-let arrival_table (log : Log.t) =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun (a : Log.arrival) ->
-      Hashtbl.replace tbl (a.Log.a_phase, a.a_sid, a.a_seq, a.a_attempt) a.a_outcome)
-    log.Log.arrivals;
-  tbl
-
-(* Rebuild one phase's sessions.  Links are fully scripted: a send's
-   outcome comes from the log, with the profile latency as the
-   fallback for sends the recorded run never made (possible only on
-   shrunk logs, where retry patterns may differ).  Open-loop arrival
-   schedules are not logged: like the migration plan they are a pure
-   function of recorded state — (spec, per-session seed, start,
-   interval, op count) — so they are re-derived here exactly as
-   {!Podopt_broker.Loadgen.make_sessions} derived them (sessions are
-   listed in creation order, so position = session index). *)
-let make_sessions broker (log : Log.t) table phase =
-  let arrivals = log.Log.config.Broker.arrivals in
-  List.mapi
-    (fun i (s : Log.sess) ->
-      let sid = s.Log.s_id in
-      let link =
-        Link.create ~latency:log.Log.profile.Loadgen.latency ~jitter:0 ()
-      in
-      Link.set_script link
-        (Some
-           (fun (pkt : Packet.t) ~attempt ->
-             match Hashtbl.find_opt table (phase, sid, pkt.Packet.seq, attempt) with
-             | Some -1 -> None
-             | Some delay -> Some delay
-             | None -> Some log.Log.profile.Loadgen.latency));
-      let schedule =
-        match arrivals with
-        | Podopt_broker.Arrivals.Periodic -> None
-        | spec ->
-          let seed =
-            Int64.add log.Log.config.Broker.seed (Int64.of_int (i + 1))
-          in
-          Some
-            (Podopt_broker.Arrivals.schedule spec ~seed ~start:s.Log.s_start
-               ~interval:s.Log.s_interval ~ops:(Array.length s.Log.s_ops))
-      in
-      let sess =
-        Session.create ~id:sid ~link ~ops:s.Log.s_ops ~start:s.Log.s_start
-          ~interval:s.Log.s_interval ?schedule ~backoff:Policy.default_backoff ()
-      in
-      Broker.register broker ~id:sid ~nack:(fun seq now ->
-          Session.nack sess ~seq ~now);
-      sess)
+(* One phase's sessions, rebuilt in creation order.  A shrunk log keeps
+   its sessions' indices, so each one draws the delays and schedule it
+   drew in the full run. *)
+let make_sessions broker (log : Log.t) phase =
+  List.map
+    (fun (s : Log.sess) ->
+      Loadgen.session broker log.Log.profile ~index:s.Log.s_index ~id:s.Log.s_id
+        ~ops:s.Log.s_ops ~start:s.Log.s_start ~interval:s.Log.s_interval)
     (Log.phase_sessions log phase)
 
 (* Verify each live fault draw against the recorded stream; counts (per
@@ -109,7 +62,7 @@ let install_fault_verifier broker (log : Log.t) =
           let key = (salt, kind) in
           if not (Hashtbl.mem streams key) then
             Hashtbl.replace streams key (ref [], ref 0))
-        Record.fault_kinds
+        Podopt_faults.Plan.kinds
     done;
   Broker.set_fault_logger broker
     (Some
@@ -142,13 +95,11 @@ let run ?domains ?(verify_faults = true) (log : Log.t) : outcome =
         if verify_faults then install_fault_verifier broker log
         else fun () -> 0
       in
-      let table = arrival_table log in
-      if log.Log.warmup_ops > 0 then begin
-        ignore (Loadgen.run broker (make_sessions broker log table "w"));
-        if cfg.Broker.optimize then Broker.force_reoptimize broker
-      end;
-      Broker.reset_measurements broker;
-      let summary = Loadgen.run broker (make_sessions broker log table "m") in
+      let summary =
+        Loadgen.steady ~warmup_ops:log.Log.warmup_ops
+          ~make:(fun phase _ -> make_sessions broker log phase)
+          broker log.Log.profile
+      in
       let json = Report.json ~metrics:log.Log.metrics broker summary in
       (* the migration plan is a pure function of recorded state, so a
          replay at the recorded domain count must re-derive the logged

@@ -1,12 +1,13 @@
 (** The replayer: reconstruct a recorded run from its {!Log.t} alone
-    and re-run it.
+    and re-run it through {!Podopt_broker.Loadgen.steady}.
 
-    Sessions are rebuilt from the logged payloads and schedules; links
-    are fully scripted from the logged arrival outcomes (no PRNG is
-    consulted); fault injectors are rebuilt from the logged spec and
-    every draw is verified against the log.  The regenerated JSON
-    document equals the recorded one byte-for-byte at any [domains]
-    (the document deliberately omits the domain count). *)
+    Sessions are rebuilt by {!Podopt_broker.Loadgen.session} from the
+    logged indices, payloads, starts and intervals, so their links and
+    open-loop schedules draw from the seeds the recorded run drew from;
+    fault injectors are rebuilt from the logged spec and every draw is
+    verified against the log.  The regenerated JSON document equals the
+    recorded one byte-for-byte at any [domains] (the document
+    deliberately omits the domain count). *)
 
 type outcome = {
   json : string;          (** the regenerated document *)
@@ -34,16 +35,8 @@ val first_diff : string -> string -> (int * string * string) option
 
 (** {1 Building blocks (shared with the differential oracle)} *)
 
-(** The recorded arrival outcomes keyed by
-    (phase, session id, seq, attempt). *)
-val arrival_table : Log.t -> (string * string * int * int, int) Hashtbl.t
-
-(** Rebuild one phase's sessions over scripted links and register their
-    nack callbacks with the broker.  Sends the recorded run never made
-    (possible only on shrunk logs) fall back to the profile latency. *)
+(** Rebuild one phase's sessions (["w"] or ["m"]) with
+    {!Podopt_broker.Loadgen.session}, registering their nack callbacks
+    with the broker. *)
 val make_sessions :
-  Podopt_broker.Broker.t ->
-  Log.t ->
-  (string * string * int * int, int) Hashtbl.t ->
-  string ->
-  Podopt_broker.Session.t list
+  Podopt_broker.Broker.t -> Log.t -> string -> Podopt_broker.Session.t list

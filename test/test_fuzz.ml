@@ -110,11 +110,21 @@ let gen =
   and+ sessions = int_range 2 6
   and+ ops = int_range 2 6
   and+ interval = int_range 60 200
+  and+ latency = int_range 10 80
+  and+ jitter = int_range 0 10
   and+ warmup = int_range 0 6
   and+ domains = int_range 2 4 in
   {
     cfg;
-    profile = { B.Loadgen.default_profile with B.Loadgen.sessions; ops; interval };
+    profile =
+      {
+        B.Loadgen.default_profile with
+        B.Loadgen.sessions;
+        ops;
+        interval;
+        latency;
+        jitter;
+      };
     warmup;
     domains;
   }
@@ -130,6 +140,8 @@ let print c =
        B.Workload.kind_to_string cfg.B.Broker.kind;
        Printf.sprintf "--sessions %d --ops %d --interval %d --warmup %d"
          p.B.Loadgen.sessions p.B.Loadgen.ops p.B.Loadgen.interval c.warmup;
+       Printf.sprintf "--latency %d --jitter %d" p.B.Loadgen.latency
+         p.B.Loadgen.jitter;
        Printf.sprintf "--shards %d --batch %d --queue-limit %d --policy %s"
          cfg.B.Broker.shards cfg.B.Broker.batch cfg.B.Broker.queue_limit
          (B.Policy.shed_to_string cfg.B.Broker.policy);

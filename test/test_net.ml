@@ -226,33 +226,12 @@ let test_link_jitter_varies_delay () =
     (Printf.sprintf "deliveries spread over %d distinct times" distinct)
     true (distinct >= 2)
 
-(* --- attempt counting ----------------------------------------------- *)
+(* --- link state -------------------------------------------------------- *)
 
 let pkt seq = Packet.make ~src:"a" ~dst:"b" ~seq (Bytes.of_string "x")
 
-let test_link_logged_attempts () =
-  let rt = mk_receiver () in
-  let link = Link.create () in
-  let seen = ref [] in
-  Link.set_logger link (Some (fun _ ~attempt _ -> seen := attempt :: !seen));
-  for _ = 1 to 3 do
-    Link.send link rt ~deliver_event:(Link.raise_timed "Deliver") (pkt 5)
-  done;
-  Alcotest.(check (list int)) "attempts of one seq" [ 0; 1; 2 ] (List.rev !seen)
-
-let test_link_late_logger_rejected () =
-  let rt = mk_receiver () in
-  let link = Link.create () in
-  Link.send link rt ~deliver_event:(Link.raise_timed "Deliver") (pkt 1);
-  Alcotest.check_raises "logger after a send"
-    (Invalid_argument "Link.set_logger: the link has already sent") (fun () ->
-      Link.set_logger link (Some (fun _ ~attempt:_ _ -> ())));
-  Alcotest.check_raises "script after a send"
-    (Invalid_argument "Link.set_script: the link has already sent") (fun () ->
-      Link.set_script link (Some (fun _ ~attempt:_ -> None)))
-
-(* With no script or logger, nothing reads attempt counts, so the link
-   keeps none: its size does not grow with the packets it has sent. *)
+(* A link keeps no per-packet state: its size does not grow with the
+   packets it has sent. *)
 let test_link_unlogged_constant_size () =
   let rt = mk_receiver () in
   let link = Link.create () in
@@ -278,8 +257,6 @@ let suite =
     Alcotest.test_case "latency" `Quick test_link_delivers_with_latency;
     Alcotest.test_case "loss rate" `Quick test_link_loss_rate;
     Alcotest.test_case "jitter" `Quick test_link_jitter_varies_delay;
-    Alcotest.test_case "logged attempts" `Quick test_link_logged_attempts;
-    Alcotest.test_case "late logger rejected" `Quick test_link_late_logger_rejected;
     Alcotest.test_case "unlogged link constant size" `Quick
       test_link_unlogged_constant_size;
   ]

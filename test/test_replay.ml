@@ -15,6 +15,7 @@ let gen_log =
   let open QCheck2.Gen in
   let gen_payload = map Bytes.of_string (string_size ~gen:char (0 -- 12)) in
   let gen_sess phase idx =
+    let* index = 0 -- 50 in
     let* start = 0 -- 500 in
     let* interval = 1 -- 300 in
     let* nops = 0 -- 4 in
@@ -23,6 +24,7 @@ let gen_log =
       {
         RL.s_phase = phase;
         s_id = Printf.sprintf "%s%02d" phase idx;
+        s_index = index;
         s_start = start;
         s_interval = interval;
         s_ops = Array.of_list ops;
@@ -34,20 +36,6 @@ let gen_log =
       let* s = gen_sess phase i in
       let* rest = gen_phase phase n (i + 1) in
       return (s :: rest)
-  in
-  let gen_id =
-    let* a = 0 -- 25 in
-    let* b = 0 -- 25 in
-    return (Printf.sprintf "%c%c" (Char.chr (97 + a)) (Char.chr (97 + b)))
-  in
-  let gen_arrival =
-    let* phase = oneofl [ "w"; "m" ] in
-    let* sid = gen_id in
-    let* seq = 0 -- 10 in
-    let* attempt = 0 -- 3 in
-    let* outcome = -1 -- 100 in
-    return { RL.a_phase = phase; a_sid = sid; a_seq = seq; a_attempt = attempt;
-             a_outcome = outcome }
   in
   let* shards = 1 -- 4 in
   let* optimize = bool in
@@ -101,11 +89,10 @@ let gen_log =
   let* nm = 0 -- 3 in
   let* warm = gen_phase "w" nw 0 in
   let* meas = gen_phase "m" nm 0 in
-  let* arrivals = list_size (0 -- 8) gen_arrival in
   let* entries =
     list_size (0 -- 3)
       (let* salt = 0 -- 4 in
-       let* kind = oneofl Record.fault_kinds in
+       let* kind = oneofl Podopt.Faults.kinds in
        let* bits = list_size (0 -- 8) bool in
        return ((salt, kind), bits))
   in
@@ -133,7 +120,6 @@ let gen_log =
       warmup_ops;
       metrics;
       sessions = warm @ meas;
-      arrivals;
       fault_draws;
       migrations;
       json;
@@ -275,27 +261,97 @@ let test_replay_profile_tamper () =
   ignore (RL.of_string text)
 
 let test_previous_version_refused () =
-  (* a version-7 log: V 7 and a C line that still carries the removed
-     batch-k field after the faults spec *)
-  let v7 =
+  (* a version-8 log: V 8, S lines without the session index, and an A
+     line of link outcomes per session *)
+  let v8 =
     RL.to_string (record ())
     |> String.split_on_char '\n'
+    |> List.concat_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "V"; _ ] -> [ "V 8" ]
+           | [ "S"; phase; id; _index; start; interval; nops ] ->
+             [
+               String.concat " " [ "S"; phase; id; start; interval; nops ];
+               Printf.sprintf "A %s %s 0 0 50" phase id;
+             ]
+           | _ -> [ l ])
+    |> String.concat "\n"
+  in
+  match RL.of_string v8 with
+  | _ -> Alcotest.fail "a version-8 log loaded"
+  | exception Podopt.Lines.Format_error msg ->
+    Alcotest.(check string) "error names the version"
+      "unsupported log version 8 (expected 9)" msg
+
+let test_negative_count_refused () =
+  let text = RL.to_string (record ()) in
+  let edit_s f =
+    String.split_on_char '\n' text
     |> List.map (fun l ->
            match String.split_on_char ' ' l with
-           | [ "V"; _ ] -> "V 7"
-           | "C" :: fields ->
-             let with_batch_k =
-               List.mapi (fun i f -> if i = 10 then [ f; "off" ] else [ f ]) fields
-             in
-             String.concat " " ("C" :: List.concat with_batch_k)
+           | "S" :: fields -> String.concat " " ("S" :: f fields)
            | _ -> l)
     |> String.concat "\n"
   in
-  match RL.of_string v7 with
-  | _ -> Alcotest.fail "a version-7 log loaded"
-  | exception Podopt.Lines.Format_error msg ->
-    Alcotest.(check string) "error names the version"
-      "unsupported log version 7 (expected 8)" msg
+  List.iter
+    (fun (expected, edited) ->
+      match RL.of_string edited with
+      | _ -> Alcotest.failf "loaded a log that should fail with %S" expected
+      | exception Podopt.Lines.Format_error msg ->
+        Alcotest.(check string) "error names the field" expected msg)
+    [
+      ( "bad nops -1 (negative)",
+        edit_s (function
+          | [ p; id; index; start; interval; _ ] -> [ p; id; index; start; interval; "-1" ]
+          | fields -> fields) );
+      ( "bad index -3 (negative)",
+        edit_s (function
+          | [ p; id; _; start; interval; nops ] -> [ p; id; "-3"; start; interval; nops ]
+          | fields -> fields) );
+    ]
+
+(* A shrunk log keeps each session's index, so a kept session replays on
+   the open-loop schedule and link delays it drew in the full run, not on
+   those of its new position.  The cut is the one Diff's shrinker makes:
+   keep one session id in both phases. *)
+let test_shrunk_session_keeps_its_draws () =
+  let cfg =
+    { B.Broker.default_config with
+      B.Broker.kind = B.Workload.Chat;
+      arrivals = B.Arrivals.Pareto 1.5 }
+  in
+  let log =
+    Record.run cfg
+      { B.Loadgen.default_profile with B.Loadgen.sessions = 8; jitter = 9 }
+  in
+  let shrunk =
+    { log with
+      RL.profile = { log.RL.profile with B.Loadgen.sessions = 1 };
+      sessions = List.filter (fun s -> s.RL.s_id = "s007") log.RL.sessions }
+  in
+  (* s007's measured horizon and the delays its link gives each op *)
+  let draws log =
+    let broker = B.Broker.create log.RL.config in
+    Fun.protect
+      ~finally:(fun () -> B.Broker.shutdown broker)
+      (fun () ->
+        let s =
+          List.find
+            (fun s -> B.Session.id s = "s007")
+            (Replay.make_sessions broker log "m")
+        in
+        let delays = ref [] in
+        B.Session.pump s ~now:max_int ~rt:()
+          ~deliver_event:(fun () ~delay _ -> delays := delay :: !delays);
+        (B.Session.horizon s, List.rev !delays))
+  in
+  let horizon, delays = draws log in
+  let horizon', delays' = draws shrunk in
+  Alcotest.(check int) "s007's horizon in the full log" 10338 horizon;
+  Alcotest.(check int) "the shrunk log's horizon" horizon horizon';
+  Alcotest.(check (list int)) "the shrunk log's link delays" delays delays';
+  Alcotest.(check bool) "the delays are jittered" true
+    (List.length (List.sort_uniq compare delays) > 1)
 
 (* --- differential oracle ------------------------------------------------ *)
 
@@ -348,6 +404,10 @@ let suite =
       test_replay_profile_tamper;
     Alcotest.test_case "a previous-version log is refused" `Quick
       test_previous_version_refused;
+    Alcotest.test_case "a negative session index or count is refused" `Quick
+      test_negative_count_refused;
+    Alcotest.test_case "a shrunk session keeps its draws" `Quick
+      test_shrunk_session_keeps_its_draws;
     Alcotest.test_case "diff: clean log has no divergence" `Quick
       test_diff_clean;
     Alcotest.test_case "diff: planted bug found and shrunk" `Quick
